@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from . import blackhole, identities, specfun, vacuumpol
-from .errors import StringHorizonError
+from .errors import DomainError, StringHorizonError
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -51,6 +51,14 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.fmt}")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
+
+
+def _geometry(alpha: float, mass: float) -> blackhole.DeficitGeometry:
+    """The deficit and mass given on the command line, validated."""
+    try:
+        return blackhole.DeficitGeometry(alpha=alpha, M=mass)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _fmt(x) -> str:
@@ -167,6 +175,7 @@ def cmd_verify(args) -> int:
 
 def cmd_phi2(args) -> int:
     RunConfig("phi2", None, None, args.out, args.format, 1)
+    _geometry(args.alpha, args.mass)
     res = vacuumpol.phi2_result(args.theta, args.alpha, args.mass)
     payload = {
         "theta": res.theta, "alpha": res.alpha, "M": res.M,
@@ -200,6 +209,12 @@ def cmd_figure1(args) -> int:
         alphas = [float(a) for a in args.alphas.split(",") if a]
     except ValueError as exc:
         raise ConfigError(f"bad --alphas: {exc}")
+    for alpha in alphas:
+        _geometry(alpha, args.mass)
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
+    if not 0.0 < args.margin < 1.0:
+        raise ConfigError(f"--margin must lie in (0, 1), got {args.margin}")
     rows = vacuumpol.figure1_data(alphas, M=args.mass, margin=args.margin,
                                   points=args.points)
     if args.format == "json":
@@ -219,8 +234,11 @@ def cmd_figure1(args) -> int:
 
 def cmd_radial(args) -> int:
     RunConfig("radial", None, None, args.out, args.format, 1)
-    lam = blackhole.lambda_of(args.l, args.m, args.alpha)
-    geometry = blackhole.DeficitGeometry(alpha=args.alpha, M=args.mass)
+    geometry = _geometry(args.alpha, args.mass)
+    try:
+        lam = blackhole.lambda_of(args.l, args.m, args.alpha)
+    except IndexError as exc:
+        raise ConfigError(str(exc)) from None
     etas = np.geomspace(1.0 + 1e-3, args.eta_max, args.points)
     if args.n == 0:
         table = [(float(e), specfun.legendre_P_axis(lam, float(e)),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, gammasgn, ive, kve
+from scipy.special import gammaln, ive, kve
 
 from . import specfun
 from .errors import (CoincidenceError, DomainError, QuadratureError,
@@ -187,22 +187,6 @@ class SeparationInvariants:
         chi = arccosh1p(dcosh)
         cg = (z1 * z2 + rho1 * rho2 * math.cos(dphi)) / (r1 * r2)
         return cls(zeta=zeta, chi=chi, cos_gamma=cg)
-
-
-# ----------------------------------------------------------------------
-# gamma-ratio helpers (vectorized; denominator poles give vanishing terms)
-# ----------------------------------------------------------------------
-
-def _gamma_ratio_vec(a, b) -> np.ndarray:
-    """Gamma(a)/Gamma(b) elementwise; a must stay off poles, poles of b
-    give 0 (the mode-sum terms they multiply vanish)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore", over="ignore"):
-        lg = gammaln(a) - gammaln(b)
-        sg = gammasgn(a) * gammasgn(b)
-        out = sg * np.exp(lg)
-    return np.where(np.isfinite(out), out, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -287,63 +287,53 @@ def _axis_P(do, x: float) -> float:
     return math.exp(_axis_P_log(do, x))
 
 
-def _axis_Qhat_log(do, x: float) -> tuple[float, float]:
-    """(log|Qhat_nu^{-mu}(x)|, sign) on (1, oo)."""
-    d = _as_degree_order(do)
-    _check_axis(x)
-    nu, mu = d.nu, d.mu
-    if nu <= -1.0:
-        # Q_{-nu-1} = Q_nu holds exactly at half-integer degrees (the
-        # cot(nu*pi) correction vanishes); other degrees below -1 are not
-        # reachable from the mode sums and are rejected.
-        two_nu = 2.0 * nu
-        if abs(two_nu - round(two_nu)) < 1e-12 and round(two_nu) % 2 != 0:
-            nu = -nu - 1.0
-        else:
-            raise DomainError(
-                f"Qhat degree {nu} <= -1 supported only at half-integers")
-    if _near_nonpositive_integer(nu - mu + 1.0):
-        raise PoleError(f"Qhat undefined: nu - mu + 1 = {nu - mu + 1.0} at a gamma pole")
-    w = 1.0 / (x * x)
-    F, _ = _hyp_series(0.5 * (nu - mu) + 1.0, 0.5 * (nu - mu + 1.0), nu + 1.5, w)
-    lg, sign = gamma_ratio_signed(nu - mu + 1.0, nu + 1.5)
-    log_abs = (0.5 * math.log(math.pi) + lg - (nu + 1.0) * math.log(2.0)
-               + (mu - nu - 1.0) * math.log(x) - 0.5 * mu * math.log(x * x - 1.0)
-               + math.log(abs(F)))
-    if F < 0:
-        sign = -sign
-    return log_abs, sign
-
-
-def _axis_Qhat(do, x: float) -> float:
-    log_abs, sign = _axis_Qhat_log(do, x)
-    return sign * math.exp(log_abs)
+def _fold_Q_degree(nu: float) -> float:
+    """nu folded by Q_{-nu-1} = Q_nu below -1: exact at half-integer degrees,
+    the only ones below -1 that the mode sums reach."""
+    if nu > -1.0:
+        return nu
+    if abs(2.0 * nu - round(2.0 * nu)) < 1e-12 and round(2.0 * nu) % 2 != 0:
+        return -nu - 1.0
+    raise DomainError(f"Q degree {nu} <= -1 supported only at half-integers")
 
 
 def _axis_Qbar_log(do, x: float) -> tuple[float, float]:
-    """(log|Qbar|, sign) with
-    Qbar_nu^{-mu} = Qhat_nu^{-mu} * Gamma(nu+3/2) / Gamma(nu-mu+1)
-                  = sqrt(pi) 2^{-nu-1} x^{mu-nu-1} (x^2-1)^{-mu/2} F(.;1/x^2).
+    """(log|Qbar|, sign), Qbar_nu^{-mu} = Qhat_nu^{-mu} Gamma(nu+3/2) / Gamma(nu-mu+1):
+    gamma-free, entire in the degree and ~ e^{-nu xi}, so long chains
+    neither overflow nor hit order poles.
 
-    Gamma-free: entire in the degree and only exponentially scaled
-    (~ e^{-nu xi}), so long chains neither overflow nor hit order poles.
+    Order zero (every Q chain of the mode sums) sums, with x = cosh(xi),
+        sqrt(pi) e^{-(nu+1) xi} F(1/2, nu+1; nu+3/2; e^{-2 xi}),
+    whose positive terms shrink by at least e^{-2 xi} at any degree; there
+    the 1/x^2 series below has c = a + b and needs thousands of terms near
+    x = 1.  Order mu > 0 keeps the 1/x^2 series,
+        sqrt(pi) 2^{-nu-1} x^{mu-nu-1} (x^2-1)^{-mu/2} F(.; nu+3/2; 1/x^2),
+    because at order mu the e^{-2 xi} form alternates and cancels.
     """
     d = _as_degree_order(do)
     _check_axis(x)
-    nu, mu = d.nu, d.mu
-    if nu <= -1.0:
-        two_nu = 2.0 * nu
-        if abs(two_nu - round(two_nu)) < 1e-12 and round(two_nu) % 2 != 0:
-            nu = -nu - 1.0
-        else:
-            raise DomainError(
-                f"Qbar degree {nu} <= -1 supported only at half-integers")
+    nu, mu = _fold_Q_degree(d.nu), d.mu
+    if mu == 0.0:
+        xi = math.acosh(x)
+        F, _ = _hyp_series(0.5, nu + 1.0, nu + 1.5, math.exp(-2.0 * xi))
+        return 0.5 * math.log(math.pi) - (nu + 1.0) * xi + math.log(F), 1.0
     w = 1.0 / (x * x)
     F, _ = _hyp_series(0.5 * (nu - mu) + 1.0, 0.5 * (nu - mu + 1.0), nu + 1.5, w)
     log_abs = (0.5 * math.log(math.pi)
                - (nu + 1.0) * math.log(2.0) + (mu - nu - 1.0) * math.log(x)
                - 0.5 * mu * math.log(x * x - 1.0) + math.log(abs(F)))
     return log_abs, math.copysign(1.0, F)
+
+
+def _axis_Qhat(do, x: float) -> float:
+    """Qhat_nu^{-mu}(x) on (1, oo): Qbar times Gamma(nu-mu+1) / Gamma(nu+3/2)."""
+    d = _as_degree_order(do)
+    nu, mu = _fold_Q_degree(d.nu), d.mu
+    if _near_nonpositive_integer(nu - mu + 1.0):
+        raise PoleError(f"Qhat undefined: nu - mu + 1 = {nu - mu + 1.0} at a gamma pole")
+    log_abs, sign = _axis_Qbar_log((nu, mu), x)
+    lg, sg = gamma_ratio_signed(nu - mu + 1.0, nu + 1.5)
+    return sign * sg * math.exp(log_abs + lg)
 
 
 def legendre_Qhat_axis(do, x: float) -> float:
@@ -374,7 +364,11 @@ def legendre_Q_sequence(lam0: float, zeta: float, count: int) -> np.ndarray:
     return legendre_Qhat_axis_sequence(lam0, 0.0, zeta, count)
 
 
-_MILLER_DEGREE = 250.0   # beyond this the top-start series leaves float range
+# Chains with a higher top degree start by Miller, which needs a series
+# value at the bottom degree only: near x = 1 the order-mu 1/x^2 series
+# grows like 2^nu and needs about (nu - mu) / (2 (x^2 - 1)) terms.  The
+# order-zero series needs about 17/xi terms at any degree.
+_MILLER_DEGREE = 250.0
 
 
 def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
@@ -386,8 +380,9 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
         (nu+mu+1)(nu-mu+1)/(nu+3/2) Qbar_{nu+1}
             = (2nu+1) x Qbar_nu - (nu+1/2) Qbar_{nu-1},
     computed downward.  Short chains start from two series values at the
-    top; long chains use Miller's algorithm (arbitrary seed well above the
-    range, normalized at the bottom).
+    top; long chains, and short ones whose top value underflows, use
+    Miller's algorithm (arbitrary seed well above the range, normalized at
+    the bottom).
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -401,9 +396,10 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
             / (nu + 0.5)
 
     top = count - 1
-    if nu0 + top <= _MILLER_DEGREE:
+    la, sa = (_axis_Qbar_log((nu0 + top, mu), x) if nu0 + top <= _MILLER_DEGREE
+              else (-math.inf, 1.0))
+    if la - top * log_scale > -708.0:   # a subnormal start zeroes the chain
         out = np.empty(count)
-        la, sa = _axis_Qbar_log((nu0 + top, mu), x)
         out[top] = sa * math.exp(la - top * log_scale)
         if count == 1:
             return out
@@ -427,8 +423,8 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
     l0, s0 = _axis_Qbar_log((nu0, mu), x)
     if raw[0] == 0.0 or not math.isfinite(raw[0]):
         raise ConvergenceError("Miller recursion lost the minimal solution")
-    scale = s0 * math.exp(l0) / raw[0]
-    return raw[:count] * scale
+    # divide first: exp(l0) / raw[0] alone can underflow at large x
+    return raw[:count] / raw[0] * (s0 * math.exp(l0))
 
 
 def legendre_Qhat_axis_sequence(nu0: float, mu: float, x: float, count: int,

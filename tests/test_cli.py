@@ -138,6 +138,21 @@ def test_verify_missing_manifest(tmp_path):
         == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["radial", "--n", "0", "--l", "1", "--m", "2"],
+    ["figure1", "--points", "0"],
+    ["figure1", "--alphas", "1.5"],
+    ["figure1", "--margin", "1.0"],
+    ["phi2", "--theta", "1.0", "--alpha", "1.0", "--mass", "-1"],
+])
+def test_bad_input_is_one_line_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 # ----------------------------------------------------------------------
 # phi2
 # ----------------------------------------------------------------------

@@ -3,17 +3,22 @@ and domain guards."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, lpmv
 
+from stringhorizon import specfun
 from stringhorizon.errors import ConvergenceError, DomainError, PoleError
 from stringhorizon.specfun import (DegreeOrder, EvalDomain, arccosh1p,
                                    bessel_IK, ferrers_P, ferrers_P_sequence,
                                    legendre_PQ_axis, legendre_P_axis,
                                    legendre_Q, legendre_Q_sequence,
-                                   log_gamma_ratio)
+                                   legendre_Qbar_axis_sequence,
+                                   legendre_Qhat_axis, log_gamma_ratio)
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +232,94 @@ def test_Q_sequence_matches_single(rng):
     seq = legendre_Q_sequence(0.7, 1.4, 30)
     for k in (0, 7, 29):
         assert seq[k] == pytest.approx(legendre_Q(0.7 + k, 1.4), rel=1e-11)
+
+
+# ----------------------------------------------------------------------
+# differential tests of the Q chains against mpmath, in log form
+# ----------------------------------------------------------------------
+
+MILLER_DEGREE = specfun._MILLER_DEGREE   # higher top degrees start by Miller
+LOG_NORMAL_MIN = -700.0    # below this a double is subnormal or zero
+
+
+def mp_log_Qhat(nu, mu, x):
+    """ln|Qhat_nu^{-mu}(x)| from mpmath.legenq (type 3) at 30 digits."""
+    with mpmath.workdps(30):
+        q = mpmath.legenq(nu, -mu, mpmath.mpf(x), type=3,
+                          maxprec=4000, maxterms=10**6)
+        return float(mpmath.log(abs(q)))
+
+
+def mp_log_Qbar(nu, mu, x):
+    """ln|Qbar_nu^{-mu}(x)| = ln|Qhat| + ln Gamma(nu+3/2) - ln|Gamma(nu-mu+1)|."""
+    with mpmath.workdps(30):
+        return float(mp_log_Qhat(nu, mu, x) + mpmath.loggamma(nu + 1.5)
+                     - mpmath.log(abs(mpmath.gamma(nu - mu + 1))))
+
+
+def assert_log_close(value, ref_log):
+    """value matches e^{ref_log} to 1e-12 relative (plus the spacing of
+    the logs themselves), or underflows where e^{ref_log} does."""
+    if ref_log < LOG_NORMAL_MIN:
+        assert abs(value) < 1e-300
+        return
+    assert value > 0.0
+    assert abs(math.log(value) - ref_log) <= 1e-12 + 1e-15 * abs(ref_log)
+
+
+def assert_chain_matches(nu0, mu, x, count):
+    seq = legendre_Qbar_axis_sequence(nu0, mu, x, count)
+    for k in sorted({0, count // 2, count - 1}):
+        assert_log_close(seq[k], mp_log_Qbar(nu0 + k, mu, x))
+
+
+# x from 1 + 1e-4 to 10, log-uniform in x - 1
+axis_x = st.floats(-4.0, math.log10(9.0)).map(lambda u: 1.0 + 10.0 ** u)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(nu0=st.floats(-0.5, 240.0), frac=st.floats(0.0, 1.0), x=axis_x)
+def test_Qbar_chain_order0_two_point_start(nu0, frac, x):
+    count = 1 + int(frac * math.floor(MILLER_DEGREE - nu0))
+    assert_chain_matches(nu0, 0.0, x, count)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(nu0=st.floats(0.0, 1000.0), extra=st.integers(0, 200), x=axis_x)
+def test_Qbar_chain_order0_miller(nu0, extra, x):
+    count = max(1, math.floor(MILLER_DEGREE + 1.0 - nu0) + 1) + extra
+    assert nu0 + count - 1 > MILLER_DEGREE
+    assert_chain_matches(nu0, 0.0, x, count)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(nu=st.floats(-0.999, 1000.0), x=axis_x)
+def test_Qhat_order0_single(nu, x):
+    assert_log_close(legendre_Qhat_axis((nu, 0.0), x), mp_log_Qhat(nu, 0.0, x))
+
+
+@pytest.mark.parametrize("nu", [80.0, 700.0])
+def test_Q_order0_near_singular_point(nu):
+    # the 1/x^2 series ran out of terms here; the e^{-2 xi} series does not
+    x = 1.0002
+    assert_log_close(legendre_Q(nu, x), mp_log_Qhat(nu, 0.0, x))
+    assert_chain_matches(nu, 0.0, x, 3)
+
+
+@pytest.mark.parametrize("nu0,count", [(100.0, 151), (150.0, 300)])
+def test_Qbar_chain_start_below_normal_range(nu0, count):
+    # at x = 10 the top of the chain underflows while its bottom does not
+    assert_chain_matches(nu0, 0.0, 10.0, count)
+
+
+@pytest.mark.parametrize("nu0,mu,x,count", [
+    (-0.5, 4.0 / 3.0, 1.5, 40),      # toroidal chain, two-point start
+    (2.5, 2.5, 1.2, 30),             # spheroidal chain, two-point start
+    (40.0, 40.0, 1.01, 5),           # large order near x = 1
+    (-0.5, 2.0, 1.05, 400),          # Miller start
+])
+def test_Qbar_chain_positive_order(nu0, mu, x, count):
+    assert_chain_matches(nu0, mu, x, count)
 
 
 # ----------------------------------------------------------------------
