@@ -9,13 +9,15 @@ properties.
 
 import math
 
-from stringhorizon import (DegreeOrder, bessel_IK, ferrers_P,
-                           legendre_PQ_axis, legendre_P_axis, legendre_Q,
-                           log_gamma_ratio)
+from stringhorizon import (DegreeOrder, bessel_IK, ferrers_P, lambda_of,
+                           legendre_P_axis, legendre_Q)
+from stringhorizon.specfun import (gamma_ratio_signed,
+                                   legendre_P_axis_sequence,
+                                   legendre_Qhat_axis)
 
 # --- mode indices on a cone -------------------------------------------
 alpha = 0.75
-do = DegreeOrder.from_mode(l=3, m=2, alpha=alpha)
+do = DegreeOrder(nu=lambda_of(3, 2, alpha), mu=2 / alpha)
 print(f"alpha = {alpha}: mode (l=3, m=2) carries degree nu = {do.nu:.6f}, "
       f"order -mu = -{do.mu:.6f}")
 print(f"nu - mu = {do.degree_offset:.1f} (a non-negative integer keeps the "
@@ -43,7 +45,8 @@ print(f"Wronskian P Q' - P' Q = {p*dq - dp*q:.12e} "
       f"(target {-1/(zeta**2-1):.12e})")
 
 # the phase-absorbed second kind at fractional order is real
-pp, qq = legendre_PQ_axis((0.5, 0.8), 1.5)
+pp = legendre_P_axis_sequence(0.5, 0.8, 1.5, 1)[0]
+qq = legendre_Qhat_axis((0.5, 0.8), 1.5)
 print(f"\naxis pair at (nu, mu) = (0.5, 0.8): P = {pp:.12f}, Qhat = {qq:.12f}")
 
 # --- normalization of the angular modes --------------------------------
@@ -54,8 +57,8 @@ mu = m / alpha
 lam = l - m + mu
 val, _ = quad(lambda t: ferrers_P((lam, mu), math.cos(t)) ** 2 * math.sin(t),
               0.0, math.pi)
-target = 2.0 / (2.0 * lam + 1.0) * math.exp(log_gamma_ratio(lam - mu + 1.0,
-                                                            lam + mu + 1.0))
+log_ratio, _ = gamma_ratio_signed(lam - mu + 1.0, lam + mu + 1.0)
+target = 2.0 / (2.0 * lam + 1.0) * math.exp(log_ratio)
 print(f"\nnormalization integral (l=m'={l}, m={m}): {val:.12e}")
 print(f"closed form 2/(2 lam + 1) * gamma ratio:   {target:.12e}")
 

@@ -3,7 +3,7 @@ by a cosmic string: non-integer Legendre/Bessel special functions, cone-space
 Green's functions in all their representations, the generalized Heine
 identity harness, and the renormalized <phi^2> by two independent routes."""
 
-from .blackhole import (DeficitGeometry, HorizonSeparation, ModeIndex,
+from .blackhole import (DeficitGeometry, HorizonSeparation,
                         RadialSolutionPair, chi_radial_green, exponent_fit,
                         g_sing, geodesic_distance,
                         geodesic_distance_expansion, horizon_green,
@@ -22,10 +22,9 @@ from .identities import (IdentityCase, check_app5, check_heine_classic,
                          check_norm_integral, check_spheroidal_sum,
                          check_toroidal_addition, run_cases,
                          spheroidal_ratio_audit)
-from .specfun import (DegreeOrder, EvalDomain, arccosh1p, bessel_IK,
-                      ferrers_P, ferrers_P_sequence, legendre_PQ_axis,
-                      legendre_P_axis, legendre_Q, legendre_Q_sequence,
-                      log_gamma_ratio)
+from .specfun import (DegreeOrder, arccosh1p, bessel_IK, ferrers_P,
+                      ferrers_P_sequence, legendre_P_axis, legendre_Q,
+                      legendre_Q_sequence)
 from .vacuumpol import (Phi2Result, dominance_angle, figure1_data,
                         phi2_closed, phi2_limit, phi2_near_axis, phi2_result)
 

@@ -16,14 +16,13 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from . import specfun
-from .conespace import generalized_heine_rhs, heine_double_sum
+from .conespace import check_alpha, generalized_heine_rhs, heine_double_sum
 from .errors import (DomainError, QuadratureError, SeriesRadiusError,
                      StiffnessError)
 from .specfun import arccosh1p
 
 __all__ = [
     "DeficitGeometry",
-    "ModeIndex",
     "RadialSolutionPair",
     "HorizonSeparation",
     "lambda_of",
@@ -47,10 +46,11 @@ class DeficitGeometry:
     M: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.M <= 0.0:
-            raise DomainError(f"M must be positive, got {self.M}")
+        check_alpha(self.alpha)
+        # every result scales with 1/M^2, so M^2 must be a positive float
+        if not (self.M > 0.0 and 0.0 < self.M * self.M < math.inf):
+            raise DomainError(
+                f"M must be positive with M^2 in floating-point range, got {self.M}")
 
     @property
     def kappa(self) -> float:
@@ -66,29 +66,12 @@ class DeficitGeometry:
 def lambda_of(l: int, m: int, alpha: float) -> float:
     """lambda = l - |m| + |m|/alpha; the degree that keeps the angular
     functions regular at the poles."""
-    if abs(m) > l:
-        raise IndexError(f"|m| = {abs(m)} exceeds l = {l}")
     if l < 0:
-        raise IndexError(f"l must be >= 0, got {l}")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+        raise DomainError(f"l must be >= 0, got {l}")
+    if abs(m) > l:
+        raise DomainError(f"|m| = {abs(m)} exceeds l = {l}")
+    check_alpha(alpha)
     return l - abs(m) + abs(m) / alpha
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """Matsubara/angular mode labels (n, l, m)."""
-
-    n: int
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if abs(self.m) > self.l:
-            raise IndexError(f"|m| = {abs(self.m)} exceeds l = {self.l}")
-
-    def lam(self, alpha: float) -> float:
-        return lambda_of(self.l, self.m, alpha)
 
 
 @dataclass(frozen=True)
@@ -223,10 +206,11 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     """
     if n == 0:
         raise DomainError("radial_solutions handles n != 0; use the analytic branch")
-    if lam < 0.0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
-    if eta_max <= 1.5:
-        raise DomainError(f"eta_max must exceed 1.5, got {eta_max}")
+    if not (lam >= 0.0 and lam * (lam + 1.0) < math.inf):
+        raise DomainError(
+            f"lambda must be >= 0 with lambda (lambda + 1) finite, got {lam}")
+    if not 1.5 < eta_max < math.inf:
+        raise DomainError(f"eta_max must be finite and exceed 1.5, got {eta_max}")
     if not 0.0 < delta0 < 1.0:
         raise SeriesRadiusError(
             f"delta0 = {delta0} outside the Frobenius radius (singular point at t = -2)")

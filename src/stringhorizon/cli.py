@@ -1,10 +1,10 @@
 """Command-line surface: run identity suites, compute phi^2, emit figure
 data, and persist machine-readable reports.
 
-Exit codes: 0 success, 1 verification failures, 2 config errors,
-3 numeric/convergence errors.  Output files are byte-deterministic for a
-fixed config: floats are written with 17 significant digits and reports
-carry no timestamps.
+Exit codes: 0 success, 1 verification failures, 2 config errors (bad
+options, or arguments outside a function's domain), 3 numeric/convergence
+errors.  Output files are byte-deterministic for a fixed config: floats are
+written with 17 significant digits and reports carry no timestamps.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -32,33 +32,6 @@ _CASE_KEYS = {"check", "params"}
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    tolerance: float | None
-    manifest: str | None
-    out: str | None
-    fmt: str
-    parallelism: int
-
-    def __post_init__(self):
-        if self.tolerance is not None and not 1e-12 <= self.tolerance <= 1e-3:
-            raise ConfigError(
-                f"tolerance {self.tolerance} outside [1e-12, 1e-3]")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt}")
-        if self.parallelism < 1:
-            raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
-
-
-def _geometry(alpha: float, mass: float) -> blackhole.DeficitGeometry:
-    """The deficit and mass given on the command line, validated."""
-    try:
-        return blackhole.DeficitGeometry(alpha=alpha, M=mass)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _fmt(x) -> str:
@@ -139,16 +112,18 @@ def _records_csv(records: list[dict]) -> str:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig("verify", args.tolerance, args.manifest, args.out,
-                    args.format, args.parallelism)
-    cases = _load_manifest(cfg.manifest)
+    if args.tolerance is not None and not 1e-12 <= args.tolerance <= 1e-3:
+        raise ConfigError(f"tolerance {args.tolerance} outside [1e-12, 1e-3]")
+    if args.parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")
+    cases = _load_manifest(args.manifest)
     if not cases:
         print("warning: empty manifest, nothing to verify")
-        _emit(_json_dumps([]) if cfg.fmt == "json" else _records_csv([]),
-              cfg.out)
+        _emit(_json_dumps([]) if args.format == "json" else _records_csv([]),
+              args.out)
         return EXIT_OK
-    records = identities.run_cases(cases, tol_override=cfg.tolerance,
-                                   parallelism=cfg.parallelism)
+    records = identities.run_cases(cases, tol_override=args.tolerance,
+                                   parallelism=args.parallelism)
     n_err = sum(1 for r in records if "error" in r)
     n_fail = sum(1 for r in records if not r.get("passed") and "error" not in r)
     for r in records:
@@ -160,8 +135,8 @@ def cmd_verify(args) -> int:
                   f"tail={_fmt(r['certified_tail'])}")
     print(f"{len(records)} checks: {len(records) - n_fail - n_err} passed, "
           f"{n_fail} failed, {n_err} errored")
-    _emit(_json_dumps(records) if cfg.fmt == "json" else _records_csv(records),
-          cfg.out)
+    _emit(_json_dumps(records) if args.format == "json" else _records_csv(records),
+          args.out)
     if n_err:
         return EXIT_NUMERIC
     if n_fail:
@@ -174,8 +149,6 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_phi2(args) -> int:
-    RunConfig("phi2", None, None, args.out, args.format, 1)
-    _geometry(args.alpha, args.mass)
     res = vacuumpol.phi2_result(args.theta, args.alpha, args.mass)
     payload = {
         "theta": res.theta, "alpha": res.alpha, "M": res.M,
@@ -203,19 +176,20 @@ def cmd_phi2(args) -> int:
 # figure1
 # ----------------------------------------------------------------------
 
+def _check_points(points: int):
+    if points < 1:
+        raise ConfigError(f"--points must be >= 1, got {points}")
+
+
 def cmd_figure1(args) -> int:
-    RunConfig("figure1", None, None, args.out, args.format, 1)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a]
     except ValueError as exc:
         raise ConfigError(f"bad --alphas: {exc}")
-    for alpha in alphas:
-        _geometry(alpha, args.mass)
-    if args.points < 1:
-        raise ConfigError(f"--points must be >= 1, got {args.points}")
+    _check_points(args.points)
     if not 0.0 < args.margin < 1.0:
         raise ConfigError(f"--margin must lie in (0, 1), got {args.margin}")
-    rows = vacuumpol.figure1_data(alphas, M=args.mass, margin=args.margin,
+    rows = vacuumpol.figure1_data(alphas, margin=args.margin,
                                   points=args.points)
     if args.format == "json":
         payload = [{"cos_theta": r[0], "alpha": r[1], "phi2_M2": r[2]}
@@ -232,14 +206,17 @@ def cmd_figure1(args) -> int:
 # radial
 # ----------------------------------------------------------------------
 
+_ETA_MIN = 1.0 + 1e-3     # first row of the radial table
+
+
 def cmd_radial(args) -> int:
-    RunConfig("radial", None, None, args.out, args.format, 1)
-    geometry = _geometry(args.alpha, args.mass)
-    try:
-        lam = blackhole.lambda_of(args.l, args.m, args.alpha)
-    except IndexError as exc:
-        raise ConfigError(str(exc)) from None
-    etas = np.geomspace(1.0 + 1e-3, args.eta_max, args.points)
+    geometry = blackhole.DeficitGeometry(alpha=args.alpha, M=args.mass)
+    lam = blackhole.lambda_of(args.l, args.m, args.alpha)
+    _check_points(args.points)
+    if not _ETA_MIN < args.eta_max < math.inf:
+        raise ConfigError(
+            f"--eta-max must be finite and exceed {_ETA_MIN}, got {args.eta_max}")
+    etas = np.geomspace(_ETA_MIN, args.eta_max, args.points)
     if args.n == 0:
         table = [(float(e), specfun.legendre_P_axis(lam, float(e)),
                   specfun.legendre_Q(lam, float(e))) for e in etas]
@@ -300,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--alphas", default="1.0,0.9,0.75,0.5")
     g.add_argument("--points", type=int, default=81)
     g.add_argument("--margin", type=float, default=0.995)
-    g.add_argument("--mass", type=float, default=1.0)
     g.add_argument("--out", default=None)
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.set_defaults(func=cmd_figure1)
@@ -324,10 +300,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
+        # every argument of phi2, figure1 and radial comes from the command
+        # line; verify records its cases' domain errors instead of raising
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StringHorizonError as exc:
+    except (StringHorizonError, OverflowError) as exc:
+        # OverflowError: math.exp or math.sinh met a value beyond float
+        # range, such as P_lambda(eta) at large lambda and eta
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -28,6 +28,7 @@ from .summation import (abel_limit, geometric_tail, lmax_for_rate,
                         sum_m_bands)
 
 __all__ = [
+    "check_alpha",
     "ConePoint",
     "SeparationInvariants",
     "g4_closed",
@@ -46,6 +47,12 @@ __all__ = [
 
 _CHARTS = ("spherical", "cylindrical", "toroidal", "spheroidal")
 COINCIDENCE_TOL = 1e-7  # minimum chart-invariant separation
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise DomainError unless the deficit alpha lies in (0, 1]; NaN fails."""
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,7 @@ def _separation2(x: ConePoint, xp: ConePoint, alpha: float, with_tau: bool) -> f
 
 
 def _guard_separation(x: ConePoint, xp: ConePoint, alpha: float, with_tau: bool):
+    check_alpha(alpha)
     if _separation2(x, xp, alpha, with_tau) < COINCIDENCE_TOL ** 2:
         raise CoincidenceError("point pair closer than the coincidence guard")
 
@@ -202,8 +210,7 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
 
     Returns (value, certified_tail, lmax_used, mmax_used).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     if zeta <= 1.0 + 1e-6:
         raise DomainError(
             f"heine_double_sum needs zeta > 1 + 1e-6, got zeta = {zeta}")
@@ -211,22 +218,14 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     xi = math.acosh(zeta)               # Q_lam(zeta) ~ e^{-lam xi}
     count = (lmax if lmax is not None else lmax_for_rate(xi, tol)) + 1
     tails = [0.0]
-    used = {"l": count - 1, "m": 0}
 
     def band(m: int) -> float:
         mu = m / alpha
-        p1 = specfun.ferrers_P_sequence(mu, mu, x1, count)
-        p2 = specfun.ferrers_P_sequence(mu, mu, x2, count)
         q = specfun.legendre_Q_sequence(mu, zeta, count)
-        lam = mu + np.arange(count)
-        # assembled in logs: the gamma ratio alone overflows at large mu
-        # even though the full product is tiny
-        lgr = gammaln(lam + mu + 1.0) - gammaln(lam - mu + 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = lgr + np.log(np.abs(p1)) + np.log(np.abs(p2)) + np.log(q)
-            terms = ((2.0 * lam + 1.0) * np.sign(p1) * np.sign(p2)
-                     * np.exp(logs))
-        terms = np.where(np.isfinite(terms), terms, 0.0)
+            log_q = np.log(q)
+        terms = ((2.0 * (mu + np.arange(count)) + 1.0)
+                 * specfun.ferrers_band(mu, x1, x2, count, log_q))
         tails.append(geometric_tail(terms[-3:], xi))
         weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
         return weight * float(terms.sum())
@@ -234,8 +233,7 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     max_bands = (mmax + 1) if mmax is not None else 400
     value, mtail, bands = sum_m_bands(band, tol, max_bands=max_bands,
                                       require_settle=mmax is None)
-    used["m"] = bands
-    return value, sum(tails) + mtail, used["l"], used["m"]
+    return value, sum(tails) + mtail, count - 1, bands
 
 
 def generalized_heine_rhs(alpha: float, theta: float, theta_p: float,
@@ -258,8 +256,6 @@ def generalized_heine_rhs(alpha: float, theta: float, theta_p: float,
 
 def g4_closed(x: ConePoint, xp: ConePoint, alpha: float) -> float:
     """Closed form of the 4D Euclidean Green's function on the cone."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     _guard_separation(x, xp, alpha, with_tau=True)
     rho1, z1, rho2, z2, dphi, dtau = _pair_cyl(x, xp)
     dcosh = (dtau * dtau + (z1 - z2) ** 2 + (rho1 - rho2) ** 2) / (2.0 * rho1 * rho2)
@@ -331,8 +327,6 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
     """3D mode sum in spherical polars: terms (r</r>)^lam decay geometrically,
     so nearly equal radii are rejected (the identity harness handles the
     r -> r' limit by Abel summation instead)."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     _guard_separation(x, xp, alpha, with_tau=False)
     s1, s2 = x.to_spherical(), xp.to_spherical()
     r1, th1, _ = s1.coords
@@ -349,15 +343,9 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
 
     def band(m: int) -> float:
         mu = m / alpha
-        p1 = specfun.ferrers_P_sequence(mu, mu, x1, count)
-        p2 = specfun.ferrers_P_sequence(mu, mu, x2, count)
-        lam = mu + np.arange(count)
-        lgr = gammaln(lam + mu + 1.0) - gammaln(lam - mu + 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = (lgr + lam * logratio - math.log(r_gt)
-                    + np.log(np.abs(p1)) + np.log(np.abs(p2)))
-            terms = np.sign(p1) * np.sign(p2) * np.exp(logs)
-        terms = np.where(np.isfinite(terms), terms, 0.0)
+        # (r</r>)^lam / r>
+        log_radial = (mu + np.arange(count)) * logratio - math.log(r_gt)
+        terms = specfun.ferrers_band(mu, x1, x2, count, log_radial)
         weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
         return weight * float(terms.sum())
 
@@ -375,8 +363,6 @@ def g3_cylindrical_Qsum(x: ConePoint, xp: ConePoint, alpha: float,
                         tol: float = 1e-8) -> float:
     """3D Green's function as the azimuthal sum of Q_{|m|/alpha - 1/2}(u),
     u = ((z-z')^2 + rho^2 + rho'^2) / (2 rho rho')."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     _guard_separation(x, xp, alpha, with_tau=False)
     rho1, rho2, dphi, u = _qsum_u(x, xp)
     if u <= 1.0 + 1e-12:
@@ -396,8 +382,6 @@ def g3_axisym_integral(x: ConePoint, xp: ConePoint, alpha: float,
                        tol: float = 1e-8) -> float:
     """3D Green's function from general axisymmetric potential theory:
     per-m integrals of sin^{2 mu} Psi over the half-period."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     _guard_separation(x, xp, alpha, with_tau=False)
     rho1, z1, rho2, z2, dphi, _ = _pair_cyl(x, xp)
     base = (z1 - z2) ** 2 + rho1 * rho1 + rho2 * rho2
@@ -504,11 +488,28 @@ def _toroidal_coefficients(alpha, m, w_lt, w_gt, count):
     return g * p * qb * np.exp(-n * (w_gt - w_lt))
 
 
+def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax=None):
+    """sum_n e^{i n deta} c_n (c_n of `_toroidal_coefficients`), folded onto
+    n >= 0.  Summed directly with a geometric tail when w> - w< > 1e-3,
+    otherwise as an Abel limit, which needs deta away from 0 (the caller
+    checks).  Returns (value, tail, count)."""
+    rate = w_gt - w_lt
+    if rate > 1e-3:
+        count = (nmax if nmax is not None else lmax_for_rate(rate, tol)) + 1
+    else:
+        count = nmax + 1 if nmax is not None else 12000
+    c = _toroidal_coefficients(alpha, m, w_lt, w_gt, count)
+    terms = c * np.cos(np.arange(count) * deta)
+    terms[1:] *= 2.0
+    if rate > 1e-3:
+        return float(terms.sum()), geometric_tail(c[-3:], rate), count
+    value, tail = abel_limit(terms, h0=0.1, levels=6)
+    return value, tail, count
+
+
 def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
                     tol: float = 1e-8) -> float:
     """3D Green's function as the toroidal-harmonic double sum."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     _guard_separation(x, xp, alpha, with_tau=False)
     t1, t2 = x.to_toroidal(), xp.to_toroidal()
     w1, eta1, _ = t1.coords
@@ -516,25 +517,13 @@ def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
     dphi = _pair_cyl(x, xp)[4]
     deta = math.remainder(eta1 - eta2, 2.0 * math.pi)
     w_lt, w_gt = min(w1, w2), max(w1, w2)
-    rate = w_gt - w_lt
+    if w_gt - w_lt <= 1e-3 and abs(deta) < 1e-6:
+        raise SlowConvergenceError(
+            "toroidal n-sum has no decay and no oscillation (w=w', deta=0)")
     pref = math.sqrt((math.cosh(w1) - math.cos(eta1)) * (math.cosh(w2) - math.cos(eta2)))
 
     def band(m: int) -> float:
-        if rate > 1e-3:
-            count = lmax_for_rate(rate, tol) + 1
-            c = _toroidal_coefficients(alpha, m, w_lt, w_gt, count)
-            weights = np.full(count, 2.0)
-            weights[0] = 1.0
-            nsum = float(np.dot(weights * np.cos(np.arange(count) * deta), c))
-        else:
-            if abs(deta) < 1e-6:
-                raise SlowConvergenceError(
-                    "toroidal n-sum has no decay and no oscillation (w=w', deta=0)")
-            count = 12000
-            c = _toroidal_coefficients(alpha, m, w_lt, w_gt, count)
-            coeffs = c * np.cos(np.arange(count) * deta)
-            coeffs[1:] *= 2.0
-            nsum, _ = abel_limit(coeffs, h0=0.1, levels=6)
+        nsum, _, _ = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol)
         weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
         return weight * nsum
 
@@ -569,8 +558,6 @@ def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
                       tol: float = 1e-8) -> float:
     """3D Green's function as the prolate-spheroidal mode sum (the
     four-Legendre-product series)."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     _guard_separation(x, xp, alpha, with_tau=False)
     p1, p2 = x.to_spheroidal(), xp.to_spheroidal()
     s1, th1, _ = p1.coords

@@ -18,7 +18,7 @@ from scipy.special import eval_legendre, gammaln
 
 from . import specfun
 from .blackhole import lambda_of
-from .conespace import (_spheroidal_coefficients, _toroidal_coefficients,
+from .conespace import (_spheroidal_coefficients, _toroidal_nsum, check_alpha,
                         generalized_heine_rhs, heine_double_sum, linet_kernel)
 from .errors import DomainError, QuadratureError, StringHorizonError
 from .summation import abel_limit, geometric_tail, lmax_for_rate, sum_m_bands
@@ -132,19 +132,6 @@ def _abel_count(h0: float, levels: int, margin: float = 26.0) -> int:
     return int(margin / h_min)
 
 
-def _app5_coefficients(alpha, m, theta, theta_p, count):
-    mu = abs(m) / alpha
-    p1 = specfun.ferrers_P_sequence(mu, mu, math.cos(theta), count)
-    p2 = specfun.ferrers_P_sequence(mu, mu, math.cos(theta_p), count)
-    lam = mu + np.arange(count)
-    # log-assembled: the gamma ratio alone leaves float range on long chains
-    lgr = gammaln(lam + mu + 1.0) - gammaln(lam - mu + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sign(p1) * np.sign(p2) * np.exp(
-            lgr + np.log(np.abs(p1)) + np.log(np.abs(p2)))
-    return np.where(np.isfinite(out), out, 0.0)
-
-
 def check_app5(alpha: float, m: int, theta: float, theta_p: float,
                lmax: int | None = None, tol: float = 1e-6) -> IdentityCase:
     """sum_l gammaRatio P_lam^{-mu}(cos th) P_lam^{-mu}(cos th') =
@@ -153,12 +140,13 @@ def check_app5(alpha: float, m: int, theta: float, theta_p: float,
     The l-sum decays only like 1/lam (coincident radii), so it is evaluated
     as an Abel limit with Richardson extrapolation.
     """
+    check_alpha(alpha)
     if abs(theta - theta_p) < 1e-3:
         raise DomainError("theta = theta' makes both sides divergent")
     mu = abs(m) / alpha
     h0, levels = 0.08, 7
     count = lmax + 1 if lmax is not None else _abel_count(h0, levels)
-    coeffs = _app5_coefficients(alpha, m, theta, theta_p, count)
+    coeffs = specfun.ferrers_band(mu, math.cos(theta), math.cos(theta_p), count)
     lhs, err = abel_limit(coeffs, h0=h0, levels=levels)
     ss = math.sin(theta) * math.sin(theta_p)
     coshxi = (1.0 - math.cos(theta) * math.cos(theta_p)) / ss
@@ -196,7 +184,8 @@ def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
     tails = [0.0]
 
     def band(m):
-        coeffs = _app5_coefficients(alpha, m, theta, theta_p, count)
+        coeffs = specfun.ferrers_band(m / alpha, math.cos(theta),
+                                      math.cos(theta_p), count)
         val, err = abel_limit(coeffs, h0=h0, levels=levels)
         tails.append(err)
         weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
@@ -270,36 +259,22 @@ def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
     (cosh w - cos eta) factors printed alongside the source mode sum cancel
     from the addition theorem.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     if w <= 0.0 or w_p <= 0.0:
         raise DomainError("toroidal coordinates must be positive")
     mu = abs(m) / alpha
     deta = math.remainder(eta - eta_p, 2.0 * math.pi)
     w_lt, w_gt = min(w, w_p), max(w, w_p)
-    rate = w_gt - w_lt
     chi = (math.cosh(w) * math.cosh(w_p) - math.cos(deta)) \
         / (math.sinh(w) * math.sinh(w_p))
     if chi <= 1.0 + 1e-12:
         raise DomainError("coincident toroidal pair; RHS divergent")
-    if rate > 1e-3:
-        count = (nmax if nmax is not None else lmax_for_rate(rate, tol)) + 1
-        c = _toroidal_coefficients(alpha, m, w_lt, w_gt, count)
-        cosns = np.cos(np.arange(count) * deta)
-        terms = c * cosns
-        terms[1:] *= 2.0
-        lhs = float(terms.sum())
-        tail = geometric_tail(c[-3:], rate)
-        note = ""
-    else:
+    note = ""
+    if w_gt - w_lt <= 1e-3:
         if abs(deta) < 1e-6:
             raise DomainError("w = w' with deta = 0 is coincident")
-        count = nmax + 1 if nmax is not None else 12000
-        c = _toroidal_coefficients(alpha, m, w_lt, w_gt, count)
-        coeffs = c * np.cos(np.arange(count) * deta)
-        coeffs[1:] *= 2.0
-        lhs, tail = abel_limit(coeffs, h0=0.1, levels=6)
         note = "w = w': n-sum evaluated as an Abel limit"
+    lhs, tail, count = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax)
     rhs = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), chi) \
         / math.sqrt(math.sinh(w) * math.sinh(w_p))
     params = {"alpha": alpha, "m": m, "w": w, "w_p": w_p,
@@ -345,8 +320,7 @@ def check_spheroidal_sum(alpha: float, m: int, theta: float, theta_p: float,
     The printed constant carries a spurious 1/alpha (the ratio audit
     measures LHS/RHS = alpha); at alpha = 1 the identity holds as printed.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     lhs, rhs, tail, count = _spheroidal_lhs_rhs(alpha, m, theta, theta_p,
                                                 sigma_lt, sigma_gt, lmax, tol)
     params = {"alpha": alpha, "m": m, "theta": theta, "theta_p": theta_p,

@@ -7,10 +7,12 @@ Conventions
   x in (-1, 1), order taken as -mu with mu >= 0.
 * ``legendre_P_axis`` / ``legendre_Q`` are the Legendre functions of the
   first and second kind on (1, oo), order 0.
-* ``legendre_PQ_axis(do, x)`` returns (P_nu^{-mu}(x), Qhat_nu^{-mu}(x)) where
-  Qhat_nu^{-mu} = e^{mu*pi*i} * Q_nu^{-mu} is real for x > 1.  The phase
-  factor matches the one multiplying Q in the toroidal and spheroidal
-  mode sums, so every interface in this package stays real-valued.
+* ``legendre_Qhat_axis(do, x)`` is Qhat_nu^{-mu} = e^{mu*pi*i} * Q_nu^{-mu},
+  real for x > 1.  The phase factor matches the one multiplying Q in the
+  toroidal and spheroidal mode sums, so every interface in this package
+  stays real-valued.
+* ``ferrers_band`` is the gamma-ratio x P x P band shared by every mode sum
+  over the angular functions.
 
 All evaluations go through hypergeometric series with certified geometric
 tail bounds; a series that cannot certify the requested tolerance within
@@ -29,13 +31,12 @@ from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "DegreeOrder",
-    "EvalDomain",
     "SING_TOL",
     "MAX_SERIES_TERMS",
-    "log_gamma_ratio",
     "gamma_ratio_signed",
     "ferrers_P",
     "ferrers_P_sequence",
+    "ferrers_band",
     "legendre_Q",
     "legendre_Q_sequence",
     "legendre_P_axis",
@@ -43,7 +44,6 @@ __all__ = [
     "legendre_Qhat_axis",
     "legendre_Qhat_axis_sequence",
     "legendre_Qbar_axis_sequence",
-    "legendre_PQ_axis",
     "bessel_IK",
     "arccosh1p",
 ]
@@ -69,38 +69,10 @@ class DegreeOrder:
         if self.mu < 0:
             raise DomainError(f"order mu must be >= 0, got {self.mu}")
 
-    @classmethod
-    def from_mode(cls, l: int, m: int, alpha: float) -> "DegreeOrder":
-        """Index pair for angular mode (l, m) on a cone of deficit alpha."""
-        if abs(m) > l:
-            raise DomainError(f"|m| = {abs(m)} exceeds l = {l}")
-        if not 0.0 < alpha <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-        mu = abs(m) / alpha
-        return cls(nu=l - abs(m) + mu, mu=mu)
-
     @property
     def degree_offset(self) -> float:
         """nu - mu; a non-negative integer for mode-generated indices."""
         return self.nu - self.mu
-
-
-@dataclass(frozen=True)
-class EvalDomain:
-    """Argument with its region on the real line: the cut or the axis."""
-
-    x: float
-    region: str  # "cut" or "axis"
-
-    @classmethod
-    def classify(cls, x: float) -> "EvalDomain":
-        if abs(x - 1.0) <= SING_TOL or abs(x + 1.0) <= SING_TOL:
-            raise DomainError(f"argument {x} within {SING_TOL} of a singular point")
-        if -1.0 < x < 1.0:
-            return cls(x, "cut")
-        if x > 1.0:
-            return cls(x, "axis")
-        raise DomainError(f"argument {x} outside (-1, 1) u (1, oo)")
 
 
 def _as_degree_order(do) -> DegreeOrder:
@@ -118,19 +90,6 @@ def _near_nonpositive_integer(a: float, tol: float = 1e-12) -> bool:
     if a > 0.5:
         return False
     return abs(a - round(a)) <= tol
-
-
-def log_gamma_ratio(a: float, b: float) -> float:
-    """ln[Gamma(a)/Gamma(b)], overflow-free for a, b up to ~1e4.
-
-    The ratio must be positive; arguments within 1e-12 of a gamma pole
-    raise PoleError.
-    """
-    if _near_nonpositive_integer(a) or _near_nonpositive_integer(b):
-        raise PoleError(f"gamma pole within tolerance: a={a}, b={b}")
-    if gammasgn(a) * gammasgn(b) < 0:
-        raise DomainError(f"Gamma({a})/Gamma({b}) is negative; no real log")
-    return gammaln(a) - gammaln(b)
 
 
 def gamma_ratio_signed(a: float, b: float) -> tuple[float, float]:
@@ -215,9 +174,9 @@ def ferrers_P(do, x: float) -> float:
     cancels catastrophically at large degree-order offsets).
     """
     d = _as_degree_order(do)
-    dom = EvalDomain.classify(x)
-    if dom.region != "cut":
-        raise DomainError(f"ferrers_P requires |x| < 1, got {x}")
+    if not -1.0 + SING_TOL < x < 1.0 - SING_TOL:
+        raise DomainError(
+            f"ferrers_P requires |x| < 1 - {SING_TOL}, got {x}")
     nu = max(d.nu, -d.nu - 1.0)    # P_nu = P_{-nu-1}
     mu = d.mu
     n = int(math.floor(nu - mu + 1e-9))
@@ -247,6 +206,26 @@ def ferrers_P_sequence(nu0: float, mu: float, x: float, count: int) -> np.ndarra
         nu = nu0 + (k - 1)
         out[k] = ((2.0 * nu + 1.0) * x * out[k - 1] - (nu - mu) * out[k - 2]) / (nu + mu + 1.0)
     return out
+
+
+def ferrers_band(mu: float, x1: float, x2: float, count: int,
+                 log_factor=0.0) -> np.ndarray:
+    """[G(lam+mu+1)/G(lam-mu+1) P_lam^{-mu}(x1) P_lam^{-mu}(x2) e^{log_factor}
+    for lam = mu + k, k = 0..count-1].
+
+    Assembled in logs, because the gamma ratio alone leaves float range at
+    large mu while the product stays small; `log_factor` (a scalar or one
+    value per degree) enters the same exponential.  Terms that come out
+    non-finite are set to 0.
+    """
+    p1 = ferrers_P_sequence(mu, mu, x1, count)
+    p2 = ferrers_P_sequence(mu, mu, x2, count)
+    lam = mu + np.arange(count)
+    lgr = gammaln(lam + mu + 1.0) - gammaln(lam - mu + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sign(p1) * np.sign(p2) * np.exp(
+            lgr + np.log(np.abs(p1)) + np.log(np.abs(p2)) + log_factor)
+    return np.where(np.isfinite(out), out, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -347,12 +326,6 @@ def legendre_Qhat_axis(do, x: float) -> float:
     if d.mu == 0.0 and d.nu <= -1.0:
         raise DomainError(f"legendre_Q requires degree > -1, got {d.nu}")
     return _axis_Qhat(d, x)
-
-
-def legendre_PQ_axis(do, x: float) -> tuple[float, float]:
-    """(P_nu^{-mu}(x), Qhat_nu^{-mu}(x)) on the axis x > 1."""
-    d = _as_degree_order(do)
-    return _axis_P(d, x), _axis_Qhat(d, x)
 
 
 def legendre_Q_sequence(lam0: float, zeta: float, count: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ExtrapolationError, SlowConvergenceError
+from .errors import SlowConvergenceError
 
 __all__ = [
     "geometric_tail",
@@ -114,27 +114,3 @@ def richardson_table(vals, ratio: float = 2.0) -> list[np.ndarray]:
         cols.append((fac * prev[1:] - prev[:-1]) / (fac - 1.0))
     return cols
 
-
-def richardson_limit(vals, ratio: float = 2.0, max_order: int | None = None,
-                     require_trend: bool = True) -> tuple[float, float]:
-    """Extrapolate f(h_j) -> f(0) for a ratio-`ratio` h-sequence.
-
-    Returns (limit, error_estimate); the estimate is the difference between
-    the last two Richardson columns.  Raises ExtrapolationError when the
-    first-order corrections show no convergent trend.
-    """
-    vals = np.asarray(vals, dtype=float)
-    if vals.size < 3:
-        raise ExtrapolationError("need at least 3 values to extrapolate")
-    if require_trend:
-        d = np.abs(np.diff(vals))
-        nz = d[d > 0]
-        if nz.size >= 2 and nz[-1] > 4.0 * nz[0]:
-            raise ExtrapolationError(
-                "value sequence diverges; no convergent trend to extrapolate")
-    cols = richardson_table(vals, ratio=ratio)
-    if max_order is not None:
-        cols = cols[: max_order + 1]
-    est = cols[-1][-1]
-    err = abs(cols[-1][-1] - cols[-2][-1])
-    return float(est), float(err)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackhole import DeficitGeometry, g_sing
+from .conespace import check_alpha
 from .errors import DomainError, ExtrapolationError
 from .specfun import arccosh1p
 from .summation import richardson_table
@@ -21,7 +22,6 @@ __all__ = [
     "phi2_result",
     "phi2_near_axis",
     "dominance_angle",
-    "dominance_angle_first_order",
     "figure1_data",
 ]
 
@@ -42,22 +42,31 @@ class Phi2Result:
         return abs(self.value_closed - self.value_limit)
 
 
-def _check_angles(theta: float, alpha: float, M: float):
+def _check_angles(theta: float, alpha: float, M: float) -> DeficitGeometry:
     if not 0.0 < theta < math.pi:
         raise DomainError(
             f"theta = {theta} at or beyond a pole; <phi^2> diverges there")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if M <= 0.0:
-        raise DomainError(f"M must be positive, got {M}")
+    return DeficitGeometry(alpha=alpha, M=M)
+
+
+def _phi2(s2: float, alpha: float, M: float) -> float:
+    """[1 + (1 - alpha^2)/(alpha^2 s2)] / (192 pi^2 M^2), s2 = sin^2 theta;
+    raises DomainError where the value leaves floating-point range."""
+    den = alpha * alpha * s2
+    if den == 0.0:
+        raise DomainError(f"alpha^2 sin^2(theta) underflows to 0 at "
+                          f"alpha = {alpha}, sin^2(theta) = {s2}")
+    value = (1.0 + (1.0 - alpha * alpha) / den) / (192.0 * math.pi ** 2 * M * M)
+    if not math.isfinite(value):
+        raise DomainError(f"<phi^2> overflows at alpha = {alpha}, "
+                          f"sin^2(theta) = {s2}, M = {M}")
+    return value
 
 
 def phi2_closed(theta: float, alpha: float, M: float = 1.0) -> float:
     """[1 + (1 - alpha^2)/(alpha^2 sin^2 theta)] / (192 pi^2 M^2)."""
     _check_angles(theta, alpha, M)
-    s2 = math.sin(theta) ** 2
-    return (1.0 + (1.0 - alpha * alpha) / (alpha * alpha * s2)) \
-        / (192.0 * math.pi ** 2 * M * M)
+    return _phi2(math.sin(theta) ** 2, alpha, M)
 
 
 def _bracket(epsilon: float, theta: float, geometry: DeficitGeometry) -> float:
@@ -80,12 +89,14 @@ def phi2_limit(theta: float, alpha: float, M: float = 1.0,
     decreasing epsilon sequence and Richardson-extrapolate to epsilon -> 0.
 
     Returns (limit, error_estimate).  The default sequence is
-    eps_k = 1e-2 * M * 2^-k, k = 0..6 (ratio 2, as the extrapolation assumes).
+    eps_k = min(1e-2, 0.05 sin^2 theta) * M * 2^-k, k = 0..6 (ratio 2, as
+    the extrapolation assumes), which stays below the expansion bound
+    0.1 M sin^2 theta at every theta.
     """
-    _check_angles(theta, alpha, M)
-    geometry = DeficitGeometry(alpha=alpha, M=M)
+    geometry = _check_angles(theta, alpha, M)
     if eps_sequence is None:
-        eps_sequence = [1e-2 * M * 0.5 ** k for k in range(7)]
+        eps0 = min(1e-2, 0.05 * math.sin(theta) ** 2)
+        eps_sequence = [eps0 * M * 0.5 ** k for k in range(7)]
     eps = np.asarray(list(eps_sequence), dtype=float)
     if eps.size < 3:
         raise ExtrapolationError("need at least 3 epsilon values")
@@ -141,14 +152,7 @@ def dominance_angle(alpha: float) -> float:
     return 1.0 / math.sqrt(2.0 - alpha * alpha)
 
 
-def dominance_angle_first_order(alpha: float) -> float:
-    """First-order form: 1 - cos(theta_2) ~ (1 - alpha)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"dominance angle defined for alpha in (0, 1), got {alpha}")
-    return 1.0 - (1.0 - alpha)
-
-
-def figure1_data(alphas, cos_theta_grid=None, M: float = 1.0,
+def figure1_data(alphas, cos_theta_grid=None,
                  margin: float = 0.995, points: int = 81) -> list[tuple]:
     """Rows (cos_theta, alpha, M^2 phi2_ren) for the horizon profile plot.
 
@@ -169,9 +173,8 @@ def figure1_data(alphas, cos_theta_grid=None, M: float = 1.0,
         raise DomainError(f"cos_theta grid exceeds the pole margin {margin}")
     rows = []
     for alpha in sorted(set(float(a) for a in alphas), reverse=True):
+        check_alpha(alpha)
         for ct in np.sort(cos_theta_grid):
-            s2 = 1.0 - ct * ct     # even in ct by construction
-            val = (1.0 + (1.0 - alpha * alpha) / (alpha * alpha * s2)) \
-                / (192.0 * math.pi ** 2)
-            rows.append((float(ct), alpha, val))
+            s2 = float(1.0 - ct * ct)     # even in ct by construction
+            rows.append((float(ct), alpha, _phi2(s2, alpha, 1.0)))
     return rows

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stringhorizon.blackhole import (DeficitGeometry, HorizonSeparation,
-                                     ModeIndex, chi_radial_green,
+                                     chi_radial_green,
                                      exponent_fit, g_sing, geodesic_distance,
                                      geodesic_distance_expansion,
                                      horizon_green, horizon_green_closed,
@@ -25,16 +25,25 @@ def test_geometry_invariants():
     assert g.tau_period == pytest.approx(2.0 * math.pi / g.kappa, rel=1e-15)
     with pytest.raises(DomainError):
         DeficitGeometry(alpha=1.2, M=1.0)
-    with pytest.raises(DomainError):
-        DeficitGeometry(alpha=0.5, M=-1.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf, 1e-300, 1e200):
+        with pytest.raises(DomainError):
+            DeficitGeometry(alpha=0.5, M=bad)
+    for bad in (0.0, -0.5, 1.0 + 1e-12, math.nan, math.inf):
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            DeficitGeometry(alpha=bad, M=1.0)
 
 
 def test_lambda_of():
     assert lambda_of(3, 2, 1.0) == pytest.approx(3.0)
     assert lambda_of(3, 2, 0.5) == pytest.approx(5.0)
     assert lambda_of(5, 0, 0.31) == pytest.approx(5.0)
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError, match="exceeds l = 1"):
         lambda_of(1, 2, 1.0)
+    # a negative l is named as such, not as |m| exceeding it
+    with pytest.raises(DomainError, match="l must be >= 0"):
+        lambda_of(-1, 0, 1.0)
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        lambda_of(1, 1, math.nan)
 
 
 def test_lambda_monotone_in_alpha():
@@ -46,10 +55,10 @@ def test_lambda_monotone_in_alpha():
 
 
 def test_mode_index():
-    mi = ModeIndex(n=2, l=3, m=-2)
-    assert mi.lam(0.5) == pytest.approx(5.0)
-    with pytest.raises(IndexError):
-        ModeIndex(n=0, l=1, m=2)
+    # lambda depends on |m| only
+    assert lambda_of(3, -2, 0.5) == lambda_of(3, 2, 0.5) == pytest.approx(5.0)
+    with pytest.raises(DomainError):
+        lambda_of(1, -2, 0.5)
 
 
 # ----------------------------------------------------------------------

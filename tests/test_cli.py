@@ -1,9 +1,13 @@
 """Command-line surface: exit codes, output schemas, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringhorizon.cli import (EXIT_CONFIG, EXIT_FAILURES, EXIT_NUMERIC,
                                EXIT_OK, main)
@@ -144,6 +148,24 @@ def test_verify_missing_manifest(tmp_path):
     ["figure1", "--alphas", "1.5"],
     ["figure1", "--margin", "1.0"],
     ["phi2", "--theta", "1.0", "--alpha", "1.0", "--mass", "-1"],
+    ["phi2", "--theta", "0", "--alpha", "1"],
+    ["phi2", "--theta", "-1", "--alpha", "1"],
+    ["phi2", "--theta", "3.2", "--alpha", "1"],
+    ["phi2", "--theta", "inf", "--alpha", "1"],
+    ["phi2", "--theta", "nan", "--alpha", "1"],
+    ["phi2", "--theta", "1", "--alpha", "1e-300"],
+    ["phi2", "--theta", "1e-300", "--alpha", "1"],
+    ["phi2", "--theta", "1", "--alpha", "1", "--mass", "1e-300"],
+    ["phi2", "--theta", "1", "--alpha", "1", "--mass", "nan"],
+    ["phi2", "--theta", "1", "--alpha", "1", "--mass", "inf"],
+    ["radial", "--n", "0", "--l", "1", "--m", "0", "--points", "-2"],
+    ["radial", "--n", "0", "--l", "1", "--m", "0", "--points", "0"],
+    ["radial", "--n", "1", "--l", "1", "--m", "1", "--alpha", "1e-300"],
+    ["radial", "--n", "0", "--l", "1", "--m", "0", "--eta-max", "0.5"],
+    ["radial", "--n", "1", "--l", "1", "--m", "0", "--eta-max", "1.2"],
+    ["radial", "--n", "1", "--l", "1", "--m", "0", "--eta-max", "nan"],
+    ["radial", "--n", "0", "--l", "-1", "--m", "0"],
+    ["figure1", "--alphas", "1e-300"],
 ])
 def test_bad_input_is_one_line_config_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG
@@ -174,9 +196,18 @@ def test_phi2_human_output(capsys):
     assert "closed route" in text and "route agreement" in text
 
 
-def test_phi2_pole_is_numeric_error(capsys):
-    assert main(["phi2", "--theta", "0.0", "--alpha", "0.9"]) == EXIT_NUMERIC
+def test_phi2_pole_is_config_error(capsys):
+    assert main(["phi2", "--theta", "0.0", "--alpha", "0.9"]) == EXIT_CONFIG
     assert "theta" in capsys.readouterr().err
+
+
+def test_phi2_near_axis(capsys):
+    # the default epsilon sequence used to start above 0.1 M sin^2(theta)
+    assert main(["phi2", "--theta", "0.2", "--alpha", "0.75",
+                 "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["phi2_limit"] == pytest.approx(payload["phi2_closed"],
+                                                  rel=1e-8)
 
 
 def test_phi2_string_factor(capsys):
@@ -244,3 +275,49 @@ def test_radial_exponent_diagnostics(n, l, m, alpha, capsys):
     assert d["exponent_fit_p"] == pytest.approx(n / 2.0, abs=1e-3)
     assert d["lambda"] == pytest.approx(l - abs(m) + abs(m) / alpha)
     assert d["wronskian_scale"] == pytest.approx(-2.0 * n, rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# fuzz
+# ----------------------------------------------------------------------
+
+_EDGES = [0.0, -1.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
+
+
+def _number(lo, hi):
+    return st.one_of(st.sampled_from(_EDGES),
+                     st.floats(lo, hi, allow_nan=False)).map(repr)
+
+
+# values go in the --flag=value form, so that argparse reads "-1e-300" as a
+# value and not as an option
+_PHI2 = st.tuples(_number(0.0, 3.5), _number(0.0, 1.2), _number(0.0, 5.0)).map(
+    lambda t: ["phi2", f"--theta={t[0]}", f"--alpha={t[1]}", f"--mass={t[2]}"])
+_FIGURE1 = st.tuples(st.lists(_number(0.0, 1.2), min_size=1, max_size=3),
+                     st.integers(-2, 30), _number(0.0, 1.2)).map(
+    lambda t: ["figure1", f"--alphas={','.join(t[0])}",
+               f"--points={t[1]}", f"--margin={t[2]}"])
+# n = 0 is analytic and fast; n != 0 only with an eta-max that fails
+# validation, so no ODE solve runs
+_RADIAL0 = st.tuples(_number(0.0, 1.2), _number(0.0, 5.0), _number(0.5, 1e3),
+                     st.integers(-2, 30)).map(
+    lambda t: ["radial", "--n", "0", "--l", "1", "--m", "1", f"--alpha={t[0]}",
+               f"--mass={t[1]}", f"--eta-max={t[2]}", f"--points={t[3]}"])
+_RADIAL1 = st.tuples(_number(0.0, 1.2),
+                     st.sampled_from(_EDGES + [1.2, 1.5]).map(repr)).map(
+    lambda t: ["radial", "--n", "1", "--l", "1", "--m", "1",
+               f"--alpha={t[0]}", f"--eta-max={t[1]}"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=st.one_of(_PHI2, _FIGURE1, _RADIAL0, _RADIAL1))
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAILURES, EXIT_CONFIG, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        text = out.getvalue().lower()
+        assert "inf" not in text and "nan" not in text, argv
+    else:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -1,0 +1,19 @@
+"""Every script in demos/ runs to completion against the current API."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)   # demo 05 writes its table (and plot) here
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -12,13 +12,15 @@ from scipy.integrate import quad
 from scipy.special import gammaln, lpmv
 
 from stringhorizon import specfun
+from stringhorizon.blackhole import lambda_of
 from stringhorizon.errors import ConvergenceError, DomainError, PoleError
-from stringhorizon.specfun import (DegreeOrder, EvalDomain, arccosh1p,
-                                   bessel_IK, ferrers_P, ferrers_P_sequence,
-                                   legendre_PQ_axis, legendre_P_axis,
+from stringhorizon.specfun import (DegreeOrder, arccosh1p, bessel_IK,
+                                   ferrers_band, ferrers_P,
+                                   ferrers_P_sequence, gamma_ratio_signed,
+                                   legendre_P_axis, legendre_P_axis_sequence,
                                    legendre_Q, legendre_Q_sequence,
                                    legendre_Qbar_axis_sequence,
-                                   legendre_Qhat_axis, log_gamma_ratio)
+                                   legendre_Qhat_axis)
 
 
 # ----------------------------------------------------------------------
@@ -26,25 +28,29 @@ from stringhorizon.specfun import (DegreeOrder, EvalDomain, arccosh1p,
 # ----------------------------------------------------------------------
 
 def test_log_gamma_ratio_integer_cases():
-    assert log_gamma_ratio(2.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma_ratio(5.0, 3.0) == pytest.approx(math.log(12.0), rel=1e-14)
+    assert gamma_ratio_signed(2.0, 1.0) == (pytest.approx(0.0, abs=1e-15), 1.0)
+    assert gamma_ratio_signed(5.0, 3.0) == (
+        pytest.approx(math.log(12.0), rel=1e-14), 1.0)
+    # Gamma(-0.5) < 0 < Gamma(0.5): |ratio| = 2, sign -1
+    assert gamma_ratio_signed(-0.5, 0.5) == (
+        pytest.approx(math.log(2.0), rel=1e-14), -1.0)
 
 
 def test_log_gamma_ratio_oracle():
     # frozen from the arbitrary-precision gamma oracle (mpmath, 30 digits)
-    assert log_gamma_ratio(3.7, 1.2) == pytest.approx(
+    assert gamma_ratio_signed(3.7, 1.2)[0] == pytest.approx(
         1.5134464166687037716, rel=1e-12)
 
 
 def test_log_gamma_ratio_large_arguments_no_overflow():
-    v = log_gamma_ratio(1.0e4, 9.9e3)
+    v, _ = gamma_ratio_signed(1.0e4, 9.9e3)
     assert math.isfinite(v)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, -2.0), (-3.0 + 1e-13, 1.0)])
 def test_log_gamma_ratio_pole(a, b):
     with pytest.raises(PoleError):
-        log_gamma_ratio(a, b)
+        gamma_ratio_signed(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -125,6 +131,28 @@ def test_ferrers_sequence_matches_single_evaluations():
         assert seq[k] == pytest.approx(ferrers_P((mu + k, mu), 0.4), rel=1e-11)
 
 
+@pytest.mark.parametrize("mu", [0.0, 1.6, 40.0])
+def test_ferrers_band_matches_term_by_term_product(mu):
+    # reference: each term as gamma ratio x P x P x e^{log_factor}, one by one
+    x1, x2, count = 0.4, -0.7, 15
+    log_factor = -0.3 * np.arange(count)
+    band = ferrers_band(mu, x1, x2, count, log_factor)
+    for k in range(count):
+        lam = mu + k
+        lg, sg = gamma_ratio_signed(lam + mu + 1.0, lam - mu + 1.0)
+        ref = (sg * math.exp(lg + log_factor[k])
+               * ferrers_P((lam, mu), x1) * ferrers_P((lam, mu), x2))
+        assert band[k] == pytest.approx(ref, rel=1e-11, abs=1e-300)
+
+
+def test_ferrers_band_sets_non_finite_terms_to_zero():
+    # P_mu^{-mu}(0) underflows to 0 near mu = 160, and a factor of e^1000
+    # overflows: both come out as 0, never as inf or nan
+    assert np.all(ferrers_band(170.0, 0.0, 0.0, 4) == 0.0)
+    with np.errstate(over="ignore"):
+        assert np.all(ferrers_band(1.0, 0.4, -0.7, 4, 1000.0) == 0.0)
+
+
 # ----------------------------------------------------------------------
 # Legendre functions on the axis
 # ----------------------------------------------------------------------
@@ -175,7 +203,8 @@ def test_legendre_Q_unreachable_tolerance_errors_loudly():
 
 
 def test_legendre_PQ_axis_trivial():
-    p, q = legendre_PQ_axis((0.0, 0.0), 2.0)
+    p = legendre_P_axis_sequence(0.0, 0.0, 2.0, 1)[0]
+    q = legendre_Qhat_axis((0.0, 0.0), 2.0)
     assert p == pytest.approx(1.0, abs=1e-15)
     assert q == pytest.approx(0.5 * math.log(3.0), rel=1e-13)
 
@@ -194,7 +223,8 @@ def heine_integral_oracle(zeta):
 
 
 def test_legendre_Q_minus_half_integral_oracle():
-    p, q = legendre_PQ_axis((-0.5, 0.0), 1.2)
+    p = legendre_P_axis_sequence(-0.5, 0.0, 1.2, 1)[0]
+    q = legendre_Qhat_axis((-0.5, 0.0), 1.2)
     assert q > 0.0
     assert q == pytest.approx(heine_integral_oracle(1.2), rel=1e-10)
     assert p == pytest.approx(legendre_P_axis(-0.5, 1.2), rel=1e-14)
@@ -203,7 +233,8 @@ def test_legendre_Q_minus_half_integral_oracle():
 def test_legendre_PQ_axis_fractional_order_frozen_oracle():
     # frozen from the arbitrary-precision oracle (mpmath legenp/legenq type 3,
     # with the e^{mu pi i} phase absorbed into Qhat)
-    p, q = legendre_PQ_axis((0.5, 0.8), 1.5)
+    p = legendre_P_axis_sequence(0.5, 0.8, 1.5, 1)[0]
+    q = legendre_Qhat_axis((0.5, 0.8), 1.5)
     assert p == pytest.approx(0.61980752818223876838, rel=1e-12)
     assert q == pytest.approx(0.60643677741722520573, rel=1e-12)
 
@@ -414,22 +445,22 @@ def test_bessel_overflow_and_scaling():
 # ----------------------------------------------------------------------
 
 def test_degree_order_mode_indices():
-    do = DegreeOrder.from_mode(l=3, m=2, alpha=0.5)
+    do = DegreeOrder(nu=lambda_of(3, 2, 0.5), mu=2 / 0.5)
     assert do.nu == pytest.approx(5.0)
     assert do.mu == pytest.approx(4.0)
     assert do.degree_offset == pytest.approx(1.0)
     with pytest.raises(DomainError):
-        DegreeOrder.from_mode(l=1, m=2, alpha=0.5)
+        lambda_of(1, 2, 0.5)
     with pytest.raises(DomainError):
         DegreeOrder(nu=1.0, mu=-0.1)
 
 
 def test_eval_domain_classification():
-    assert EvalDomain.classify(0.3).region == "cut"
-    assert EvalDomain.classify(1.5).region == "axis"
-    for bad in (1.0, -1.0, 1.0 + 5e-13, -2.0):
+    # ferrers_P evaluates on the cut only, away from the singular points
+    assert math.isfinite(ferrers_P((0.5, 0.0), 0.3))
+    for bad in (1.0, -1.0, 1.0 + 5e-13, 1.0 - 5e-13, -2.0, 1.5, math.nan):
         with pytest.raises(DomainError):
-            EvalDomain.classify(bad)
+            ferrers_P((0.5, 0.0), bad)
 
 
 def test_arccosh1p_stability():

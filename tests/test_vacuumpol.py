@@ -73,6 +73,25 @@ def test_phi2_limit_route_agreement_grid():
             assert res.value_closed > 0.0
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("theta", [0.05, 0.1, 0.2, 0.3])
+def test_phi2_limit_near_axis(theta, alpha):
+    # the default epsilon sequence starts below 0.1 M sin^2(theta) there too
+    lim, _ = phi2_limit(theta, alpha)
+    assert lim == pytest.approx(phi2_closed(theta, alpha), rel=1e-8)
+
+
+def test_phi2_closed_out_of_float_range():
+    # alpha^2 sin^2(theta) or M^2 underflows: a DomainError, not a
+    # ZeroDivisionError or an inf
+    for theta, alpha, M in ((1.0, 1e-300, 1.0), (1e-300, 0.5, 1.0),
+                            (1e-160, 0.5, 1.0), (1.0, 1.0, 1e-300)):
+        with pytest.raises(DomainError):
+            phi2_closed(theta, alpha, M)
+    with pytest.raises(DomainError):
+        figure1_data([1e-300], points=3)
+
+
 def test_phi2_limit_validation():
     with pytest.raises(DomainError):
         phi2_limit(PI / 2, 1.0, 1.0, [1e-3, 1e-3, 1e-3])
