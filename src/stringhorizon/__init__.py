@@ -3,11 +3,11 @@ by a cosmic string: non-integer Legendre/Bessel special functions, cone-space
 Green's functions in all their representations, the generalized Heine
 identity harness, and the renormalized <phi^2> by two independent routes."""
 
-from .blackhole import (DeficitGeometry, HorizonSeparation,
-                        RadialSolutionPair, chi_radial_green, exponent_fit,
-                        g_sing, geodesic_distance,
-                        geodesic_distance_expansion, horizon_green,
-                        horizon_green_closed, lambda_of, radial_solutions)
+from .blackhole import (DeficitGeometry, RadialSolutionPair,
+                        chi_radial_green, exponent_fit, g_sing,
+                        geodesic_distance, geodesic_distance_expansion,
+                        horizon_green, horizon_green_closed, lambda_of,
+                        radial_solutions)
 from .conespace import (ConePoint, SeparationInvariants, bessel_integral_lhs,
                         g3_axisym_integral, g3_cylindrical_Qsum, g3_linet,
                         g3_spherical_sum, g3_spheroidal_sum, g3_toroidal_sum,

@@ -24,7 +24,6 @@ from .specfun import arccosh1p
 __all__ = [
     "DeficitGeometry",
     "RadialSolutionPair",
-    "HorizonSeparation",
     "lambda_of",
     "radial_solutions",
     "chi_radial_green",
@@ -72,34 +71,6 @@ def lambda_of(l: int, m: int, alpha: float) -> float:
         raise DomainError(f"|m| = {abs(m)} exceeds l = {l}")
     check_alpha(alpha)
     return l - abs(m) + abs(m) / alpha
-
-
-@dataclass(frozen=True)
-class HorizonSeparation:
-    """Radial point splitting r' = 2M + epsilon at polar angle theta."""
-
-    epsilon: float
-    theta: float
-    M: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.1 * self.M:
-            raise DomainError(
-                f"epsilon = {self.epsilon} outside the expansion regime (0, 0.1 M)")
-        if not 0.0 < self.theta < math.pi:
-            raise DomainError(f"theta = {self.theta} outside (0, pi)")
-
-    @property
-    def eta(self) -> float:
-        return 1.0 + self.epsilon / self.M
-
-    @property
-    def cosh_chi_minus_1(self) -> float:
-        return self.epsilon / (self.M * math.sin(self.theta) ** 2)
-
-    @property
-    def chi(self) -> float:
-        return arccosh1p(self.cosh_chi_minus_1)
 
 
 # ----------------------------------------------------------------------

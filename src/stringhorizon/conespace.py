@@ -217,23 +217,18 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     x1, x2 = math.cos(theta), math.cos(theta_p)
     xi = math.acosh(zeta)               # Q_lam(zeta) ~ e^{-lam xi}
     count = (lmax if lmax is not None else lmax_for_rate(xi, tol)) + 1
-    tails = [0.0]
 
-    def band(m: int) -> float:
+    def band(m: int):
         mu = m / alpha
         q = specfun.legendre_Q_sequence(mu, zeta, count)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.log(q)
         terms = ((2.0 * (mu + np.arange(count)) + 1.0)
                  * specfun.ferrers_band(mu, x1, x2, count, log_q))
-        tails.append(geometric_tail(terms[-3:], xi))
-        weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
-        return weight * float(terms.sum())
+        return float(terms.sum()), geometric_tail(terms[-3:], xi)
 
-    max_bands = (mmax + 1) if mmax is not None else 400
-    value, mtail, bands = sum_m_bands(band, tol, max_bands=max_bands,
-                                      require_settle=mmax is None)
-    return value, sum(tails) + mtail, count - 1, bands
+    value, tail, bands = sum_m_bands(band, tol, dphi, mmax)
+    return value, tail, count - 1, bands
 
 
 def generalized_heine_rhs(alpha: float, theta: float, theta_p: float,
@@ -341,15 +336,14 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
     logratio = math.log(r_lt / r_gt)
     x1, x2 = math.cos(th1), math.cos(th2)
 
-    def band(m: int) -> float:
+    def band(m: int):
         mu = m / alpha
         # (r</r>)^lam / r>
         log_radial = (mu + np.arange(count)) * logratio - math.log(r_gt)
         terms = specfun.ferrers_band(mu, x1, x2, count, log_radial)
-        weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
-        return weight * float(terms.sum())
+        return float(terms.sum()), 0.0
 
-    value, _, _ = sum_m_bands(band, tol)
+    value, _, _ = sum_m_bands(band, tol, dphi)
     return value / (4.0 * math.pi * alpha)
 
 
@@ -368,13 +362,9 @@ def g3_cylindrical_Qsum(x: ConePoint, xp: ConePoint, alpha: float,
     if u <= 1.0 + 1e-12:
         raise CoincidenceError("u = 1: pair on the same azimuthal circle")
 
-    def band(m: int) -> float:
-        mu = m / alpha
-        q = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), u)
-        weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
-        return weight * q
-
-    value, _, _ = sum_m_bands(band, tol)
+    value, _, _ = sum_m_bands(
+        lambda m: (specfun.legendre_Qhat_axis((m / alpha - 0.5, 0.0), u), 0.0),
+        tol, dphi)
     return value / (4.0 * math.pi ** 2 * alpha * math.sqrt(rho1 * rho2))
 
 
@@ -387,7 +377,7 @@ def g3_axisym_integral(x: ConePoint, xp: ConePoint, alpha: float,
     base = (z1 - z2) ** 2 + rho1 * rho1 + rho2 * rho2
     lr = math.log(rho1 * rho2)
 
-    def band(m: int) -> float:
+    def band(m: int):
         mu = m / alpha
 
         def integrand(psi):
@@ -400,10 +390,9 @@ def g3_axisym_integral(x: ConePoint, xp: ConePoint, alpha: float,
                         limit=200)
         if err > max(1e-12, tol * abs(val)) * 10.0:
             raise QuadratureError(f"axisymmetric integral m={m}: error {err:.2e}")
-        weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
-        return weight * val
+        return val, 0.0
 
-    value, _, _ = sum_m_bands(band, tol)
+    value, _, _ = sum_m_bands(band, tol, dphi)
     return value / (4.0 * math.pi ** 2 * alpha)
 
 
@@ -522,12 +511,8 @@ def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
             "toroidal n-sum has no decay and no oscillation (w=w', deta=0)")
     pref = math.sqrt((math.cosh(w1) - math.cos(eta1)) * (math.cosh(w2) - math.cos(eta2)))
 
-    def band(m: int) -> float:
-        nsum, _, _ = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol)
-        weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
-        return weight * nsum
-
-    value, _, _ = sum_m_bands(band, tol)
+    value, _, _ = sum_m_bands(
+        lambda m: _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol)[:2], tol, dphi)
     return pref * value / (4.0 * math.pi ** 2 * alpha)
 
 
@@ -570,10 +555,9 @@ def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
             "sigma coordinates too close for the spheroidal mode sum")
     count = lmax_for_rate(rate, tol) + 1
 
-    def band(m: int) -> float:
+    def band(m: int):
         c = _spheroidal_coefficients(alpha, m, th1, th2, s_lt, s_gt, count)
-        weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
-        return weight * float(c.sum())
+        return float(c.sum()), 0.0
 
-    value, _, _ = sum_m_bands(band, tol)
+    value, _, _ = sum_m_bands(band, tol, dphi)
     return value / (4.0 * math.pi * alpha)

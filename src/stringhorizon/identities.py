@@ -127,9 +127,16 @@ def check_heine_generalized(alpha: float, theta: float, theta_p: float,
 # appendix identities
 # ----------------------------------------------------------------------
 
-def _abel_count(h0: float, levels: int, margin: float = 26.0) -> int:
-    h_min = h0 * 0.5 ** (levels - 1)
-    return int(margin / h_min)
+# l-terms of an Abel band: 26 / h_min with h_min = 0.08 * 2^-6, the smallest
+# h of the Richardson levels, so x^l falls to e^{-26} by the last term.
+_ABEL_COUNT = 20_800
+
+
+def _abel_band(mu: float, x1: float, x2: float, count: int = _ABEL_COUNT):
+    """(value, error) of the Abel limit of sum_l ferrers_band(mu, x1, x2)_l:
+    the coincident-radius l-sum, which decays only like 1/lam."""
+    coeffs = specfun.ferrers_band(mu, x1, x2, count)
+    return abel_limit(coeffs, h0=0.08, levels=7)
 
 
 def check_app5(alpha: float, m: int, theta: float, theta_p: float,
@@ -144,10 +151,8 @@ def check_app5(alpha: float, m: int, theta: float, theta_p: float,
     if abs(theta - theta_p) < 1e-3:
         raise DomainError("theta = theta' makes both sides divergent")
     mu = abs(m) / alpha
-    h0, levels = 0.08, 7
-    count = lmax + 1 if lmax is not None else _abel_count(h0, levels)
-    coeffs = specfun.ferrers_band(mu, math.cos(theta), math.cos(theta_p), count)
-    lhs, err = abel_limit(coeffs, h0=h0, levels=levels)
+    count = lmax + 1 if lmax is not None else _ABEL_COUNT
+    lhs, err = _abel_band(mu, math.cos(theta), math.cos(theta_p), count)
     ss = math.sin(theta) * math.sin(theta_p)
     coshxi = (1.0 - math.cos(theta) * math.cos(theta_p)) / ss
     q = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), coshxi)
@@ -179,20 +184,10 @@ def _linet_rhs(alpha, theta, theta_p, dphi, quad_tol=1e-10):
 
 def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
     """(1/alpha) sum_m e^{i m dphi} [Abel limit of the l-sum], theta != theta'."""
-    h0, levels = 0.08, 7
-    count = _abel_count(h0, levels)
-    tails = [0.0]
-
-    def band(m):
-        coeffs = specfun.ferrers_band(m / alpha, math.cos(theta),
-                                      math.cos(theta_p), count)
-        val, err = abel_limit(coeffs, h0=h0, levels=levels)
-        tails.append(err)
-        weight = 1.0 if m == 0 else 2.0 * math.cos(m * dphi)
-        return weight * val
-
-    value, mtail, bands = sum_m_bands(band, tol)
-    return value / alpha, (sum(tails) + mtail) / alpha, bands
+    x1, x2 = math.cos(theta), math.cos(theta_p)
+    value, tail, bands = sum_m_bands(lambda m: _abel_band(m / alpha, x1, x2),
+                                     tol, dphi)
+    return value / alpha, tail / alpha, bands
 
 
 def _linet_lhs_diag(alpha, theta, dphi, tol):

@@ -42,7 +42,6 @@ __all__ = [
     "legendre_P_axis",
     "legendre_P_axis_sequence",
     "legendre_Qhat_axis",
-    "legendre_Qhat_axis_sequence",
     "legendre_Qbar_axis_sequence",
     "bessel_IK",
     "arccosh1p",
@@ -244,7 +243,7 @@ def legendre_Q(lam: float, zeta: float) -> float:
 
 def legendre_P_axis(lam: float, x: float) -> float:
     """Legendre function of the first kind P_lambda(x) on (1, oo), order 0."""
-    return _axis_P((max(lam, -lam - 1.0), 0.0), x)
+    return math.exp(_axis_P_log((lam, 0.0), x))
 
 
 def _axis_P_log(do, x: float) -> float:
@@ -260,10 +259,6 @@ def _axis_P_log(do, x: float) -> float:
             - gammaln(1.0 + mu)
             - (nu + 1.0) * math.log(0.5 * (x + 1.0))
             + math.log(F))
-
-
-def _axis_P(do, x: float) -> float:
-    return math.exp(_axis_P_log(do, x))
 
 
 def _fold_Q_degree(nu: float) -> float:
@@ -304,9 +299,16 @@ def _axis_Qbar_log(do, x: float) -> tuple[float, float]:
     return log_abs, math.copysign(1.0, F)
 
 
-def _axis_Qhat(do, x: float) -> float:
-    """Qhat_nu^{-mu}(x) on (1, oo): Qbar times Gamma(nu-mu+1) / Gamma(nu+3/2)."""
+def legendre_Qhat_axis(do, x: float) -> float:
+    """Qhat_nu^{-mu}(x) = e^{mu pi i} Q_nu^{-mu}(x); real for x > 1.
+
+    Qbar times Gamma(nu-mu+1) / Gamma(nu+3/2).  Validity needs lambda > -1
+    at order 0 (below that the defining integral representations diverge);
+    half-integer degrees below -1/2 are folded with Q_{-nu-1} = Q_nu.
+    """
     d = _as_degree_order(do)
+    if d.mu == 0.0 and d.nu <= -1.0:
+        raise DomainError(f"legendre_Q requires degree > -1, got {d.nu}")
     nu, mu = _fold_Q_degree(d.nu), d.mu
     if _near_nonpositive_integer(nu - mu + 1.0):
         raise PoleError(f"Qhat undefined: nu - mu + 1 = {nu - mu + 1.0} at a gamma pole")
@@ -315,26 +317,19 @@ def _axis_Qhat(do, x: float) -> float:
     return sign * sg * math.exp(log_abs + lg)
 
 
-def legendre_Qhat_axis(do, x: float) -> float:
-    """Qhat_nu^{-mu}(x) = e^{mu pi i} Q_nu^{-mu}(x); real for x > 1.
-
-    Validity needs lambda > -1 at order 0 (below that the defining
-    integral representations diverge); half-integer degrees below -1/2
-    are folded with Q_{-nu-1} = Q_nu.
-    """
-    d = _as_degree_order(do)
-    if d.mu == 0.0 and d.nu <= -1.0:
-        raise DomainError(f"legendre_Q requires degree > -1, got {d.nu}")
-    return _axis_Qhat(d, x)
-
-
 def legendre_Q_sequence(lam0: float, zeta: float, count: int) -> np.ndarray:
     """[Q_{lam0+k}(zeta) for k = 0..count-1] via downward recurrence.
 
-    Q is the minimal solution of the degree recurrence on the axis, so the
-    two largest degrees are evaluated by series and the chain runs down.
+    Q is the minimal solution of the degree recurrence on the axis, so this
+    is the gamma-free Qbar chain times Gamma(lam+1)/Gamma(lam+3/2).  Every
+    lam0 + k + 1 must stay off the gamma poles.
     """
-    return legendre_Qhat_axis_sequence(lam0, 0.0, zeta, count)
+    qb = legendre_Qbar_axis_sequence(lam0, 0.0, zeta, count)
+    lam = lam0 + np.arange(count, dtype=float)
+    a = lam + 1.0
+    if np.any((a < 0.5) & (np.abs(a - np.round(a)) < 1e-12)):
+        raise PoleError("Q chain crosses a gamma pole; use the Qbar chain")
+    return qb * gammasgn(a) * np.exp(gammaln(a) - gammaln(lam + 1.5))
 
 
 # Chains with a higher top degree start by Miller, which needs a series
@@ -398,19 +393,6 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
         raise ConvergenceError("Miller recursion lost the minimal solution")
     # divide first: exp(l0) / raw[0] alone can underflow at large x
     return raw[:count] / raw[0] * (s0 * math.exp(l0))
-
-
-def legendre_Qhat_axis_sequence(nu0: float, mu: float, x: float, count: int,
-                                log_scale: float = 0.0) -> np.ndarray:
-    """[Qhat_{nu0+k}^{-mu}(x) * e^{-k*log_scale}], via the gamma-free Qbar
-    chain times Gamma(nu-mu+1)/Gamma(nu+3/2).  Requires nu - mu + 1 off the
-    gamma poles for every degree in the chain."""
-    qb = legendre_Qbar_axis_sequence(nu0, mu, x, count, log_scale=log_scale)
-    nu = nu0 + np.arange(count, dtype=float)
-    a = nu - mu + 1.0
-    if np.any((a < 0.5) & (np.abs(a - np.round(a)) < 1e-12)):
-        raise PoleError("Qhat chain crosses a gamma pole; use the Qbar chain")
-    return qb * gammasgn(a) * np.exp(gammaln(a) - gammaln(nu + 1.5))
 
 
 def legendre_P_axis_sequence(nu0: float, mu: float, x: float, count: int,

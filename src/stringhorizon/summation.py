@@ -54,33 +54,39 @@ def geometric_tail(last_terms, rate: float, safety: float = 10.0) -> float:
     return safety * amp * r / (1.0 - r)
 
 
-def sum_m_bands(band_fn, tol: float, max_bands: int = 400,
-                consecutive: int = 3,
-                require_settle: bool = True) -> tuple[float, float, int]:
-    """Sum band_fn(m) over m = 0, 1, 2, ... until `consecutive` successive
-    bands each contribute less than tol/10 in magnitude.
+def sum_m_bands(band_fn, tol: float, dphi: float = 0.0,
+                mmax: int | None = None) -> tuple[float, float, int]:
+    """Azimuthal mode sum sum_m e^{i m dphi} B_m folded onto m >= 0:
+    B_0 + sum_{m>0} 2 cos(m dphi) B_m.
 
-    band_fn(m) must return the combined contribution of +m and -m.
-    Returns (value, tail_estimate, bands_used).  With require_settle=False
-    the sum is truncated at max_bands without raising (explicit mmax).
+    band_fn(m) returns (B_m, tail_m): the unweighted band and the tail of
+    its own inner sum (0.0 when it tracks none).  The sum stops once three
+    successive weighted bands with m > 0 each fall below tol/10.  With
+    mmax it sums at most mmax + 1 bands and never raises; without, it
+    raises SlowConvergenceError if 400 bands do not settle.
+
+    Returns (value, sum of band tails + 10 |last weighted band|, last m).
     """
-    total = 0.0
+    nbands = 400 if mmax is None else mmax + 1
+    total = tails = last = 0.0
     small = 0
-    last = 0.0
-    for m in range(max_bands):
-        band = band_fn(m)
+    for m in range(nbands):
+        band, tail = band_fn(m)
+        if m > 0:
+            band = 2.0 * math.cos(m * dphi) * band
         total += band
+        tails += tail
         last = abs(band)
         if m > 0 and last < 0.1 * tol:
             small += 1
-            if small >= consecutive:
-                return total, 10.0 * last, m
+            if small >= 3:
+                return total, tails + 10.0 * last, m
         else:
             small = 0
-    if require_settle:
+    if mmax is None:
         raise SlowConvergenceError(
-            f"m-band sum did not settle within {max_bands} bands (tol={tol})")
-    return total, 10.0 * last, max_bands - 1
+            f"m-band sum did not settle within {nbands} bands (tol={tol})")
+    return total, tails + 10.0 * last, nbands - 1
 
 
 def abel_limit(coeffs: np.ndarray, h0: float = 0.08, levels: int = 7,

@@ -89,13 +89,14 @@ def phi2_limit(theta: float, alpha: float, M: float = 1.0,
     decreasing epsilon sequence and Richardson-extrapolate to epsilon -> 0.
 
     Returns (limit, error_estimate).  The default sequence is
-    eps_k = min(1e-2, 0.05 sin^2 theta) * M * 2^-k, k = 0..6 (ratio 2, as
-    the extrapolation assumes), which stays below the expansion bound
-    0.1 M sin^2 theta at every theta.
+    eps_k = min(1e-2, 0.05 alpha^2 sin^2 theta) * M * 2^-k, k = 0..6
+    (ratio 2, as the extrapolation assumes): the bracket reaches its
+    expansion in eps only for eps << alpha^2 sin^2 theta M, and the
+    sequence stays below the bound 0.1 M sin^2 theta at every theta.
     """
     geometry = _check_angles(theta, alpha, M)
     if eps_sequence is None:
-        eps0 = min(1e-2, 0.05 * math.sin(theta) ** 2)
+        eps0 = min(1e-2, 0.05 * alpha * alpha * math.sin(theta) ** 2)
         eps_sequence = [eps0 * M * 0.5 ** k for k in range(7)]
     eps = np.asarray(list(eps_sequence), dtype=float)
     if eps.size < 3:
@@ -109,7 +110,11 @@ def phi2_limit(theta: float, alpha: float, M: float = 1.0,
     ratios = eps[:-1] / eps[1:]
     if np.any(np.abs(ratios - ratios[0]) > 1e-9):
         raise DomainError("epsilon sequence must use a fixed ratio")
-    vals = np.array([_bracket(e, theta, geometry) for e in eps])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.array([_bracket(e, theta, geometry) for e in eps])
+    if not np.all(np.isfinite(vals)):
+        raise ExtrapolationError(
+            f"bracket leaves floating-point range at eps down to {eps[-1]:.3e}")
     spans = np.abs(np.diff(vals))
     noise = 1e-10 * float(np.max(np.abs(vals)))
     nz = spans[spans > noise]

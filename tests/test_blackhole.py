@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stringhorizon.blackhole import (DeficitGeometry, HorizonSeparation,
-                                     chi_radial_green,
+from stringhorizon.blackhole import (DeficitGeometry, chi_radial_green,
                                      exponent_fit, g_sing, geodesic_distance,
                                      geodesic_distance_expansion,
                                      horizon_green, horizon_green_closed,
@@ -285,12 +284,3 @@ def test_g_sing_mass_homogeneity():
     c2 = g_sing(1e-3, DeficitGeometry(alpha=1.0, M=2.0)) \
         - 1.0 / (32.0 * math.pi ** 2 * 2.0 * 1e-3)
     assert c1 / c2 == pytest.approx(4.0, rel=1e-12)
-
-
-def test_horizon_separation_type():
-    hs = HorizonSeparation(epsilon=0.01, theta=math.pi / 3, M=1.0)
-    assert hs.eta == pytest.approx(1.01)
-    assert math.cosh(hs.chi) == pytest.approx(1.0 + hs.cosh_chi_minus_1,
-                                              rel=1e-12)
-    with pytest.raises(DomainError):
-        HorizonSeparation(epsilon=0.2, theta=1.0, M=1.0)

@@ -210,6 +210,16 @@ def test_phi2_near_axis(capsys):
                                                   rel=1e-8)
 
 
+def test_phi2_tiny_alpha(capsys):
+    # the epsilon sequence scales with alpha^2, so sinh(chi/alpha) in the
+    # bracket stays in float range
+    assert main(["phi2", "--theta", "1.5707963", "--alpha", "1.4e-45",
+                 "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["phi2_limit"] == pytest.approx(payload["phi2_closed"],
+                                                  rel=1e-8)
+
+
 def test_phi2_string_factor(capsys):
     main(["phi2", "--theta", "1.5707963267948966", "--alpha", "0.5",
           "--format", "json"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stringhorizon.blackhole import DeficitGeometry
-from stringhorizon.errors import DomainError
+from stringhorizon.errors import DomainError, ExtrapolationError
 from stringhorizon.vacuumpol import (dominance_angle, figure1_data,
                                      phi2_closed, phi2_limit, phi2_near_axis,
                                      phi2_result)
@@ -79,6 +79,22 @@ def test_phi2_limit_near_axis(theta, alpha):
     # the default epsilon sequence starts below 0.1 M sin^2(theta) there too
     lim, _ = phi2_limit(theta, alpha)
     assert lim == pytest.approx(phi2_closed(theta, alpha), rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01, 1e-3])
+@pytest.mark.parametrize("theta", [PI / 3, PI / 2])
+def test_phi2_limit_small_alpha(theta, alpha):
+    # the default epsilon sequence shrinks with alpha^2: the bracket reaches
+    # its expansion only for eps << alpha^2 sin^2(theta) M
+    lim, _ = phi2_limit(theta, alpha)
+    assert lim == pytest.approx(phi2_closed(theta, alpha), rel=1e-8)
+
+
+def test_phi2_limit_bracket_out_of_float_range():
+    # at alpha = 1e-154 the default epsilons are subnormal and g_sing
+    # overflows: an ExtrapolationError, not a NaN limit
+    with pytest.raises(ExtrapolationError):
+        phi2_limit(PI / 2, 1e-154)
 
 
 def test_phi2_closed_out_of_float_range():
