@@ -24,8 +24,7 @@ from . import specfun
 from .errors import (CoincidenceError, DomainError, QuadratureError,
                      SlowConvergenceError)
 from .specfun import arccosh1p
-from .summation import (abel_limit, geometric_tail, lmax_for_rate,
-                        sum_m_bands)
+from .summation import geometric_tail, lmax_for_rate, sum_m_bands, wynn_limit
 
 __all__ = [
     "check_alpha",
@@ -321,7 +320,7 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
                      tol: float = 1e-8, lmax: int | None = None) -> float:
     """3D mode sum in spherical polars: terms (r</r>)^lam decay geometrically,
     so nearly equal radii are rejected (the identity harness handles the
-    r -> r' limit by Abel summation instead)."""
+    r -> r' limit by Wynn's epsilon-algorithm instead)."""
     _guard_separation(x, xp, alpha, with_tau=False)
     s1, s2 = x.to_spherical(), xp.to_spherical()
     r1, th1, _ = s1.coords
@@ -480,20 +479,21 @@ def _toroidal_coefficients(alpha, m, w_lt, w_gt, count):
 def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax=None):
     """sum_n e^{i n deta} c_n (c_n of `_toroidal_coefficients`), folded onto
     n >= 0.  Summed directly with a geometric tail when w> - w< > 1e-3,
-    otherwise as an Abel limit, which needs deta away from 0 (the caller
+    otherwise by `wynn_limit`, which needs deta away from 0 (the caller
     checks).  Returns (value, tail, count)."""
+    def terms(count):
+        c = _toroidal_coefficients(alpha, m, w_lt, w_gt, count)
+        t = c * np.cos(np.arange(count) * deta)
+        t[1:] *= 2.0
+        return t, c
+
     rate = w_gt - w_lt
-    if rate > 1e-3:
-        count = (nmax if nmax is not None else lmax_for_rate(rate, tol)) + 1
-    else:
-        count = nmax + 1 if nmax is not None else 12000
-    c = _toroidal_coefficients(alpha, m, w_lt, w_gt, count)
-    terms = c * np.cos(np.arange(count) * deta)
-    terms[1:] *= 2.0
-    if rate > 1e-3:
-        return float(terms.sum()), geometric_tail(c[-3:], rate), count
-    value, tail = abel_limit(terms, h0=0.1, levels=6)
-    return value, tail, count
+    if rate <= 1e-3:
+        return wynn_limit(lambda n: terms(n)[0], tol,
+                          None if nmax is None else nmax + 1)
+    count = (nmax if nmax is not None else lmax_for_rate(rate, tol)) + 1
+    t, c = terms(count)
+    return float(t.sum()), geometric_tail(c[-3:], rate), count
 
 
 def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,

@@ -21,7 +21,7 @@ from .blackhole import lambda_of
 from .conespace import (_spheroidal_coefficients, _toroidal_nsum, check_alpha,
                         generalized_heine_rhs, heine_double_sum, linet_kernel)
 from .errors import DomainError, QuadratureError, StringHorizonError
-from .summation import abel_limit, geometric_tail, lmax_for_rate, sum_m_bands
+from .summation import geometric_tail, lmax_for_rate, sum_m_bands, wynn_limit
 
 __all__ = [
     "IdentityCase",
@@ -127,34 +127,22 @@ def check_heine_generalized(alpha: float, theta: float, theta_p: float,
 # appendix identities
 # ----------------------------------------------------------------------
 
-# l-terms of an Abel band: 26 / h_min with h_min = 0.08 * 2^-6, the smallest
-# h of the Richardson levels, so x^l falls to e^{-26} by the last term.
-_ABEL_COUNT = 20_800
-
-
-def _abel_band(mu: float, x1: float, x2: float, count: int = _ABEL_COUNT):
-    """(value, error) of the Abel limit of sum_l ferrers_band(mu, x1, x2)_l:
-    the coincident-radius l-sum, which decays only like 1/lam."""
-    coeffs = specfun.ferrers_band(mu, x1, x2, count)
-    return abel_limit(coeffs, h0=0.08, levels=7)
-
-
 def check_app5(alpha: float, m: int, theta: float, theta_p: float,
                lmax: int | None = None, tol: float = 1e-6) -> IdentityCase:
     """sum_l gammaRatio P_lam^{-mu}(cos th) P_lam^{-mu}(cos th') =
     Q_{mu-1/2}((1 - cos th cos th')/(sin th sin th')) / (pi sqrt(sin sin')).
 
-    The l-sum decays only like 1/lam (coincident radii), so it is evaluated
-    as an Abel limit with Richardson extrapolation.
+    The l-sum decays only like 1/lam (coincident radii); `wynn_limit` sums it.
     """
     check_alpha(alpha)
     if abs(theta - theta_p) < 1e-3:
         raise DomainError("theta = theta' makes both sides divergent")
     mu = abs(m) / alpha
-    count = lmax + 1 if lmax is not None else _ABEL_COUNT
-    lhs, err = _abel_band(mu, math.cos(theta), math.cos(theta_p), count)
+    x1, x2 = math.cos(theta), math.cos(theta_p)
+    lhs, err, count = wynn_limit(lambda n: specfun.ferrers_band(mu, x1, x2, n),
+                                 tol, None if lmax is None else lmax + 1)
     ss = math.sin(theta) * math.sin(theta_p)
-    coshxi = (1.0 - math.cos(theta) * math.cos(theta_p)) / ss
+    coshxi = (1.0 - x1 * x2) / ss
     q = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), coshxi)
     rhs = q / (math.pi * math.sqrt(ss))
     params = {"alpha": alpha, "m": m, "theta": theta, "theta_p": theta_p}
@@ -162,7 +150,7 @@ def check_app5(alpha: float, m: int, theta: float, theta_p: float,
                       lmax=count - 1)
 
 
-def _linet_rhs(alpha, theta, theta_p, dphi, quad_tol=1e-10):
+def _linet_rhs(alpha, theta, theta_p, dphi):
     """Image term + F_alpha integral of the r -> r' Linet identity."""
     cc = math.cos(theta) * math.cos(theta_p)
     ss = math.sin(theta) * math.sin(theta_p)
@@ -183,10 +171,12 @@ def _linet_rhs(alpha, theta, theta_p, dphi, quad_tol=1e-10):
 
 
 def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
-    """(1/alpha) sum_m e^{i m dphi} [Abel limit of the l-sum], theta != theta'."""
+    """(1/alpha) sum_m e^{i m dphi} [Wynn limit of the l-sum], theta != theta'."""
     x1, x2 = math.cos(theta), math.cos(theta_p)
-    value, tail, bands = sum_m_bands(lambda m: _abel_band(m / alpha, x1, x2),
-                                     tol, dphi)
+    value, tail, bands = sum_m_bands(
+        lambda m: wynn_limit(
+            lambda n: specfun.ferrers_band(m / alpha, x1, x2, n), tol)[:2],
+        tol, dphi)
     return value / alpha, tail / alpha, bands
 
 
@@ -268,7 +258,7 @@ def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
     if w_gt - w_lt <= 1e-3:
         if abs(deta) < 1e-6:
             raise DomainError("w = w' with deta = 0 is coincident")
-        note = "w = w': n-sum evaluated as an Abel limit"
+        note = "w = w': n-sum evaluated by Wynn's epsilon-algorithm"
     lhs, tail, count = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax)
     rhs = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), chi) \
         / math.sqrt(math.sinh(w) * math.sinh(w_p))

@@ -6,11 +6,8 @@ Two regimes appear throughout the library:
   exponential in the toroidal chain) -- summed directly with a certified
   geometric tail estimate;
 * conditionally convergent 1/lambda-type oscillatory sums (mode sums at
-  coincident radii) -- summed as an Abel limit sum(t_l x^l), x -> 1-, with
-  Richardson extrapolation in h = 1 - x.  The summand is the Fourier/Legendre
-  coefficient stream of a Green's function that is analytic at x = 1 away
-  from coincidence, so the limit is polynomial in h and the extrapolation is
-  justified.
+  coincident radii) -- summed by Wynn's epsilon-algorithm on the partial
+  sums, which settles such oscillating series within a few hundred terms.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ __all__ = [
     "geometric_tail",
     "lmax_for_rate",
     "sum_m_bands",
-    "abel_limit",
+    "wynn_limit",
     "richardson_table",
 ]
 
@@ -89,25 +86,38 @@ def sum_m_bands(band_fn, tol: float, dphi: float = 0.0,
     return total, tails + 10.0 * last, nbands - 1
 
 
-def abel_limit(coeffs: np.ndarray, h0: float = 0.08, levels: int = 7,
-               start: int = 0) -> tuple[float, float]:
-    """Limit of sum(coeffs[l] * x^(l - start)) as x -> 1- by Richardson in h.
+def _wynn(sums: np.ndarray) -> float:
+    """Wynn's epsilon-algorithm on partial sums: the last entry of the
+    deepest even column that is still finite (nan for no sums)."""
+    prev, cur, est = np.zeros(sums.size + 1), sums, math.nan
+    with np.errstate(all="ignore"):
+        while cur.size and math.isfinite(cur[-1]):
+            est = float(cur[-1])
+            for _ in range(2):
+                prev, cur = cur, prev[1:cur.size] + 1.0 / np.diff(cur)
+    return est
 
-    coeffs must be long enough that the truncated geometric tail at the
-    smallest x is negligible; the caller controls the length.
-    Returns (limit, error_estimate).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    L = coeffs.size
-    powers = np.arange(L, dtype=float)
-    vals = np.empty(levels)
-    for j in range(levels):
-        x = 1.0 - h0 * 0.5 ** j
-        vals[j] = float(np.dot(coeffs, x ** powers))
-    table = richardson_table(vals, ratio=2.0)
-    est = table[-1][-1]
-    err = abs(table[-1][-1] - table[-2][-1]) if len(table) > 1 else math.inf
-    return est, err
+
+def wynn_limit(terms_fn, tol: float,
+               count: int | None = None) -> tuple[float, float, int]:
+    """(value, error, n) of a slowly convergent oscillating series: Wynn's
+    epsilon-algorithm (MTAC 10, 91 (1956)) on the partial sums S_k of the
+    terms terms_fn(n) and on S_1, S_3, ... (pairs, for when every other term
+    vanishes).  A run's error is the change of its estimate from half of its
+    sums to all; the smaller error wins.  n = count if given, else 160, 320,
+    ... until the error is at most tol/10 or n = 20,480 (no raise there)."""
+    n = 160 if count is None else count
+    while True:
+        sums = np.cumsum(terms_fn(n))
+        runs = []
+        for s in (sums, sums[1::2]):
+            est = _wynn(s)
+            err = abs(est - _wynn(s[: s.size // 2]))
+            runs.append((est, err if math.isfinite(err) else math.inf))
+        value, err = min(runs, key=lambda run: run[1])
+        if count is not None or err <= 0.1 * tol or n >= 20_480:
+            return value, err, n
+        n *= 2
 
 
 def richardson_table(vals, ratio: float = 2.0) -> list[np.ndarray]:

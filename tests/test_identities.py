@@ -201,7 +201,7 @@ def test_toroidal_addition_half_odd_order():
 
 def test_toroidal_equal_w_regulated():
     c = check_toroidal_addition(0.75, 1, 0.9, 0.9, 0.5, 1.9)
-    assert c.passed and "Abel" in c.note
+    assert c.passed and "Wynn" in c.note
     with pytest.raises(DomainError):
         check_toroidal_addition(0.75, 1, 0.9, 0.9, 0.5, 0.5)
 

@@ -1,12 +1,20 @@
 """The azimuthal mode sum `sum_m_bands`: the m >= 0 fold, the tail
-it reports, and its two stopping rules."""
+it reports, and its two stopping rules.  The Wynn limit `wynn_limit`:
+closed sums, its length rule, and the Abel/Richardson limit it replaced."""
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from stringhorizon import specfun
+from stringhorizon.conespace import _toroidal_coefficients, _toroidal_nsum
 from stringhorizon.errors import SlowConvergenceError
-from stringhorizon.summation import sum_m_bands
+from stringhorizon.identities import check_app5, check_linet_sum
+from stringhorizon.summation import richardson_table, sum_m_bands, wynn_limit
 
 
 def test_fold_of_constant_bands():
@@ -70,3 +78,113 @@ def test_unsettled_sum_raises_without_mmax():
     with pytest.raises(SlowConvergenceError):
         sum_m_bands(band, 1e-8)
     assert len(calls) == 400
+
+
+# ----------------------------------------------------------------------
+# wynn_limit
+# ----------------------------------------------------------------------
+
+def _k(n):
+    return np.arange(n, dtype=float)
+
+
+def test_wynn_alternating_series():
+    # sum (-1)^k/(k+1) = ln 2: the single-term run settles at 160 terms
+    value, err, n = wynn_limit(lambda n: (-1.0) ** _k(n) / (_k(n) + 1.0), 1e-10)
+    assert n == 160 and err <= 1e-11
+    assert value == pytest.approx(math.log(2.0), abs=1e-14)
+
+
+def test_wynn_pairs_when_every_other_term_vanishes():
+    # sum cos(k pi/2)/(k+1) = pi/4: the odd terms vanish, the pair run settles
+    value, err, n = wynn_limit(
+        lambda n: np.cos(_k(n) * math.pi / 2.0) / (_k(n) + 1.0), 1e-10)
+    assert n == 160 and err <= 1e-11
+    assert value == pytest.approx(math.pi / 4.0, abs=1e-14)
+
+
+def test_wynn_doubles_the_length():
+    # sum cos((k+1) 0.3)/(k+1) = -ln(2 sin 0.15) needs a second pass
+    value, err, n = wynn_limit(
+        lambda n: np.cos((_k(n) + 1.0) * 0.3) / (_k(n) + 1.0), 1e-6)
+    assert n == 320 and err <= 1e-7
+    assert value == pytest.approx(-math.log(2.0 * math.sin(0.15)), abs=1e-10)
+
+
+def test_wynn_given_count_is_used_as_is():
+    lengths = []
+
+    def terms(n):
+        lengths.append(n)
+        return (-1.0) ** _k(n) / (_k(n) + 1.0)
+
+    _, _, n = wynn_limit(terms, 1e-300, count=37)
+    assert n == 37 and lengths == [37]
+
+
+def test_wynn_divergent_series_returns_at_cap():
+    value, err, n = wynn_limit(lambda n: 1.0 / (_k(n) + 1.0), 1e-6)
+    assert n == 20_480 and err > 1e-6 and math.isfinite(value)
+
+
+def _abel_oracle(coeffs, h0, levels):
+    """The Abel/Richardson limit that wynn_limit replaced: sum c_l x^l at
+    x = 1 - h0 2^-j, j < levels, Richardson-extrapolated in h = 1 - x.
+    Needs about 26 / (h0 2^(1 - levels)) coefficients."""
+    powers = np.arange(coeffs.size, dtype=float)
+    vals = [float(np.dot(coeffs, (1.0 - h0 * 0.5 ** j) ** powers))
+            for j in range(levels)]
+    table = richardson_table(vals, ratio=2.0)
+    return table[-1][-1], abs(table[-1][-1] - table[-2][-1])
+
+
+@pytest.mark.parametrize("mu, theta, theta_p", [
+    (1.0 / 0.75, math.pi / 4.0, math.pi / 2.0),       # app5 band, theta' = pi/2
+    (2.0 / 0.75, math.pi / 3.0, 2.0 * math.pi / 3.0),  # Linet band, theta' = pi - theta
+])
+def test_wynn_matches_abel_on_ferrers_bands(mu, theta, theta_p):
+    x1, x2 = math.cos(theta), math.cos(theta_p)
+    ref, ref_err = _abel_oracle(specfun.ferrers_band(mu, x1, x2, 20_800),
+                                0.08, 7)
+    value, err, _ = wynn_limit(lambda n: specfun.ferrers_band(mu, x1, x2, n),
+                               1e-10)
+    assert err <= 1e-11 and ref_err < 1e-10
+    assert value == pytest.approx(ref, abs=1e-10)
+
+
+def test_wynn_matches_abel_on_equal_w_toroidal_sum():
+    alpha, m, w, deta = 0.75, 1, 0.9, -1.4
+    c = _toroidal_coefficients(alpha, m, w, w, 12_000)
+    terms = c * np.cos(np.arange(c.size) * deta)
+    terms[1:] *= 2.0
+    ref, ref_err = _abel_oracle(terms, 0.1, 6)
+    value, err, _ = _toroidal_nsum(alpha, m, w, w, deta, 1e-10)
+    assert err <= 1e-11 and ref_err < 1e-10
+    assert value == pytest.approx(ref, abs=1e-10)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(theta=st.floats(0.05, math.pi - 0.05),
+       theta_p=st.floats(0.05, math.pi - 0.05),
+       alpha=st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.1]),
+       m=st.integers(0, 4))
+def test_app5_against_mpmath(theta, theta_p, alpha, m):
+    assume(abs(theta - theta_p) >= 0.05)
+    c = check_app5(alpha, m, theta, theta_p)
+    ss = math.sin(theta) * math.sin(theta_p)
+    coshxi = (1.0 - math.cos(theta) * math.cos(theta_p)) / ss
+    with mpmath.workdps(30):
+        q = mpmath.legenq(m / alpha - 0.5, 0, mpmath.mpf(coshxi), type=3)
+        rhs = float(mpmath.re(q) / (mpmath.pi * mpmath.sqrt(ss)))
+    assert abs(c.lhs - rhs) / max(1.0, abs(rhs)) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha, theta, theta_p, dphi", [
+    (0.758770507550478, 1.407756873103598, math.pi / 2, -1.1148595641672572),
+    (0.8016828137246776, 1.4266567571901136, math.pi / 2, 1.2475837126601808),
+])
+def test_linet_high_order_bands_stay_finite(alpha, theta, theta_p, dphi):
+    # 20,800-term Ferrers chains at mu of 120-160 left float range here and
+    # gave lhs of order -1e306 against rhs of about 1
+    c = check_linet_sum(alpha, theta, theta_p, dphi)
+    assert math.isfinite(c.lhs) and c.residual < 1e-6
