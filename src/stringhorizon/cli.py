@@ -28,6 +28,7 @@ EXIT_NUMERIC = 3
 
 _MANIFEST_KEYS = {"version", "description", "cases"}
 _CASE_KEYS = {"check", "params"}
+_COUNT_PARAMS = {"lmax", "mmax", "nmax"}   # null, or a term/band count
 
 
 class ConfigError(Exception):
@@ -72,23 +73,58 @@ def _load_manifest(path: str | None) -> list[dict]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{where}: line {exc.lineno}, col {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: the manifest must be a JSON object")
     unknown = set(data) - _MANIFEST_KEYS
     if unknown:
         raise ConfigError(f"{where}: unknown manifest keys {sorted(unknown)}")
     cases = data.get("cases", [])
+    if not isinstance(cases, list):
+        raise ConfigError(f"{where}: cases must be a list")
     for i, case in enumerate(cases):
+        if not isinstance(case, dict):
+            raise ConfigError(f"{where}: case {i}: must be an object")
         unknown = set(case) - _CASE_KEYS
         if unknown:
             raise ConfigError(f"{where}: case {i}: unknown keys {sorted(unknown)}")
         name = case.get("check")
         if name not in identities.CHECKS:
             raise ConfigError(f"{where}: case {i}: unknown check {name!r}")
-        sig = inspect.signature(identities.CHECKS[name])
-        bad = set(case.get("params", {})) - set(sig.parameters)
-        if bad:
-            raise ConfigError(
-                f"{where}: case {i} ({name}): unknown params {sorted(bad)}")
+        _check_params(f"{where}: case {i} ({name})", identities.CHECKS[name],
+                      case.get("params", {}))
     return cases
+
+
+def _check_params(where: str, check, params) -> None:
+    """Raise ConfigError unless params suit check: an object of known,
+    finite, non-bool numbers (counts: null or integers >= 0) naming every
+    required parameter, with tol in [1e-12, 1e-3]."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}: params must be an object")
+    sig = inspect.signature(check).parameters
+    bad = set(params) - set(sig)
+    if bad:
+        raise ConfigError(f"{where}: unknown params {sorted(bad)}")
+    missing = [k for k, p in sig.items()
+               if p.default is p.empty and k not in params]
+    if missing:
+        raise ConfigError(f"{where}: missing params {missing}")
+    for key, value in params.items():
+        if key in _COUNT_PARAMS:
+            if not (value is None or (type(value) is int and value >= 0)):
+                raise ConfigError(
+                    f"{where}: {key} must be null or an integer >= 0, got {value!r}")
+        elif not (type(value) is int
+                  or (type(value) is float and math.isfinite(value))):
+            raise ConfigError(
+                f"{where}: {key} must be a finite number, got {value!r}")
+    if "tol" in params:
+        _check_tol(params["tol"], f"{where}: tol")
+
+
+def _check_tol(tol: float, what: str) -> None:
+    if not 1e-12 <= tol <= 1e-3:
+        raise ConfigError(f"{what} {tol} outside [1e-12, 1e-3]")
 
 
 def _records_csv(records: list[dict]) -> str:
@@ -112,8 +148,8 @@ def _records_csv(records: list[dict]) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.tolerance is not None and not 1e-12 <= args.tolerance <= 1e-3:
-        raise ConfigError(f"tolerance {args.tolerance} outside [1e-12, 1e-3]")
+    if args.tolerance is not None:
+        _check_tol(args.tolerance, "tolerance")
     if args.parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")
     cases = _load_manifest(args.manifest)

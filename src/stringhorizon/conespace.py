@@ -24,7 +24,7 @@ from . import specfun
 from .errors import (CoincidenceError, DomainError, QuadratureError,
                      SlowConvergenceError)
 from .specfun import arccosh1p
-from .summation import geometric_tail, lmax_for_rate, sum_m_bands, wynn_limit
+from .summation import sum_l, sum_m_bands
 
 __all__ = [
     "check_alpha",
@@ -215,19 +215,21 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
             f"heine_double_sum needs zeta > 1 + 1e-6, got zeta = {zeta}")
     x1, x2 = math.cos(theta), math.cos(theta_p)
     xi = math.acosh(zeta)               # Q_lam(zeta) ~ e^{-lam xi}
-    count = (lmax if lmax is not None else lmax_for_rate(xi, tol)) + 1
 
-    def band(m: int):
-        mu = m / alpha
+    def terms(mu, count):
         q = specfun.legendre_Q_sequence(mu, zeta, count)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.log(q)
-        terms = ((2.0 * (mu + np.arange(count)) + 1.0)
-                 * specfun.ferrers_band(mu, x1, x2, count, log_q))
-        return float(terms.sum()), geometric_tail(terms[-3:], xi)
+        return ((2.0 * (mu + np.arange(count)) + 1.0)
+                * specfun.ferrers_band(mu, x1, x2, count, log_q))
+
+    def band(m: int):
+        nonlocal lmax                   # the first band fixes it for all
+        value, tail, lmax = sum_l(lambda n: terms(m / alpha, n), tol, xi, lmax)
+        return value, tail
 
     value, tail, bands = sum_m_bands(band, tol, dphi, mmax)
-    return value, tail, count - 1, bands
+    return value, tail, lmax, bands
 
 
 def generalized_heine_rhs(alpha: float, theta: float, theta_p: float,
@@ -331,18 +333,17 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
     if rate < 1e-3:
         raise SlowConvergenceError(
             "radii too close for the spherical mode sum; no geometric decay")
-    count = (lmax if lmax is not None else lmax_for_rate(rate, tol)) + 1
     logratio = math.log(r_lt / r_gt)
     x1, x2 = math.cos(th1), math.cos(th2)
 
-    def band(m: int):
-        mu = m / alpha
+    def terms(mu, count):
         # (r</r>)^lam / r>
         log_radial = (mu + np.arange(count)) * logratio - math.log(r_gt)
-        terms = specfun.ferrers_band(mu, x1, x2, count, log_radial)
-        return float(terms.sum()), 0.0
+        return specfun.ferrers_band(mu, x1, x2, count, log_radial)
 
-    value, _, _ = sum_m_bands(band, tol, dphi)
+    value, _, _ = sum_m_bands(
+        lambda m: sum_l(lambda n: terms(m / alpha, n), tol, rate, lmax)[:2],
+        tol, dphi)
     return value / (4.0 * math.pi * alpha)
 
 
@@ -477,23 +478,17 @@ def _toroidal_coefficients(alpha, m, w_lt, w_gt, count):
 
 
 def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax=None):
-    """sum_n e^{i n deta} c_n (c_n of `_toroidal_coefficients`), folded onto
-    n >= 0.  Summed directly with a geometric tail when w> - w< > 1e-3,
-    otherwise by `wynn_limit`, which needs deta away from 0 (the caller
-    checks).  Returns (value, tail, count)."""
+    """c_0 + sum_{n>0} 2 cos(n deta) c_n (c_n of `_toroidal_coefficients`)
+    by `sum_l`: at rate w> - w<, or as a Wynn limit when w> - w< <= 1e-3
+    (deta away from 0 then; the callers check).  Returns (value, tail, nmax)."""
     def terms(count):
-        c = _toroidal_coefficients(alpha, m, w_lt, w_gt, count)
-        t = c * np.cos(np.arange(count) * deta)
+        t = (_toroidal_coefficients(alpha, m, w_lt, w_gt, count)
+             * np.cos(np.arange(count) * deta))
         t[1:] *= 2.0
-        return t, c
+        return t
 
     rate = w_gt - w_lt
-    if rate <= 1e-3:
-        return wynn_limit(lambda n: terms(n)[0], tol,
-                          None if nmax is None else nmax + 1)
-    count = (nmax if nmax is not None else lmax_for_rate(rate, tol)) + 1
-    t, c = terms(count)
-    return float(t.sum()), geometric_tail(c[-3:], rate), count
+    return sum_l(terms, tol, rate if rate > 1e-3 else None, nmax)
 
 
 def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
@@ -553,11 +548,8 @@ def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
     if rate < 1e-3:
         raise SlowConvergenceError(
             "sigma coordinates too close for the spheroidal mode sum")
-    count = lmax_for_rate(rate, tol) + 1
-
-    def band(m: int):
-        c = _spheroidal_coefficients(alpha, m, th1, th2, s_lt, s_gt, count)
-        return float(c.sum()), 0.0
-
-    value, _, _ = sum_m_bands(band, tol, dphi)
+    value, _, _ = sum_m_bands(
+        lambda m: sum_l(lambda n: _spheroidal_coefficients(
+            alpha, m, th1, th2, s_lt, s_gt, n), tol, rate)[:2],
+        tol, dphi)
     return value / (4.0 * math.pi * alpha)

@@ -21,7 +21,7 @@ from .blackhole import lambda_of
 from .conespace import (_spheroidal_coefficients, _toroidal_nsum, check_alpha,
                         generalized_heine_rhs, heine_double_sum, linet_kernel)
 from .errors import DomainError, QuadratureError, StringHorizonError
-from .summation import geometric_tail, lmax_for_rate, sum_m_bands, wynn_limit
+from .summation import sum_l, sum_m_bands
 
 __all__ = [
     "IdentityCase",
@@ -86,17 +86,16 @@ def check_heine_classic(zeta: float, psi: float, lmax: int | None = None,
         raise DomainError(f"zeta must exceed 1, got {zeta}")
     if abs(psi) >= min(1.0, zeta):
         raise DomainError(f"validity needs |psi| < min(1, zeta), got {psi}")
-    xi = math.acosh(zeta)
-    count = (lmax if lmax is not None else lmax_for_rate(xi, tol)) + 1
-    ls = np.arange(count)
-    p = eval_legendre(ls, psi)
-    q = specfun.legendre_Q_sequence(0.0, zeta, count)
-    terms = (2.0 * ls + 1.0) * p * q
-    lhs = float(terms.sum())
-    tail = geometric_tail(terms[-3:], xi)
+
+    def terms(count):
+        ls = np.arange(count)
+        return ((2.0 * ls + 1.0) * eval_legendre(ls, psi)
+                * specfun.legendre_Q_sequence(0.0, zeta, count))
+
+    lhs, tail, lmax = sum_l(terms, tol, math.acosh(zeta), lmax)
     rhs = 1.0 / (zeta - psi)
     return _make_case("heine_classic", {"zeta": zeta, "psi": psi}, tol,
-                      lhs, rhs, tail, lmax=count - 1)
+                      lhs, rhs, tail, lmax=lmax)
 
 
 def check_heine_generalized(alpha: float, theta: float, theta_p: float,
@@ -132,22 +131,22 @@ def check_app5(alpha: float, m: int, theta: float, theta_p: float,
     """sum_l gammaRatio P_lam^{-mu}(cos th) P_lam^{-mu}(cos th') =
     Q_{mu-1/2}((1 - cos th cos th')/(sin th sin th')) / (pi sqrt(sin sin')).
 
-    The l-sum decays only like 1/lam (coincident radii); `wynn_limit` sums it.
+    The l-sum decays only like 1/lam (coincident radii), so `sum_l` takes
+    its Wynn limit; the tail filed is that limit's error estimate + 1e-12.
     """
     check_alpha(alpha)
     if abs(theta - theta_p) < 1e-3:
         raise DomainError("theta = theta' makes both sides divergent")
     mu = abs(m) / alpha
     x1, x2 = math.cos(theta), math.cos(theta_p)
-    lhs, err, count = wynn_limit(lambda n: specfun.ferrers_band(mu, x1, x2, n),
-                                 tol, None if lmax is None else lmax + 1)
+    lhs, err, lmax = sum_l(lambda n: specfun.ferrers_band(mu, x1, x2, n),
+                           tol, lmax=lmax)
     ss = math.sin(theta) * math.sin(theta_p)
     coshxi = (1.0 - x1 * x2) / ss
     q = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), coshxi)
     rhs = q / (math.pi * math.sqrt(ss))
     params = {"alpha": alpha, "m": m, "theta": theta, "theta_p": theta_p}
-    return _make_case("app5", params, tol, lhs, rhs, err + 1e-12,
-                      lmax=count - 1)
+    return _make_case("app5", params, tol, lhs, rhs, err + 1e-12, lmax=lmax)
 
 
 def _linet_rhs(alpha, theta, theta_p, dphi):
@@ -174,7 +173,7 @@ def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
     """(1/alpha) sum_m e^{i m dphi} [Wynn limit of the l-sum], theta != theta'."""
     x1, x2 = math.cos(theta), math.cos(theta_p)
     value, tail, bands = sum_m_bands(
-        lambda m: wynn_limit(
+        lambda m: sum_l(
             lambda n: specfun.ferrers_band(m / alpha, x1, x2, n), tol)[:2],
         tol, dphi)
     return value / alpha, tail / alpha, bands
@@ -259,13 +258,13 @@ def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
         if abs(deta) < 1e-6:
             raise DomainError("w = w' with deta = 0 is coincident")
         note = "w = w': n-sum evaluated by Wynn's epsilon-algorithm"
-    lhs, tail, count = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax)
+    lhs, tail, nmax = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax)
     rhs = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), chi) \
         / math.sqrt(math.sinh(w) * math.sinh(w_p))
     params = {"alpha": alpha, "m": m, "w": w, "w_p": w_p,
               "eta": eta, "eta_p": eta_p}
     return _make_case("toroidal_addition", params, tol, lhs, rhs, tail,
-                      lmax=count - 1, note=note)
+                      lmax=nmax, note=note)
 
 
 def _spheroidal_chi(theta, theta_p, s1, s2):
@@ -281,18 +280,16 @@ def _spheroidal_lhs_rhs(alpha, m, theta, theta_p, sigma_lt, sigma_gt,
                         lmax, tol):
     if sigma_gt - sigma_lt < 1e-3:
         raise DomainError("sigma< and sigma> too close; l-sum has no decay")
-    rate = sigma_gt - sigma_lt
-    count = (lmax if lmax is not None else lmax_for_rate(rate, tol)) + 1
-    c = _spheroidal_coefficients(alpha, m, theta, theta_p, sigma_lt, sigma_gt,
-                                 count)
-    lhs = float(c.sum())
-    tail = geometric_tail(c[-3:], rate)
+    lhs, tail, lmax = sum_l(
+        lambda n: _spheroidal_coefficients(alpha, m, theta, theta_p, sigma_lt,
+                                           sigma_gt, n),
+        tol, sigma_gt - sigma_lt, lmax)
     mu = abs(m) / alpha
     chi = _spheroidal_chi(theta, theta_p, sigma_lt, sigma_gt)
     rhs = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), chi) \
         / (math.pi * alpha * math.sqrt(math.sinh(sigma_lt) * math.sinh(sigma_gt)
                                        * math.sin(theta) * math.sin(theta_p)))
-    return lhs, rhs, tail, count
+    return lhs, rhs, tail, lmax
 
 
 def check_spheroidal_sum(alpha: float, m: int, theta: float, theta_p: float,
@@ -306,12 +303,11 @@ def check_spheroidal_sum(alpha: float, m: int, theta: float, theta_p: float,
     measures LHS/RHS = alpha); at alpha = 1 the identity holds as printed.
     """
     check_alpha(alpha)
-    lhs, rhs, tail, count = _spheroidal_lhs_rhs(alpha, m, theta, theta_p,
-                                                sigma_lt, sigma_gt, lmax, tol)
+    lhs, rhs, tail, lmax = _spheroidal_lhs_rhs(alpha, m, theta, theta_p,
+                                               sigma_lt, sigma_gt, lmax, tol)
     params = {"alpha": alpha, "m": m, "theta": theta, "theta_p": theta_p,
               "sigma_lt": sigma_lt, "sigma_gt": sigma_gt}
-    return _make_case("spheroidal_sum", params, tol, lhs, rhs, tail,
-                      lmax=count - 1)
+    return _make_case("spheroidal_sum", params, tol, lhs, rhs, tail, lmax=lmax)
 
 
 _AUDIT_POINTS = [
@@ -396,7 +392,7 @@ def run_case(case: dict, tol_override: float | None = None) -> dict:
     try:
         result = CHECKS[name](**params)
         return result.to_record()
-    except StringHorizonError as exc:
+    except (StringHorizonError, OverflowError) as exc:
         return {"name": name, "params": params, "passed": False,
                 "error": f"{type(exc).__name__}: {exc}"}
 

@@ -1,13 +1,13 @@
-"""Truncation and acceleration helpers for the mode sums.
-
-Two regimes appear throughout the library:
+"""Truncation and acceleration helpers for the mode sums: `sum_m_bands`
+folds and stops every azimuthal m-sum, and `sum_l` cuts off every degree
+sum over l (or n) and estimates its tail.  Degree sums come in two regimes:
 
 * geometric decay (a Q_lambda(zeta) factor, a radial ratio, or an
-  exponential in the toroidal chain) -- summed directly with a certified
-  geometric tail estimate;
+  exponential in the toroidal chain) -- summed directly with a geometric
+  tail estimate;
 * conditionally convergent 1/lambda-type oscillatory sums (mode sums at
-  coincident radii) -- summed by Wynn's epsilon-algorithm on the partial
-  sums, which settles such oscillating series within a few hundred terms.
+  coincident radii) -- handed to `wynn_limit`, Wynn's epsilon-algorithm on
+  the partial sums, which settles such series within a few hundred terms.
 """
 
 from __future__ import annotations
@@ -19,36 +19,11 @@ import numpy as np
 from .errors import SlowConvergenceError
 
 __all__ = [
-    "geometric_tail",
-    "lmax_for_rate",
+    "sum_l",
     "sum_m_bands",
     "wynn_limit",
     "richardson_table",
 ]
-
-
-def lmax_for_rate(rate: float, tol: float, safety: int = 10, cap: int = 100_000) -> int:
-    """Truncation index for terms decaying like e^{-rate*l}."""
-    if rate <= 0.0:
-        raise SlowConvergenceError(f"no geometric decay (rate={rate})")
-    n = int(math.ceil(math.log(1.0 / tol) / rate)) + safety
-    if n > cap:
-        raise SlowConvergenceError(
-            f"required truncation {n} exceeds cap {cap} (rate={rate}, tol={tol})")
-    return n
-
-
-def geometric_tail(last_terms, rate: float, safety: float = 10.0) -> float:
-    """Tail estimate for a sum whose terms decay like e^{-rate*l}.
-
-    Uses the largest of the last few term magnitudes times the geometric
-    tail factor, inflated by a safety margin.
-    """
-    if rate <= 0.0:
-        raise SlowConvergenceError(f"no geometric decay (rate={rate})")
-    r = math.exp(-rate)
-    amp = max(abs(float(t)) for t in last_terms)
-    return safety * amp * r / (1.0 - r)
 
 
 def sum_m_bands(band_fn, tol: float, dphi: float = 0.0,
@@ -118,6 +93,31 @@ def wynn_limit(terms_fn, tol: float,
         if count is not None or err <= 0.1 * tol or n >= 20_480:
             return value, err, n
         n *= 2
+
+
+def sum_l(terms_fn, tol: float, rate: float | None = None,
+          lmax: int | None = None) -> tuple[float, float, int]:
+    """(value, tail, lmax) of sum_{l=0}^{lmax} t_l, terms_fn(n) giving
+    t_0..t_{n-1}.  With a rate (|t_l| ~ e^{-rate l}) the terms are summed
+    directly: lmax defaults to ceil(ln(1/tol)/rate) + 10, capped at 100,000
+    (SlowConvergenceError), and tail = 10 max|last three terms| r/(1 - r),
+    r = e^{-rate}.  With rate=None it is `wynn_limit` on lmax + 1 terms, or
+    on as many as the limit needs."""
+    if rate is None:
+        value, err, n = wynn_limit(terms_fn, tol,
+                                   None if lmax is None else lmax + 1)
+        return value, err, n - 1
+    if rate <= 0.0:
+        raise SlowConvergenceError(f"no geometric decay (rate={rate})")
+    if lmax is None:
+        lmax = int(math.ceil(math.log(1.0 / tol) / rate)) + 10
+        if lmax > 100_000:
+            raise SlowConvergenceError(
+                f"truncation {lmax} exceeds cap 100000 (rate={rate}, tol={tol})")
+    terms = terms_fn(lmax + 1)
+    r = math.exp(-rate)
+    amp = max(abs(float(t)) for t in terms[-3:])
+    return float(terms.sum()), 10.0 * amp * r / (1.0 - r), lmax
 
 
 def richardson_table(vals, ratio: float = 2.0) -> list[np.ndarray]:

@@ -137,6 +137,64 @@ def test_verify_tolerance_bounds(tmp_path):
         == EXIT_CONFIG
 
 
+_CLASSIC = {"check": "heine_classic", "params": {"zeta": 2.0, "psi": 0.3}}
+
+
+def _with_params(**params):
+    return {"cases": [dict(_CLASSIC, params=dict(_CLASSIC["params"], **params))]}
+
+
+@pytest.mark.parametrize("manifest", [
+    [],                                              # top level not an object
+    {"cases": [1]},                                  # case not an object
+    {"cases": {"check": "heine_classic"}},           # cases not a list
+    {"cases": [{"check": "heine_classic", "params": [2.0, 0.3]}]},
+    _with_params(zeta="2"),
+    _with_params(zeta=True),
+    _with_params(zeta=float("nan")),
+    _with_params(tol=0),
+    _with_params(tol=-1),
+    _with_params(tol=True),
+    _with_params(tol=1e-2),
+    _with_params(lmax=2.5),
+    _with_params(lmax=-1),
+    {"cases": [{"check": "heine_classic", "params": {"zeta": 2.0}}]},
+], ids=["top-list", "case-int", "cases-object", "params-list", "zeta-str",
+        "zeta-bool", "zeta-nan", "tol-0", "tol-neg", "tol-bool", "tol-big",
+        "lmax-float", "lmax-neg", "psi-missing"])
+def test_bad_manifest_is_one_line_config_error(tmp_path, capsys, manifest):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["verify", "--manifest", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_verify_accepts_null_counts_and_integer_params(tmp_path):
+    man = write_manifest(tmp_path / "m.json", [
+        {"check": "heine_classic",
+         "params": {"zeta": 2, "psi": 0.3, "lmax": None, "tol": 1e-8}}])
+    assert main(["verify", "--manifest", man]) == EXIT_OK
+
+
+def test_verify_overflowing_case_is_recorded(tmp_path, capsys):
+    # sinh(chi/alpha) of the closed kernel overflows at alpha = 1e-3; the
+    # other cases and the report must survive it
+    cases = [{"check": "heine_generalized",
+              "params": {"alpha": 1e-3, "theta": 1.0, "theta_p": 1.2,
+                         "dphi": 0.3, "chi": 1.0}}, dict(_CLASSIC)]
+    man = write_manifest(tmp_path / "m.json", cases)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--manifest", man, "--out", str(out)]) \
+        == EXIT_NUMERIC
+    records = json.loads(out.read_text())
+    assert records[0]["error"].startswith("OverflowError")
+    assert records[1]["passed"]
+    assert "1 passed, 0 failed, 1 errored" in capsys.readouterr().out
+
+
 def test_verify_missing_manifest(tmp_path):
     assert main(["verify", "--manifest", str(tmp_path / "nope.json")]) \
         == EXIT_CONFIG

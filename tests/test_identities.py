@@ -285,6 +285,15 @@ def test_run_case_records_errors():
     assert rec["error"].startswith("DomainError")
 
 
+def test_run_case_records_overflow():
+    # sinh(chi/alpha) of the closed kernel leaves float range at alpha = 1e-3
+    rec = run_case({"check": "heine_generalized",
+                    "params": {"alpha": 1e-3, "theta": 1.0, "theta_p": 1.2,
+                               "dphi": 0.3, "chi": 1.0}})
+    assert not rec["passed"]
+    assert rec["error"].startswith("OverflowError")
+
+
 def test_run_cases_parallel_matches_serial():
     cases = [
         {"check": "heine_classic", "params": {"zeta": 2.0, "psi": 0.3}},

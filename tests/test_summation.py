@@ -1,6 +1,8 @@
 """The azimuthal mode sum `sum_m_bands`: the m >= 0 fold, the tail
-it reports, and its two stopping rules.  The Wynn limit `wynn_limit`:
-closed sums, its length rule, and the Abel/Richardson limit it replaced."""
+it reports, and its two stopping rules.  The degree sum `sum_l`: its
+cutoff, its geometric tail and its Wynn branch.  The Wynn limit
+`wynn_limit`: closed sums, its length rule, and the Abel/Richardson limit
+it replaced."""
 
 import math
 
@@ -14,7 +16,8 @@ from stringhorizon import specfun
 from stringhorizon.conespace import _toroidal_coefficients, _toroidal_nsum
 from stringhorizon.errors import SlowConvergenceError
 from stringhorizon.identities import check_app5, check_linet_sum
-from stringhorizon.summation import richardson_table, sum_m_bands, wynn_limit
+from stringhorizon.summation import (richardson_table, sum_l, sum_m_bands,
+                                     wynn_limit)
 
 
 def test_fold_of_constant_bands():
@@ -81,11 +84,77 @@ def test_unsettled_sum_raises_without_mmax():
 
 
 # ----------------------------------------------------------------------
-# wynn_limit
+# sum_l
 # ----------------------------------------------------------------------
 
 def _k(n):
     return np.arange(n, dtype=float)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
+def test_sum_l_geometric_series(r):
+    # sum r^k = 1/(1 - r); the tail must cover the true remainder
+    tol = 1e-8
+    value, tail, lmax = sum_l(lambda n: r ** _k(n), tol, -math.log(r))
+    assert lmax == math.ceil(math.log(1.0 / tol) / -math.log(r)) + 10
+    remainder = r ** (lmax + 1) / (1.0 - r)
+    assert abs(value - 1.0 / (1.0 - r)) <= tail
+    assert tail >= remainder
+
+
+def test_sum_l_tail_reads_the_last_three_terms():
+    terms = np.array([7.0, 1.0, -4.0, 3.0, 2.0])
+    value, tail, lmax = sum_l(lambda n: terms[:n], 1e-8, math.log(2.0), 4)
+    assert (value, lmax) == (9.0, 4)
+    assert tail == 10.0 * 4.0 * 0.5 / (1.0 - 0.5)
+
+
+def test_sum_l_given_lmax_is_used_as_is():
+    lengths = []
+
+    def terms(n):
+        lengths.append(n)
+        return 0.5 ** _k(n)
+
+    _, _, lmax = sum_l(terms, 1e-12, math.log(2.0), lmax=5)
+    assert lmax == 5 and lengths == [6]
+    _, _, lmax = sum_l(lambda n: (-1.0) ** _k(n) / (_k(n) + 1.0), 1e-300,
+                       lmax=36)
+    assert lmax == 36
+
+
+def test_sum_l_cap_and_no_decay_raise():
+    def terms(n):
+        raise AssertionError("no terms may be asked for")
+
+    # ln(1e8)/1e-4 + 10 is about 184,217 > 100,000
+    with pytest.raises(SlowConvergenceError):
+        sum_l(terms, 1e-8, 1e-4)
+    with pytest.raises(SlowConvergenceError):
+        sum_l(terms, 1e-8, 0.0)
+
+
+def test_sum_l_without_rate_is_the_wynn_limit():
+    value, err, lmax = sum_l(lambda n: (-1.0) ** _k(n) / (_k(n) + 1.0), 1e-10)
+    assert lmax == 159 and err <= 1e-11
+    assert value == pytest.approx(math.log(2.0), abs=1e-14)
+
+
+def test_toroidal_tail_reads_the_folded_terms():
+    # at deta = 0 the n-sum is c_0 + sum 2 c_n, and its geometric tail must
+    # be read from the 2 c_n it sums, not from the bare c_n
+    alpha, m, w_lt, w_gt = 0.75, 1, 0.9, 1.4
+    value, tail, nmax = _toroidal_nsum(alpha, m, w_lt, w_gt, 0.0, 1e-8)
+    c = _toroidal_coefficients(alpha, m, w_lt, w_gt, nmax + 1)
+    r = math.exp(-(w_gt - w_lt))
+    assert tail == pytest.approx(
+        10.0 * float(np.max(np.abs(2.0 * c[-3:]))) * r / (1.0 - r), rel=1e-14)
+    assert value == pytest.approx(c[0] + 2.0 * c[1:].sum(), rel=1e-14)
+
+
+# ----------------------------------------------------------------------
+# wynn_limit
+# ----------------------------------------------------------------------
 
 
 def test_wynn_alternating_series():
