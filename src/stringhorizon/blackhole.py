@@ -77,6 +77,9 @@ def lambda_of(l: int, m: int, alpha: float) -> float:
 # radial solutions for n != 0
 # ----------------------------------------------------------------------
 
+_FROBENIUS_T = 1e-4     # eta - 1 below which p is its Frobenius series
+
+
 def frobenius_coefficients(n: int, lam: float, exponent: float,
                            nterms: int) -> np.ndarray:
     """Series coefficients a_j of chi = t^s sum a_j t^j (t = eta - 1) for the
@@ -122,7 +125,6 @@ class RadialSolutionPair:
     n: int
     lam: float
     eta_max: float
-    delta0: float
     wronskian_scale: float
     wronskian_spread: float
     _p_sol: object = field(repr=False)
@@ -137,7 +139,7 @@ class RadialSolutionPair:
     def p(self, eta: float) -> float:
         self._check(eta)
         t = eta - 1.0
-        if t < self.delta0:
+        if t < _FROBENIUS_T:
             ks = np.arange(self._series.size)
             return float(np.sum(self._series * t ** (abs(self.n) / 2.0 + ks)))
         return float(self._p_sol.sol(math.log(t))[0])
@@ -145,7 +147,7 @@ class RadialSolutionPair:
     def dp(self, eta: float) -> float:
         self._check(eta)
         t = eta - 1.0
-        if t < self.delta0:
+        if t < _FROBENIUS_T:
             ks = np.arange(self._series.size)
             e = abs(self.n) / 2.0 + ks
             return float(np.sum(self._series * e * t ** (e - 1.0)))
@@ -162,11 +164,10 @@ class RadialSolutionPair:
 
 
 def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None,
-                     eta_max: float = 20.0, delta0: float = 1e-4,
-                     nterms: int = 8, rtol: float = 1e-11) -> RadialSolutionPair:
+                     eta_max: float = 20.0) -> RadialSolutionPair:
     """Construct the normalized (p, q) pair for n != 0.
 
-    p starts from a Frobenius series at eta = 1 + delta0 and integrates
+    p starts from an 8-term Frobenius series at eta = 1 + 1e-4 and integrates
     outward; q starts from the decaying large-eta behavior e^{-|n| eta/4}/eta
     at eta_max and integrates inward, then is rescaled so its fitted
     (eta-1)^{-|n|/2} coefficient is 1.  The equation is integrated in
@@ -182,17 +183,15 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
             f"lambda must be >= 0 with lambda (lambda + 1) finite, got {lam}")
     if not 1.5 < eta_max < math.inf:
         raise DomainError(f"eta_max must be finite and exceed 1.5, got {eta_max}")
-    if not 0.0 < delta0 < 1.0:
-        raise SeriesRadiusError(
-            f"delta0 = {delta0} outside the Frobenius radius (singular point at t = -2)")
     nn = abs(n)
-    a = frobenius_coefficients(n, lam, nn / 2.0, nterms)
-    ks = np.arange(nterms)
-    v0 = float(np.sum(a * delta0 ** (nn / 2.0 + ks)))
-    dv0 = float(np.sum(a * (nn / 2.0 + ks) * delta0 ** (nn / 2.0 + ks - 1.0)))
-    s0, s1 = math.log(delta0), math.log(eta_max - 1.0)
-    p_sol = solve_ivp(_radial_rhs, (s0, s1), (v0, delta0 * dv0), args=(n, lam),
-                      method="DOP853", rtol=rtol, atol=1e-300, dense_output=True)
+    t0 = _FROBENIUS_T
+    a = frobenius_coefficients(n, lam, nn / 2.0, 8)
+    ks = np.arange(a.size)
+    v0 = float(np.sum(a * t0 ** (nn / 2.0 + ks)))
+    dv0 = float(np.sum(a * (nn / 2.0 + ks) * t0 ** (nn / 2.0 + ks - 1.0)))
+    s0, s1 = math.log(t0), math.log(eta_max - 1.0)
+    p_sol = solve_ivp(_radial_rhs, (s0, s1), (v0, t0 * dv0), args=(n, lam),
+                      method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
     if not p_sol.success:
         raise StiffnessError(f"outward integration failed: {p_sol.message}")
 
@@ -201,7 +200,7 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     t_min = 1e-6
     q_sol = solve_ivp(_radial_rhs, (s1, math.log(t_min)),
                       (q0, (eta_max - 1.0) * dq0), args=(n, lam),
-                      method="DOP853", rtol=rtol, atol=1e-300, dense_output=True)
+                      method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
     if not q_sol.success:
         raise StiffnessError(f"inward integration failed: {q_sol.message}")
 
@@ -214,7 +213,7 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     if q_norm == 0.0 or not math.isfinite(q_norm):
         raise StiffnessError("q normalization fit failed")
 
-    pair = RadialSolutionPair(n=n, lam=lam, eta_max=eta_max, delta0=delta0,
+    pair = RadialSolutionPair(n=n, lam=lam, eta_max=eta_max,
                               wronskian_scale=0.0, wronskian_spread=0.0,
                               _p_sol=p_sol, _q_sol=q_sol, _q_norm=q_norm,
                               _series=a)
@@ -226,10 +225,10 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     return pair
 
 
-def exponent_fit(f, delta: float = 2e-4) -> float:
+def exponent_fit(f) -> float:
     """Near-horizon power of f(eta) ~ (eta-1)^s: 3-point Richardson slope
-    fit at (delta, 2 delta, 4 delta) removing the O(delta) correction."""
-    v1, v2, v3 = f(1.0 + delta), f(1.0 + 2.0 * delta), f(1.0 + 4.0 * delta)
+    fit at eta - 1 = (d, 2d, 4d), d = 2e-4, removing the O(d) correction."""
+    v1, v2, v3 = f(1.0 + 2e-4), f(1.0 + 4e-4), f(1.0 + 8e-4)
     s1 = math.log2(abs(v2 / v1))
     s2 = math.log2(abs(v3 / v2))
     return 2.0 * s1 - s2
@@ -260,14 +259,13 @@ def chi_radial_green(n: int, lam: float, eta: float, eta_p: float,
 
 
 def horizon_green(theta: float, theta_p: float, dphi: float, eta: float,
-                  geometry: DeficitGeometry, tol: float = 1e-8,
-                  lmax: int | None = None, mmax: int | None = None) -> float:
+                  geometry: DeficitGeometry, tol: float = 1e-8) -> float:
     """Green's function with one point on the horizon (only n = 0 survives):
     the generalized-Heine double sum with Q_lambda(eta)."""
     if eta <= 1.0:
         raise DomainError(f"exterior point needs eta > 1, got {eta}")
-    value, _, _, _ = heine_double_sum(geometry.alpha, theta, theta_p, dphi,
-                                      eta, tol=tol, lmax=lmax, mmax=mmax)
+    value = heine_double_sum(geometry.alpha, theta, theta_p, dphi, eta,
+                             tol=tol)[0]
     return value / (32.0 * math.pi ** 2 * geometry.M ** 2 * geometry.alpha)
 
 
@@ -294,8 +292,7 @@ def _check_eps(epsilon: float, geometry: DeficitGeometry):
             f"epsilon = {epsilon} outside the expansion regime (0, 0.1 M)")
 
 
-def geodesic_distance(epsilon: float, geometry: DeficitGeometry,
-                      tol: float = 1e-12) -> float:
+def geodesic_distance(epsilon: float, geometry: DeficitGeometry) -> float:
     """Radial geodesic distance from the horizon to r = 2M + epsilon,
     s = int_2M^{2M+eps} dr / sqrt(1 - 2M/r), by quadrature (substitution
     x = u^2 removes the integrable endpoint singularity)."""
@@ -305,8 +302,8 @@ def geodesic_distance(epsilon: float, geometry: DeficitGeometry,
     def f(u):
         return 2.0 * math.sqrt(2.0 * M + u * u)
 
-    val, err = quad(f, 0.0, math.sqrt(epsilon), epsabs=1e-14, epsrel=tol)
-    if err > max(1e-13, tol * val):
+    val, err = quad(f, 0.0, math.sqrt(epsilon), epsabs=1e-14, epsrel=1e-12)
+    if err > max(1e-13, 1e-12 * val):
         raise QuadratureError(f"geodesic quadrature error {err:.2e}")
     return val
 

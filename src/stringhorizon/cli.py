@@ -28,7 +28,6 @@ EXIT_NUMERIC = 3
 
 _MANIFEST_KEYS = {"version", "description", "cases"}
 _CASE_KEYS = {"check", "params"}
-_COUNT_PARAMS = {"lmax", "mmax", "nmax"}   # null, or a term/band count
 
 
 class ConfigError(Exception):
@@ -97,8 +96,8 @@ def _load_manifest(path: str | None) -> list[dict]:
 
 def _check_params(where: str, check, params) -> None:
     """Raise ConfigError unless params suit check: an object of known,
-    finite, non-bool numbers (counts: null or integers >= 0) naming every
-    required parameter, with tol in [1e-12, 1e-3]."""
+    finite, non-bool numbers naming every required parameter, with tol in
+    [1e-12, 1e-3]."""
     if not isinstance(params, dict):
         raise ConfigError(f"{where}: params must be an object")
     sig = inspect.signature(check).parameters
@@ -110,12 +109,8 @@ def _check_params(where: str, check, params) -> None:
     if missing:
         raise ConfigError(f"{where}: missing params {missing}")
     for key, value in params.items():
-        if key in _COUNT_PARAMS:
-            if not (value is None or (type(value) is int and value >= 0)):
-                raise ConfigError(
-                    f"{where}: {key} must be null or an integer >= 0, got {value!r}")
-        elif not (type(value) is int
-                  or (type(value) is float and math.isfinite(value))):
+        if not (type(value) is int
+                or (type(value) is float and math.isfinite(value))):
             raise ConfigError(
                 f"{where}: {key} must be a finite number, got {value!r}")
     if "tol" in params:

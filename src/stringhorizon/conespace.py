@@ -201,8 +201,7 @@ class SeparationInvariants:
 # ----------------------------------------------------------------------
 
 def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
-                     zeta: float, tol: float = 1e-8,
-                     lmax: int | None = None, mmax: int | None = None):
+                     zeta: float, tol: float = 1e-8):
     """sum_m e^{i m dphi} sum_l (2 lam + 1) [G(lam+mu+1)/G(lam-mu+1)]
     P_lam^{-mu}(cos th) P_lam^{-mu}(cos th') Q_lam(zeta),
     lam = l - |m| + |m|/alpha, mu = |m|/alpha.
@@ -223,12 +222,14 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
         return ((2.0 * (mu + np.arange(count)) + 1.0)
                 * specfun.ferrers_band(mu, x1, x2, count, log_q))
 
+    lmax = None                         # sum_l's cutoff: the same for every band
+
     def band(m: int):
-        nonlocal lmax                   # the first band fixes it for all
-        value, tail, lmax = sum_l(lambda n: terms(m / alpha, n), tol, xi, lmax)
+        nonlocal lmax
+        value, tail, lmax = sum_l(lambda n: terms(m / alpha, n), tol, xi)
         return value, tail
 
-    value, tail, bands = sum_m_bands(band, tol, dphi, mmax)
+    value, tail, bands = sum_m_bands(band, tol, dphi)
     return value, tail, lmax, bands
 
 
@@ -267,8 +268,7 @@ def g4_closed(x: ConePoint, xp: ConePoint, alpha: float) -> float:
 
 
 def g4_modesum_spherical(x: ConePoint, xp: ConePoint, alpha: float,
-                         tol: float = 1e-8, lmax: int | None = None,
-                         mmax: int | None = None) -> float:
+                         tol: float = 1e-8) -> float:
     """Spherical-polar mode sum of the 4D Green's function (omega integral
     already performed, leaving Q_lambda(zeta))."""
     _guard_separation(x, xp, alpha, with_tau=True)
@@ -277,8 +277,7 @@ def g4_modesum_spherical(x: ConePoint, xp: ConePoint, alpha: float,
     r2, th2, _ = s2.coords
     dphi = _pair_cyl(x, xp)[4]
     inv = SeparationInvariants.from_points(x, xp)
-    value, tail, _, _ = heine_double_sum(alpha, th1, th2, dphi, inv.zeta,
-                                         tol=tol, lmax=lmax, mmax=mmax)
+    value = heine_double_sum(alpha, th1, th2, dphi, inv.zeta, tol=tol)[0]
     return value / (8.0 * math.pi ** 2 * alpha * r1 * r2)
 
 
@@ -319,7 +318,7 @@ def bessel_integral_lhs(lam: float, r_lt: float, r_gt: float, dtau: float,
 # ----------------------------------------------------------------------
 
 def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
-                     tol: float = 1e-8, lmax: int | None = None) -> float:
+                     tol: float = 1e-8) -> float:
     """3D mode sum in spherical polars: terms (r</r>)^lam decay geometrically,
     so nearly equal radii are rejected (the identity harness handles the
     r -> r' limit by Wynn's epsilon-algorithm instead)."""
@@ -342,7 +341,7 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
         return specfun.ferrers_band(mu, x1, x2, count, log_radial)
 
     value, _, _ = sum_m_bands(
-        lambda m: sum_l(lambda n: terms(m / alpha, n), tol, rate, lmax)[:2],
+        lambda m: sum_l(lambda n: terms(m / alpha, n), tol, rate)[:2],
         tol, dphi)
     return value / (4.0 * math.pi * alpha)
 
@@ -413,6 +412,17 @@ def linet_kernel(u: float, psi: float, alpha: float) -> float:
     return num / den
 
 
+def _linet_integral(c: float, dphi: float, alpha: float) -> tuple[float, float]:
+    """(value, error) of int_0^oo F_alpha(u, dphi) / sqrt(c + cosh u) du by
+    QUADPACK; the u-integral of both Linet forms (c > -1)."""
+    def integrand(u):
+        if u > 600.0:   # kernel ~ e^{-u/alpha}, denominator ~ e^{u/2}: far below eps
+            return 0.0
+        return linet_kernel(u, dphi, alpha) / math.sqrt(c + math.cosh(u))
+
+    return quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
+
+
 def _linet_images(dphi: float, alpha: float) -> list[float]:
     """Image angles alpha*(dphi + 2 pi n) with |dphi + 2 pi n| < pi/alpha."""
     out = []
@@ -443,14 +453,10 @@ def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
     if alpha == 1.0:
         return total  # F_1 vanishes identically
 
-    def integrand(u):
-        if u > 600.0:   # kernel ~ e^{-u/alpha}, R ~ e^{u/2}: far below eps
-            return 0.0
-        R = math.sqrt(base + 2.0 * rho1 * rho2 * math.cosh(u))
-        return linet_kernel(u, dphi, alpha) / R
-
-    val, err = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11,
-                    limit=400)
+    # base + 2 rho rho' cosh u = 2 rho rho' (c + cosh u)
+    rr = 2.0 * rho1 * rho2
+    val, err = _linet_integral(base / rr, dphi, alpha)
+    val, err = val / math.sqrt(rr), err / math.sqrt(rr)
     if err > max(1e-12, tol * abs(val)) * 10.0:
         raise QuadratureError(f"Linet u-integral error {err:.2e}")
     return total + val / (8.0 * math.pi ** 2 * alpha)
@@ -477,7 +483,7 @@ def _toroidal_coefficients(alpha, m, w_lt, w_gt, count):
     return g * p * qb * np.exp(-n * (w_gt - w_lt))
 
 
-def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax=None):
+def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol):
     """c_0 + sum_{n>0} 2 cos(n deta) c_n (c_n of `_toroidal_coefficients`)
     by `sum_l`: at rate w> - w<, or as a Wynn limit when w> - w< <= 1e-3
     (deta away from 0 then; the callers check).  Returns (value, tail, nmax)."""
@@ -488,7 +494,7 @@ def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax=None):
         return t
 
     rate = w_gt - w_lt
-    return sum_l(terms, tol, rate if rate > 1e-3 else None, nmax)
+    return sum_l(terms, tol, rate if rate > 1e-3 else None)
 
 
 def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,

@@ -4,7 +4,8 @@ parameter grid, with certified truncation.
 Pass criterion: the residual is relative when |RHS| > 1 and absolute
 otherwise, and a case passes iff residual <= tol + certified_tail (tail
 scaled the same way).  Reports are deterministic: the same case list with
-the same truncation settings produces bit-identical records.
+the same tolerances produces bit-identical records: tol is the only
+truncation setting, and every cutoff follows from it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from scipy.special import eval_legendre, gammaln
 
 from . import specfun
 from .blackhole import lambda_of
-from .conespace import (_spheroidal_coefficients, _toroidal_nsum, check_alpha,
-                        generalized_heine_rhs, heine_double_sum, linet_kernel)
+from .conespace import (_linet_integral, _spheroidal_coefficients,
+                        _toroidal_nsum, check_alpha, generalized_heine_rhs,
+                        heine_double_sum)
 from .errors import DomainError, QuadratureError, StringHorizonError
 from .summation import sum_l, sum_m_bands
 
@@ -79,7 +81,7 @@ def _make_case(name, params, tol, lhs, rhs, tail, lmax=None, mmax=None,
 # classic and generalized Heine
 # ----------------------------------------------------------------------
 
-def check_heine_classic(zeta: float, psi: float, lmax: int | None = None,
+def check_heine_classic(zeta: float, psi: float,
                         tol: float = 1e-8) -> IdentityCase:
     """sum_l (2l+1) P_l(psi) Q_l(zeta) = 1/(zeta - psi), |psi| < zeta."""
     if zeta <= 1.0 + 1e-12:
@@ -92,7 +94,7 @@ def check_heine_classic(zeta: float, psi: float, lmax: int | None = None,
         return ((2.0 * ls + 1.0) * eval_legendre(ls, psi)
                 * specfun.legendre_Q_sequence(0.0, zeta, count))
 
-    lhs, tail, lmax = sum_l(terms, tol, math.acosh(zeta), lmax)
+    lhs, tail, lmax = sum_l(terms, tol, math.acosh(zeta))
     rhs = 1.0 / (zeta - psi)
     return _make_case("heine_classic", {"zeta": zeta, "psi": psi}, tol,
                       lhs, rhs, tail, lmax=lmax)
@@ -100,7 +102,6 @@ def check_heine_classic(zeta: float, psi: float, lmax: int | None = None,
 
 def check_heine_generalized(alpha: float, theta: float, theta_p: float,
                             dphi: float, chi: float,
-                            lmax: int | None = None, mmax: int | None = None,
                             tol: float = 1e-6) -> IdentityCase:
     """Double sum of (2lam+1) gammaRatio P P Q_lam(zeta) against
     sinh(chi/alpha) / [sin sin' sinh(chi) (cosh(chi/alpha) - cos dphi)]."""
@@ -113,13 +114,13 @@ def check_heine_generalized(alpha: float, theta: float, theta_p: float,
         raise DomainError(
             f"zeta = {zeta:.6f} <= 1: no Euclidean pair has these (theta, theta', chi); "
             "chi must exceed arccosh((1 - cos th cos th')/(sin th sin th'))")
-    lhs, tail, lmax_used, mmax_used = heine_double_sum(
-        alpha, theta, theta_p, dphi, zeta, tol=tol, lmax=lmax, mmax=mmax)
+    lhs, tail, lmax, mmax = heine_double_sum(alpha, theta, theta_p, dphi,
+                                             zeta, tol=tol)
     rhs = generalized_heine_rhs(alpha, theta, theta_p, dphi, chi)
     params = {"alpha": alpha, "theta": theta, "theta_p": theta_p,
               "dphi": dphi, "chi": chi}
     return _make_case("heine_generalized", params, tol, lhs, rhs, tail,
-                      lmax=lmax_used, mmax=mmax_used)
+                      lmax=lmax, mmax=mmax)
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +128,7 @@ def check_heine_generalized(alpha: float, theta: float, theta_p: float,
 # ----------------------------------------------------------------------
 
 def check_app5(alpha: float, m: int, theta: float, theta_p: float,
-               lmax: int | None = None, tol: float = 1e-6) -> IdentityCase:
+               tol: float = 1e-6) -> IdentityCase:
     """sum_l gammaRatio P_lam^{-mu}(cos th) P_lam^{-mu}(cos th') =
     Q_{mu-1/2}((1 - cos th cos th')/(sin th sin th')) / (pi sqrt(sin sin')).
 
@@ -139,8 +140,7 @@ def check_app5(alpha: float, m: int, theta: float, theta_p: float,
         raise DomainError("theta = theta' makes both sides divergent")
     mu = abs(m) / alpha
     x1, x2 = math.cos(theta), math.cos(theta_p)
-    lhs, err, lmax = sum_l(lambda n: specfun.ferrers_band(mu, x1, x2, n),
-                           tol, lmax=lmax)
+    lhs, err, lmax = sum_l(lambda n: specfun.ferrers_band(mu, x1, x2, n), tol)
     ss = math.sin(theta) * math.sin(theta_p)
     coshxi = (1.0 - x1 * x2) / ss
     q = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), coshxi)
@@ -158,12 +158,7 @@ def _linet_rhs(alpha, theta, theta_p, dphi):
     first = 1.0 / math.sqrt(2.0 * (1.0 - cos_ag))
     if alpha == 1.0:
         return first
-    def integrand(u):
-        if u > 600.0:
-            return 0.0
-        return linet_kernel(u, dphi, alpha) / math.sqrt(coshxi + math.cosh(u))
-    val, err = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11,
-                    limit=400)
+    val, err = _linet_integral(coshxi, dphi, alpha)
     if err > 1e-9:
         raise QuadratureError(f"Linet u-integral error {err:.2e}")
     return first + val / (2.0 * math.pi * alpha * math.sqrt(2.0 * ss))
@@ -231,7 +226,6 @@ def check_linet_sum(alpha: float, theta: float, theta_p: float, dphi: float,
 
 def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
                             eta: float, eta_p: float,
-                            nmax: int | None = None,
                             tol: float = 1e-6) -> IdentityCase:
     """sum_n e^{in (eta-eta')} G(n+mu+1/2)/G(n-mu+1/2) P_{n-1/2}^{-mu}(cosh w<)
     Qhat_{n-1/2}^{-mu}(cosh w>) against
@@ -258,7 +252,7 @@ def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
         if abs(deta) < 1e-6:
             raise DomainError("w = w' with deta = 0 is coincident")
         note = "w = w': n-sum evaluated by Wynn's epsilon-algorithm"
-    lhs, tail, nmax = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol, nmax)
+    lhs, tail, nmax = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol)
     rhs = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), chi) \
         / math.sqrt(math.sinh(w) * math.sinh(w_p))
     params = {"alpha": alpha, "m": m, "w": w, "w_p": w_p,
@@ -276,14 +270,13 @@ def _spheroidal_chi(theta, theta_p, s1, s2):
     return num / den
 
 
-def _spheroidal_lhs_rhs(alpha, m, theta, theta_p, sigma_lt, sigma_gt,
-                        lmax, tol):
+def _spheroidal_lhs_rhs(alpha, m, theta, theta_p, sigma_lt, sigma_gt, tol):
     if sigma_gt - sigma_lt < 1e-3:
         raise DomainError("sigma< and sigma> too close; l-sum has no decay")
     lhs, tail, lmax = sum_l(
         lambda n: _spheroidal_coefficients(alpha, m, theta, theta_p, sigma_lt,
                                            sigma_gt, n),
-        tol, sigma_gt - sigma_lt, lmax)
+        tol, sigma_gt - sigma_lt)
     mu = abs(m) / alpha
     chi = _spheroidal_chi(theta, theta_p, sigma_lt, sigma_gt)
     rhs = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), chi) \
@@ -294,7 +287,6 @@ def _spheroidal_lhs_rhs(alpha, m, theta, theta_p, sigma_lt, sigma_gt,
 
 def check_spheroidal_sum(alpha: float, m: int, theta: float, theta_p: float,
                          sigma_lt: float, sigma_gt: float,
-                         lmax: int | None = None,
                          tol: float = 1e-6) -> IdentityCase:
     """Four-Legendre-product l-sum against the printed closed form
     (1/(pi alpha)) Q_{mu-1/2}(chi)/sqrt(sinh s sinh s' sin th sin th').
@@ -304,7 +296,7 @@ def check_spheroidal_sum(alpha: float, m: int, theta: float, theta_p: float,
     """
     check_alpha(alpha)
     lhs, rhs, tail, lmax = _spheroidal_lhs_rhs(alpha, m, theta, theta_p,
-                                               sigma_lt, sigma_gt, lmax, tol)
+                                               sigma_lt, sigma_gt, tol)
     params = {"alpha": alpha, "m": m, "theta": theta, "theta_p": theta_p,
               "sigma_lt": sigma_lt, "sigma_gt": sigma_gt}
     return _make_case("spheroidal_sum", params, tol, lhs, rhs, tail, lmax=lmax)
@@ -323,8 +315,7 @@ def spheroidal_ratio_audit(alpha: float, tol: float = 1e-8) -> IdentityCase:
     passes when the ratio is constant; flagged when the constant is not 1."""
     ratios = []
     for (m, th, thp, s1, s2) in _AUDIT_POINTS:
-        lhs, rhs, _, _ = _spheroidal_lhs_rhs(alpha, m, th, thp, s1, s2,
-                                             None, 1e-10)
+        lhs, rhs, _, _ = _spheroidal_lhs_rhs(alpha, m, th, thp, s1, s2, 1e-10)
         ratios.append(lhs / rhs)
     ratios = np.asarray(ratios)
     mean = float(np.mean(ratios))

@@ -85,10 +85,10 @@ def _as_degree_order(do) -> DegreeOrder:
 # gamma ratios
 # ----------------------------------------------------------------------
 
-def _near_nonpositive_integer(a: float, tol: float = 1e-12) -> bool:
+def _near_nonpositive_integer(a: float) -> bool:
     if a > 0.5:
         return False
-    return abs(a - round(a)) <= tol
+    return abs(a - round(a)) <= 1e-12
 
 
 def gamma_ratio_signed(a: float, b: float) -> tuple[float, float]:
@@ -102,7 +102,7 @@ def gamma_ratio_signed(a: float, b: float) -> tuple[float, float]:
 # certified Gauss-hypergeometric series
 # ----------------------------------------------------------------------
 
-def _hyp_series(a: float, b: float, c: float, w: float, tol: float = _SERIES_TOL):
+def _hyp_series(a: float, b: float, c: float, w: float):
     """Sum F(a, b; c; w) for 0 <= w < 1, c > 0 with a certified tail bound.
 
     Returns (value, tail_bound).  The bound uses that for k beyond the
@@ -126,7 +126,7 @@ def _hyp_series(a: float, b: float, c: float, w: float, tol: float = _SERIES_TOL
                 q *= (K + b) / (K + c)
             if q < 1.0:
                 tail = abs(term) * q / (1.0 - q)
-                if tail <= tol * max(1.0, abs(total)):
+                if tail <= _SERIES_TOL * max(1.0, abs(total)):
                     return total, tail
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * w
         if term == 0.0:            # a or b hit a non-positive integer: exact
@@ -382,12 +382,17 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
     # survives; everything is fixed by one series value at the bottom.
     xi = math.acosh(x)
     buffer = int(math.ceil(17.0 / xi)) + 20
+    # rescale freely, the normalization fixes it: one step multiplies |raw|
+    # by up to about (2 nu + 1) x e1, so |raw| stays below 1e300 over that
+    # (tighter than 1e250 only at x above about 1e44)
+    big = min(1e250, 1e300 / ((2.0 * (nu0 + count + buffer) + 1.0)
+                              * x * max(e1, 1.0)))
     raw = np.zeros(count + buffer + 1)
     raw[-2] = 1.0
     for k in range(count + buffer - 2, 0, -1):
         raw[k - 1] = step_down(nu0 + k, raw[k], raw[k + 1])
-        if abs(raw[k - 1]) > 1e250:   # rescale freely; normalization fixes it
-            raw[k - 1:] *= 1e-250
+        if abs(raw[k - 1]) > big:
+            raw[k - 1:] *= min(1e-250, big / abs(raw[k - 1]))
     l0, s0 = _axis_Qbar_log((nu0, mu), x)
     if raw[0] == 0.0 or not math.isfinite(raw[0]):
         raise ConvergenceError("Miller recursion lost the minimal solution")

@@ -26,23 +26,21 @@ __all__ = [
 ]
 
 
-def sum_m_bands(band_fn, tol: float, dphi: float = 0.0,
-                mmax: int | None = None) -> tuple[float, float, int]:
+def sum_m_bands(band_fn, tol: float,
+                dphi: float = 0.0) -> tuple[float, float, int]:
     """Azimuthal mode sum sum_m e^{i m dphi} B_m folded onto m >= 0:
     B_0 + sum_{m>0} 2 cos(m dphi) B_m.
 
     band_fn(m) returns (B_m, tail_m): the unweighted band and the tail of
     its own inner sum (0.0 when it tracks none).  The sum stops once three
-    successive weighted bands with m > 0 each fall below tol/10.  With
-    mmax it sums at most mmax + 1 bands and never raises; without, it
-    raises SlowConvergenceError if 400 bands do not settle.
+    successive weighted bands with m > 0 each fall below tol/10, and raises
+    SlowConvergenceError if 400 bands do not settle.
 
     Returns (value, sum of band tails + 10 |last weighted band|, last m).
     """
-    nbands = 400 if mmax is None else mmax + 1
-    total = tails = last = 0.0
+    total = tails = 0.0
     small = 0
-    for m in range(nbands):
+    for m in range(400):
         band, tail = band_fn(m)
         if m > 0:
             band = 2.0 * math.cos(m * dphi) * band
@@ -55,10 +53,8 @@ def sum_m_bands(band_fn, tol: float, dphi: float = 0.0,
                 return total, tails + 10.0 * last, m
         else:
             small = 0
-    if mmax is None:
-        raise SlowConvergenceError(
-            f"m-band sum did not settle within {nbands} bands (tol={tol})")
-    return total, tails + 10.0 * last, nbands - 1
+    raise SlowConvergenceError(
+        f"m-band sum did not settle within 400 bands (tol={tol})")
 
 
 def _wynn(sums: np.ndarray) -> float:
@@ -73,15 +69,14 @@ def _wynn(sums: np.ndarray) -> float:
     return est
 
 
-def wynn_limit(terms_fn, tol: float,
-               count: int | None = None) -> tuple[float, float, int]:
+def wynn_limit(terms_fn, tol: float) -> tuple[float, float, int]:
     """(value, error, n) of a slowly convergent oscillating series: Wynn's
     epsilon-algorithm (MTAC 10, 91 (1956)) on the partial sums S_k of the
     terms terms_fn(n) and on S_1, S_3, ... (pairs, for when every other term
     vanishes).  A run's error is the change of its estimate from half of its
-    sums to all; the smaller error wins.  n = count if given, else 160, 320,
-    ... until the error is at most tol/10 or n = 20,480 (no raise there)."""
-    n = 160 if count is None else count
+    sums to all; the smaller error wins.  n = 160, 320, ... until the error
+    is at most tol/10 or n = 20,480 (no raise there)."""
+    n = 160
     while True:
         sums = np.cumsum(terms_fn(n))
         runs = []
@@ -90,43 +85,40 @@ def wynn_limit(terms_fn, tol: float,
             err = abs(est - _wynn(s[: s.size // 2]))
             runs.append((est, err if math.isfinite(err) else math.inf))
         value, err = min(runs, key=lambda run: run[1])
-        if count is not None or err <= 0.1 * tol or n >= 20_480:
+        if err <= 0.1 * tol or n >= 20_480:
             return value, err, n
         n *= 2
 
 
-def sum_l(terms_fn, tol: float, rate: float | None = None,
-          lmax: int | None = None) -> tuple[float, float, int]:
+def sum_l(terms_fn, tol: float,
+          rate: float | None = None) -> tuple[float, float, int]:
     """(value, tail, lmax) of sum_{l=0}^{lmax} t_l, terms_fn(n) giving
     t_0..t_{n-1}.  With a rate (|t_l| ~ e^{-rate l}) the terms are summed
-    directly: lmax defaults to ceil(ln(1/tol)/rate) + 10, capped at 100,000
+    directly: lmax = ceil(ln(1/tol)/rate) + 10, capped at 100,000
     (SlowConvergenceError), and tail = 10 max|last three terms| r/(1 - r),
-    r = e^{-rate}.  With rate=None it is `wynn_limit` on lmax + 1 terms, or
-    on as many as the limit needs."""
+    r = e^{-rate}.  With rate=None it is `wynn_limit` on as many terms as
+    the limit needs."""
     if rate is None:
-        value, err, n = wynn_limit(terms_fn, tol,
-                                   None if lmax is None else lmax + 1)
+        value, err, n = wynn_limit(terms_fn, tol)
         return value, err, n - 1
     if rate <= 0.0:
         raise SlowConvergenceError(f"no geometric decay (rate={rate})")
-    if lmax is None:
-        lmax = int(math.ceil(math.log(1.0 / tol) / rate)) + 10
-        if lmax > 100_000:
-            raise SlowConvergenceError(
-                f"truncation {lmax} exceeds cap 100000 (rate={rate}, tol={tol})")
+    lmax = int(math.ceil(math.log(1.0 / tol) / rate)) + 10
+    if lmax > 100_000:
+        raise SlowConvergenceError(
+            f"truncation {lmax} exceeds cap 100000 (rate={rate}, tol={tol})")
     terms = terms_fn(lmax + 1)
     r = math.exp(-rate)
     amp = max(abs(float(t)) for t in terms[-3:])
     return float(terms.sum()), 10.0 * amp * r / (1.0 - r), lmax
 
 
-def richardson_table(vals, ratio: float = 2.0) -> list[np.ndarray]:
-    """Richardson table for f(h_j) with h_j = h0 / ratio^j, eliminating
+def richardson_table(vals) -> list[np.ndarray]:
+    """Richardson table for f(h_j) with h_j = h0 / 2^j, eliminating
     h, h^2, ... successively.  Returns the list of columns."""
     cols = [np.asarray(vals, dtype=float)]
     for k in range(1, len(vals)):
         prev = cols[-1]
-        fac = ratio ** k
+        fac = 2.0 ** k
         cols.append((fac * prev[1:] - prev[:-1]) / (fac - 1.0))
     return cols
-

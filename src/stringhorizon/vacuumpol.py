@@ -83,33 +83,20 @@ def _bracket(epsilon: float, theta: float, geometry: DeficitGeometry) -> float:
     return G - g_sing(epsilon, geometry)
 
 
-def phi2_limit(theta: float, alpha: float, M: float = 1.0,
-               eps_sequence=None) -> tuple[float, float]:
+def phi2_limit(theta: float, alpha: float,
+               M: float = 1.0) -> tuple[float, float]:
     """Point-splitting route: evaluate the subtracted bracket on a
     decreasing epsilon sequence and Richardson-extrapolate to epsilon -> 0.
 
-    Returns (limit, error_estimate).  The default sequence is
-    eps_k = min(1e-2, 0.05 alpha^2 sin^2 theta) * M * 2^-k, k = 0..6
-    (ratio 2, as the extrapolation assumes): the bracket reaches its
-    expansion in eps only for eps << alpha^2 sin^2 theta M, and the
-    sequence stays below the bound 0.1 M sin^2 theta at every theta.
+    Returns (limit, error_estimate).  The sequence is
+    eps_k = min(1e-2, 0.05 alpha^2 sin^2 theta) * M * 2^-k, k = 0..6: the
+    bracket reaches its expansion in eps only for
+    eps << alpha^2 sin^2 theta M, and the sequence stays below the bound
+    0.1 M sin^2 theta at every theta.
     """
     geometry = _check_angles(theta, alpha, M)
-    if eps_sequence is None:
-        eps0 = min(1e-2, 0.05 * alpha * alpha * math.sin(theta) ** 2)
-        eps_sequence = [eps0 * M * 0.5 ** k for k in range(7)]
-    eps = np.asarray(list(eps_sequence), dtype=float)
-    if eps.size < 3:
-        raise ExtrapolationError("need at least 3 epsilon values")
-    if np.any(np.diff(eps) >= 0.0):
-        raise DomainError("epsilon sequence must be strictly decreasing")
-    limit = 0.1 * M * math.sin(theta) ** 2
-    if np.any(eps >= limit):
-        raise DomainError(
-            f"epsilon sequence must stay below 0.1 M sin^2(theta) = {limit:.3e}")
-    ratios = eps[:-1] / eps[1:]
-    if np.any(np.abs(ratios - ratios[0]) > 1e-9):
-        raise DomainError("epsilon sequence must use a fixed ratio")
+    eps0 = min(1e-2, 0.05 * alpha * alpha * math.sin(theta) ** 2)
+    eps = [eps0 * M * 0.5 ** k for k in range(7)]
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.array([_bracket(e, theta, geometry) for e in eps])
     if not np.all(np.isfinite(vals)):
@@ -121,17 +108,15 @@ def phi2_limit(theta: float, alpha: float, M: float = 1.0,
     if nz.size >= 2 and nz[-1] > 4.0 * nz[0]:
         raise ExtrapolationError(
             "bracket values diverge with shrinking epsilon; check the chi(eps) mapping")
-    cols = richardson_table(vals, ratio=float(ratios[0]))
-    depth = min(3, len(cols) - 1)   # 3-level extrapolation
-    est = float(cols[depth][-1])
-    err = abs(float(cols[depth][-1]) - float(cols[depth - 1][-1]))
+    cols = richardson_table(vals)
+    est = float(cols[3][-1])            # 3-level extrapolation
+    err = abs(est - float(cols[2][-1]))
     return est, err
 
 
-def phi2_result(theta: float, alpha: float, M: float = 1.0,
-                eps_sequence=None) -> Phi2Result:
+def phi2_result(theta: float, alpha: float, M: float = 1.0) -> Phi2Result:
     closed = phi2_closed(theta, alpha, M)
-    lim, err = phi2_limit(theta, alpha, M, eps_sequence)
+    lim, err = phi2_limit(theta, alpha, M)
     return Phi2Result(theta=theta, alpha=alpha, M=M, value_closed=closed,
                       value_limit=lim, extrapolation_error=err)
 
@@ -157,29 +142,25 @@ def dominance_angle(alpha: float) -> float:
     return 1.0 / math.sqrt(2.0 - alpha * alpha)
 
 
-def figure1_data(alphas, cos_theta_grid=None,
-                 margin: float = 0.995, points: int = 81) -> list[tuple]:
+def figure1_data(alphas, margin: float = 0.995,
+                 points: int = 81) -> list[tuple]:
     """Rows (cos_theta, alpha, M^2 phi2_ren) for the horizon profile plot.
 
-    Sorted by (alpha descending, cos_theta ascending); the grid is symmetric
-    about cos_theta = 0 and bounded away from the poles by `margin`.
+    Sorted by (alpha descending, cos_theta ascending); the grid of `points`
+    values is symmetric about cos_theta = 0 and spans [-margin, margin].
     """
-    if cos_theta_grid is None:
-        # exactly sign-symmetric grid, so value(c) == value(-c) bitwise
-        half = points // 2
-        if points % 2:
-            pos = np.linspace(0.0, margin, half + 1)
-            cos_theta_grid = np.concatenate([-pos[:0:-1], pos])
-        else:
-            pos = (np.arange(half) + 0.5) * (margin / half)
-            cos_theta_grid = np.concatenate([-pos[::-1], pos])
-    cos_theta_grid = np.asarray(cos_theta_grid, dtype=float)
-    if np.any(np.abs(cos_theta_grid) > margin + 1e-15):
-        raise DomainError(f"cos_theta grid exceeds the pole margin {margin}")
+    # exactly sign-symmetric grid, so value(c) == value(-c) bitwise
+    half = points // 2
+    if points % 2:
+        pos = np.linspace(0.0, margin, half + 1)
+        grid = np.concatenate([-pos[:0:-1], pos])
+    else:
+        pos = (np.arange(half) + 0.5) * (margin / half)
+        grid = np.concatenate([-pos[::-1], pos])
     rows = []
     for alpha in sorted(set(float(a) for a in alphas), reverse=True):
         check_alpha(alpha)
-        for ct in np.sort(cos_theta_grid):
+        for ct in np.sort(grid):
             s2 = float(1.0 - ct * ct)     # even in ct by construction
             rows.append((float(ct), alpha, _phi2(s2, alpha, 1.0)))
     return rows

@@ -156,12 +156,12 @@ def _with_params(**params):
     _with_params(tol=-1),
     _with_params(tol=True),
     _with_params(tol=1e-2),
-    _with_params(lmax=2.5),
-    _with_params(lmax=-1),
+    _with_params(lmax=60),
+    _with_params(mmax=None),
     {"cases": [{"check": "heine_classic", "params": {"zeta": 2.0}}]},
 ], ids=["top-list", "case-int", "cases-object", "params-list", "zeta-str",
         "zeta-bool", "zeta-nan", "tol-0", "tol-neg", "tol-bool", "tol-big",
-        "lmax-float", "lmax-neg", "psi-missing"])
+        "lmax-unknown", "mmax-unknown", "psi-missing"])
 def test_bad_manifest_is_one_line_config_error(tmp_path, capsys, manifest):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(manifest))
@@ -175,8 +175,20 @@ def test_bad_manifest_is_one_line_config_error(tmp_path, capsys, manifest):
 def test_verify_accepts_null_counts_and_integer_params(tmp_path):
     man = write_manifest(tmp_path / "m.json", [
         {"check": "heine_classic",
-         "params": {"zeta": 2, "psi": 0.3, "lmax": None, "tol": 1e-8}}])
+         "params": {"zeta": 2, "psi": 0.3, "tol": 1e-8}}])
     assert main(["verify", "--manifest", man]) == EXIT_OK
+
+
+@pytest.mark.parametrize("key", ["lmax", "mmax", "nmax"])
+def test_verify_rejects_cutoff_params(tmp_path, capsys, key):
+    # tol is the only truncation setting a case can give
+    man = write_manifest(tmp_path / "m.json", [
+        {"check": "toroidal_addition",
+         "params": {"alpha": 1.0, "m": 0, "w": 0.9, "w_p": 1.4, "eta": 0.7,
+                    "eta_p": 0.0, key: 10}}])
+    assert main(["verify", "--manifest", man]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith(f"unknown params ['{key}']\n")
 
 
 def test_verify_overflowing_case_is_recorded(tmp_path, capsys):

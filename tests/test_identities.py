@@ -23,7 +23,7 @@ PI = math.pi
 # ----------------------------------------------------------------------
 
 def test_heine_classic_basic():
-    c = check_heine_classic(2.0, 0.0, lmax=60)
+    c = check_heine_classic(2.0, 0.0, tol=1e-12)
     assert c.passed and c.residual < 1e-10
     assert c.rhs == pytest.approx(0.5)
 
@@ -48,21 +48,33 @@ def test_heine_classic_domain():
         check_heine_classic(0.9, 0.95)
 
 
-def test_heine_classic_residual_decreases_with_lmax():
-    res = [check_heine_classic(1.2, 0.5, lmax=lm).residual_abs
-           for lm in (10, 20, 40, 80)]
+def _assert_deeper_and_closer(cases):
+    # a smaller tol buys a longer l-sum and a smaller residual
     floor = 1e-12
-    for a, b in zip(res, res[1:]):
-        assert b <= a + floor
+    for a, b in zip(cases, cases[1:]):
+        assert b.lmax > a.lmax
+        assert b.residual_abs <= a.residual_abs + floor
+    assert cases[-1].residual_abs < 1e-3 * cases[0].residual_abs
+
+
+def test_heine_classic_residual_decreases_with_lmax():
+    _assert_deeper_and_closer([check_heine_classic(1.2, 0.5, tol=tol)
+                               for tol in (1e-3, 1e-5, 1e-7, 1e-9)])
 
 
 def test_heine_generalized_residual_decreases_with_lmax():
-    res = [check_heine_generalized(0.75, PI / 3, PI / 3, 1.0, 0.5,
-                                   lmax=lm).residual_abs
-           for lm in (5, 10, 20, 40)]
-    floor = 1e-12
-    for a, b in zip(res, res[1:]):
-        assert b <= a + floor
+    _assert_deeper_and_closer([
+        check_heine_generalized(0.75, PI / 3, PI / 3, 1.0, 0.5, tol=tol)
+        for tol in (1e-3, 1e-5, 1e-7, 1e-9)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zeta", [1e200, 1e300])
+def test_heine_classic_at_huge_zeta(zeta):
+    # one Miller step of the Q chain gains a factor of about 2 zeta, so the
+    # chain must keep its values low enough that no step overflows
+    c = check_heine_classic(zeta, 0.3)
+    assert c.passed and c.residual_rel < 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -21,17 +21,19 @@ from stringhorizon.summation import (richardson_table, sum_l, sum_m_bands,
 
 
 def test_fold_of_constant_bands():
+    # unit bands up to m = 10, then three zero bands stop the sum at m = 13
     dphi = 0.7
-    value, _, m_last = sum_m_bands(lambda m: (1.0, 0.0), 1e-8, dphi, mmax=10)
+    value, _, m_last = sum_m_bands(lambda m: (float(m <= 10), 0.0), 1e-8, dphi)
     expected = 1.0 + 2.0 * sum(math.cos(m * dphi) for m in range(1, 11))
     assert value == pytest.approx(expected, rel=1e-14)
-    assert m_last == 10
+    assert m_last == 13
 
 
 def test_band_weight_bits():
     # m = 0 enters unweighted, m > 0 as 2 cos(m dphi) * band, in that order
     dphi, bands = 1.3, [0.3, -0.7, 0.11]
-    value, _, _ = sum_m_bands(lambda m: (bands[m], 0.0), 1e-8, dphi, mmax=2)
+    value, _, _ = sum_m_bands(
+        lambda m: (bands[m] if m < 3 else 0.0, 0.0), 1e-8, dphi)
     total = 0.0
     for m, b in enumerate(bands):
         total += b if m == 0 else 2.0 * math.cos(m * dphi) * b
@@ -39,11 +41,15 @@ def test_band_weight_bits():
 
 
 def test_tail_adds_band_tails_and_last_band():
+    # bands with tails up to m = 5, then three bands far below tol/10
     dphi = 0.4
-    value, tail, m_last = sum_m_bands(lambda m: (0.5 ** m, 0.25 * m), 1e-8,
-                                      dphi, mmax=5)
-    last = abs(2.0 * math.cos(5 * dphi) * 0.5 ** 5)
-    assert m_last == 5
+
+    def band(m):
+        return (0.5 ** m, 0.25 * m) if m <= 5 else (1e-12 * 0.5 ** m, 0.0)
+
+    value, tail, m_last = sum_m_bands(band, 1e-8, dphi)
+    last = abs(2.0 * math.cos(8 * dphi) * 1e-12 * 0.5 ** 8)
+    assert m_last == 8
     assert tail == pytest.approx(0.25 * (1 + 2 + 3 + 4 + 5) + 10.0 * last,
                                  rel=1e-15)
 
@@ -61,14 +67,6 @@ def test_stops_after_three_small_bands():
     assert tail == pytest.approx(10.0 * 2e-7, rel=1e-12)
     assert value == pytest.approx(1.0 + 2.0 * sum(10.0 ** -m
                                                   for m in range(1, 8)))
-
-
-def test_mmax_truncates_without_raising():
-    value, _, m_last = sum_m_bands(lambda m: (1.0, 0.0), 1e-8, mmax=7)
-    assert m_last == 7 and value == 15.0
-    # an early stop still applies below mmax
-    _, _, m_last = sum_m_bands(lambda m: (10.0 ** -m, 0.0), 1e-3, mmax=100)
-    assert m_last <= 100 and m_last == 7
 
 
 def test_unsettled_sum_raises_without_mmax():
@@ -103,24 +101,19 @@ def test_sum_l_geometric_series(r):
 
 
 def test_sum_l_tail_reads_the_last_three_terms():
-    terms = np.array([7.0, 1.0, -4.0, 3.0, 2.0])
-    value, tail, lmax = sum_l(lambda n: terms[:n], 1e-8, math.log(2.0), 4)
-    assert (value, lmax) == (9.0, 4)
-    assert tail == 10.0 * 4.0 * 0.5 / (1.0 - 0.5)
-
-
-def test_sum_l_given_lmax_is_used_as_is():
+    # at rate ln 2 and tol 1e-3, lmax = ceil(ln(1e3)/ln 2) + 10 = 20
     lengths = []
+    terms = np.zeros(21)
+    terms[:3] = [7.0, 1.0, -9.0]
+    terms[-3:] = [-4.0, 3.0, 2.0]
 
-    def terms(n):
+    def terms_fn(n):
         lengths.append(n)
-        return 0.5 ** _k(n)
+        return terms[:n]
 
-    _, _, lmax = sum_l(terms, 1e-12, math.log(2.0), lmax=5)
-    assert lmax == 5 and lengths == [6]
-    _, _, lmax = sum_l(lambda n: (-1.0) ** _k(n) / (_k(n) + 1.0), 1e-300,
-                       lmax=36)
-    assert lmax == 36
+    value, tail, lmax = sum_l(terms_fn, 1e-3, math.log(2.0))
+    assert (value, lmax, lengths) == (0.0, 20, [21])
+    assert tail == 10.0 * 4.0 * 0.5 / (1.0 - 0.5)
 
 
 def test_sum_l_cap_and_no_decay_raise():
@@ -180,17 +173,6 @@ def test_wynn_doubles_the_length():
     assert value == pytest.approx(-math.log(2.0 * math.sin(0.15)), abs=1e-10)
 
 
-def test_wynn_given_count_is_used_as_is():
-    lengths = []
-
-    def terms(n):
-        lengths.append(n)
-        return (-1.0) ** _k(n) / (_k(n) + 1.0)
-
-    _, _, n = wynn_limit(terms, 1e-300, count=37)
-    assert n == 37 and lengths == [37]
-
-
 def test_wynn_divergent_series_returns_at_cap():
     value, err, n = wynn_limit(lambda n: 1.0 / (_k(n) + 1.0), 1e-6)
     assert n == 20_480 and err > 1e-6 and math.isfinite(value)
@@ -203,7 +185,7 @@ def _abel_oracle(coeffs, h0, levels):
     powers = np.arange(coeffs.size, dtype=float)
     vals = [float(np.dot(coeffs, (1.0 - h0 * 0.5 ** j) ** powers))
             for j in range(levels)]
-    table = richardson_table(vals, ratio=2.0)
+    table = richardson_table(vals)
     return table[-1][-1], abs(table[-1][-1] - table[-2][-1])
 
 

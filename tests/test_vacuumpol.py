@@ -44,8 +44,7 @@ def test_phi2_closed_domain():
 
 
 def test_phi2_limit_candelas():
-    eps = [1e-2 * 0.5 ** k for k in range(7)]
-    lim, err = phi2_limit(PI / 2, 1.0, 1.0, eps)
+    lim, err = phi2_limit(PI / 2, 1.0, 1.0)
     assert lim == pytest.approx(CANDELAS, abs=1e-8)
 
 
@@ -106,15 +105,6 @@ def test_phi2_closed_out_of_float_range():
             phi2_closed(theta, alpha, M)
     with pytest.raises(DomainError):
         figure1_data([1e-300], points=3)
-
-
-def test_phi2_limit_validation():
-    with pytest.raises(DomainError):
-        phi2_limit(PI / 2, 1.0, 1.0, [1e-3, 1e-3, 1e-3])
-    with pytest.raises(DomainError):
-        phi2_limit(PI / 6, 1.0, 1.0, [0.09, 0.045, 0.0225])  # above 0.1 M sin^2
-    with pytest.raises(DomainError):
-        phi2_limit(PI / 2, 1.0, 1.0, [1e-2, 5e-3, 3e-3])     # ratio not fixed
 
 
 def test_phi2_mass_scaling():
@@ -229,10 +219,13 @@ def test_figure1_equator_minimum_and_alpha_monotone():
 
 
 def test_figure1_equator_value_string_factor():
-    rows = figure1_data([0.5], cos_theta_grid=[0.0])
+    rows = figure1_data([0.5], points=1)     # the grid is {0}
     assert rows[0][2] == pytest.approx(4.0 * CANDELAS, rel=1e-14)
 
 
 def test_figure1_margin():
-    with pytest.raises(DomainError):
-        figure1_data([0.9], cos_theta_grid=[0.999])
+    for points in (40, 41):
+        cts = [r[0] for r in figure1_data([0.9], margin=0.999, points=points)]
+        assert max(abs(c) for c in cts) <= 0.999
+    with pytest.raises(DomainError):     # a grid reaching the poles
+        figure1_data([0.9], margin=1.0, points=3)
