@@ -9,29 +9,29 @@ properties.
 
 import math
 
-from stringhorizon import (DegreeOrder, bessel_IK, ferrers_P, lambda_of,
-                           legendre_P_axis, legendre_Q)
+from stringhorizon import (bessel_IK, ferrers_P, lambda_of, legendre_P_axis,
+                           legendre_Q)
 from stringhorizon.specfun import (gamma_ratio_signed,
                                    legendre_P_axis_sequence,
                                    legendre_Qhat_axis)
 
 # --- mode indices on a cone -------------------------------------------
 alpha = 0.75
-do = DegreeOrder(nu=lambda_of(3, 2, alpha), mu=2 / alpha)
-print(f"alpha = {alpha}: mode (l=3, m=2) carries degree nu = {do.nu:.6f}, "
-      f"order -mu = -{do.mu:.6f}")
-print(f"nu - mu = {do.degree_offset:.1f} (a non-negative integer keeps the "
+nu, mu = lambda_of(3, 2, alpha), 2 / alpha
+print(f"alpha = {alpha}: mode (l=3, m=2) carries degree nu = {nu:.6f}, "
+      f"order -mu = -{mu:.6f}")
+print(f"nu - mu = {nu - mu:.1f} (a non-negative integer keeps the "
       "gamma factors regular)")
 
 # --- Ferrers functions on the cut -------------------------------------
 print("\nFerrers values across the cut:")
 for x in (-0.9, -0.3, 0.0, 0.3, 0.9):
-    print(f"  P_nu^(-mu)({x:+.1f}) = {ferrers_P(do, x): .12e}")
+    print(f"  P_nu^(-mu)({x:+.1f}) = {ferrers_P(nu, mu, x): .12e}")
 
 # integer indices collapse to the classical associated Legendre functions
 print("\ninteger check: P_2^0(x) vs (3x^2-1)/2")
 for x in (-0.5, 0.2, 0.7):
-    print(f"  {ferrers_P((2.0, 0.0), x): .12f}  vs  {(3*x*x-1)/2: .12f}")
+    print(f"  {ferrers_P(2.0, 0.0, x): .12f}  vs  {(3*x*x-1)/2: .12f}")
 
 # --- second kind on the axis, and the Wronskian ------------------------
 lam, zeta = 1.3, 1.8
@@ -46,7 +46,7 @@ print(f"Wronskian P Q' - P' Q = {p*dq - dp*q:.12e} "
 
 # the phase-absorbed second kind at fractional order is real
 pp = legendre_P_axis_sequence(0.5, 0.8, 1.5, 1)[0]
-qq = legendre_Qhat_axis((0.5, 0.8), 1.5)
+qq = legendre_Qhat_axis(0.5, 0.8, 1.5)
 print(f"\naxis pair at (nu, mu) = (0.5, 0.8): P = {pp:.12f}, Qhat = {qq:.12f}")
 
 # --- normalization of the angular modes --------------------------------
@@ -55,7 +55,7 @@ from scipy.integrate import quad
 m, l = 1, 2
 mu = m / alpha
 lam = l - m + mu
-val, _ = quad(lambda t: ferrers_P((lam, mu), math.cos(t)) ** 2 * math.sin(t),
+val, _ = quad(lambda t: ferrers_P(lam, mu, math.cos(t)) ** 2 * math.sin(t),
               0.0, math.pi)
 log_ratio, _ = gamma_ratio_signed(lam - mu + 1.0, lam + mu + 1.0)
 target = 2.0 / (2.0 * lam + 1.0) * math.exp(log_ratio)

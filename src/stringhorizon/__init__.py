@@ -22,9 +22,8 @@ from .identities import (IdentityCase, check_app5, check_heine_classic,
                          check_norm_integral, check_spheroidal_sum,
                          check_toroidal_addition, run_cases,
                          spheroidal_ratio_audit)
-from .specfun import (DegreeOrder, arccosh1p, bessel_IK, ferrers_P,
-                      ferrers_P_sequence, legendre_P_axis, legendre_Q,
-                      legendre_Q_sequence)
+from .specfun import (arccosh1p, bessel_IK, ferrers_P, ferrers_P_sequence,
+                      legendre_P_axis, legendre_Q, legendre_Q_sequence)
 from .vacuumpol import (Phi2Result, dominance_angle, figure1_data,
                         phi2_closed, phi2_limit, phi2_near_axis, phi2_result)
 

@@ -148,8 +148,10 @@ def cmd_verify(args) -> int:
     if args.parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")
     cases = _load_manifest(args.manifest)
+    # the summary stays out of a report written to stdout
+    log = sys.stderr if args.out is None else sys.stdout
     if not cases:
-        print("warning: empty manifest, nothing to verify")
+        print("warning: empty manifest, nothing to verify", file=log)
         _emit(_json_dumps([]) if args.format == "json" else _records_csv([]),
               args.out)
         return EXIT_OK
@@ -159,13 +161,13 @@ def cmd_verify(args) -> int:
     n_fail = sum(1 for r in records if not r.get("passed") and "error" not in r)
     for r in records:
         if "error" in r:
-            print(f"ERROR {r['name']}: {r['error']}")
+            print(f"ERROR {r['name']}: {r['error']}", file=log)
         else:
             status = "PASS" if r["passed"] else "FAIL"
             print(f"{status} {r['name']} residual={_fmt(r['residual'])} "
-                  f"tail={_fmt(r['certified_tail'])}")
+                  f"tail={_fmt(r['certified_tail'])}", file=log)
     print(f"{len(records)} checks: {len(records) - n_fail - n_err} passed, "
-          f"{n_fail} failed, {n_err} errored")
+          f"{n_fail} failed, {n_err} errored", file=log)
     _emit(_json_dumps(records) if args.format == "json" else _records_csv(records),
           args.out)
     if n_err:

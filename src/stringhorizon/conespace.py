@@ -362,7 +362,7 @@ def g3_cylindrical_Qsum(x: ConePoint, xp: ConePoint, alpha: float,
         raise CoincidenceError("u = 1: pair on the same azimuthal circle")
 
     value, _, _ = sum_m_bands(
-        lambda m: (specfun.legendre_Qhat_axis((m / alpha - 0.5, 0.0), u), 0.0),
+        lambda m: (specfun.legendre_Qhat_axis(m / alpha - 0.5, 0.0, u), 0.0),
         tol, dphi)
     return value / (4.0 * math.pi ** 2 * alpha * math.sqrt(rho1 * rho2))
 

@@ -143,7 +143,7 @@ def check_app5(alpha: float, m: int, theta: float, theta_p: float,
     lhs, err, lmax = sum_l(lambda n: specfun.ferrers_band(mu, x1, x2, n), tol)
     ss = math.sin(theta) * math.sin(theta_p)
     coshxi = (1.0 - x1 * x2) / ss
-    q = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), coshxi)
+    q = specfun.legendre_Qhat_axis(mu - 0.5, 0.0, coshxi)
     rhs = q / (math.pi * math.sqrt(ss))
     params = {"alpha": alpha, "m": m, "theta": theta, "theta_p": theta_p}
     return _make_case("app5", params, tol, lhs, rhs, err + 1e-12, lmax=lmax)
@@ -253,7 +253,7 @@ def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
             raise DomainError("w = w' with deta = 0 is coincident")
         note = "w = w': n-sum evaluated by Wynn's epsilon-algorithm"
     lhs, tail, nmax = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol)
-    rhs = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), chi) \
+    rhs = specfun.legendre_Qhat_axis(mu - 0.5, 0.0, chi) \
         / math.sqrt(math.sinh(w) * math.sinh(w_p))
     params = {"alpha": alpha, "m": m, "w": w, "w_p": w_p,
               "eta": eta, "eta_p": eta_p}
@@ -279,7 +279,7 @@ def _spheroidal_lhs_rhs(alpha, m, theta, theta_p, sigma_lt, sigma_gt, tol):
         tol, sigma_gt - sigma_lt)
     mu = abs(m) / alpha
     chi = _spheroidal_chi(theta, theta_p, sigma_lt, sigma_gt)
-    rhs = specfun.legendre_Qhat_axis((mu - 0.5, 0.0), chi) \
+    rhs = specfun.legendre_Qhat_axis(mu - 0.5, 0.0, chi) \
         / (math.pi * alpha * math.sqrt(math.sinh(sigma_lt) * math.sinh(sigma_gt)
                                        * math.sin(theta) * math.sin(theta_p)))
     return lhs, rhs, tail, lmax
@@ -341,8 +341,8 @@ def check_norm_integral(alpha: float, m: int, l: int, l_p: int,
 
     def integrand(t):
         x = math.cos(t)
-        return (specfun.ferrers_P((lam, mu), x)
-                * specfun.ferrers_P((lam_p, mu), x) * math.sin(t))
+        return (specfun.ferrers_P(lam, mu, x)
+                * specfun.ferrers_P(lam_p, mu, x) * math.sin(t))
 
     val, err = quad(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-11,
                     limit=200)

@@ -3,14 +3,14 @@ degree and order.
 
 Conventions
 -----------
-* ``ferrers_P(do, x)`` is the Ferrers function P_nu^{-mu}(x) on the cut
+* ``ferrers_P(nu, mu, x)`` is the Ferrers function P_nu^{-mu}(x) on the cut
   x in (-1, 1), order taken as -mu with mu >= 0.
 * ``legendre_P_axis`` / ``legendre_Q`` are the Legendre functions of the
   first and second kind on (1, oo), order 0.
-* ``legendre_Qhat_axis(do, x)`` is Qhat_nu^{-mu} = e^{mu*pi*i} * Q_nu^{-mu},
-  real for x > 1.  The phase factor matches the one multiplying Q in the
-  toroidal and spheroidal mode sums, so every interface in this package
-  stays real-valued.
+* ``legendre_Qhat_axis(nu, mu, x)`` is Qhat_nu^{-mu} =
+  e^{mu*pi*i} * Q_nu^{-mu}, real for x > 1 and degree nu > -1.  The phase
+  factor matches the one multiplying Q in the toroidal and spheroidal mode
+  sums, so every interface in this package stays real-valued.
 * ``ferrers_band`` is the gamma-ratio x P x P band shared by every mode sum
   over the angular functions.
 
@@ -22,7 +22,6 @@ the iteration budget raises ConvergenceError instead of returning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, gammasgn, iv, ive, kv, kve
@@ -30,7 +29,6 @@ from scipy.special import gammaln, gammasgn, iv, ive, kv, kve
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
-    "DegreeOrder",
     "SING_TOL",
     "MAX_SERIES_TERMS",
     "gamma_ratio_signed",
@@ -50,35 +48,6 @@ __all__ = [
 SING_TOL = 1e-12          # arguments this close to x = +-1 / zeta = 1 are rejected
 MAX_SERIES_TERMS = 100_000
 _SERIES_TOL = 1e-15       # target relative tail for series evaluation
-
-
-@dataclass(frozen=True)
-class DegreeOrder:
-    """Degree nu and (non-negative) order mu of a Legendre-type function.
-
-    The function of interest always carries order -mu; mu itself is kept
-    non-negative.  For mode-generated indices nu - mu is a non-negative
-    integer, which keeps 1/Gamma(nu - mu + 1) away from poles.
-    """
-
-    nu: float
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise DomainError(f"order mu must be >= 0, got {self.mu}")
-
-    @property
-    def degree_offset(self) -> float:
-        """nu - mu; a non-negative integer for mode-generated indices."""
-        return self.nu - self.mu
-
-
-def _as_degree_order(do) -> DegreeOrder:
-    if isinstance(do, DegreeOrder):
-        return do
-    nu, mu = do
-    return DegreeOrder(float(nu), float(mu))
 
 
 # ----------------------------------------------------------------------
@@ -165,19 +134,19 @@ def _ferrers_direct(nu: float, mu: float, x: float) -> float:
     return math.copysign(math.exp(lnpref + math.log(abs(F))), F)
 
 
-def ferrers_P(do, x: float) -> float:
+def ferrers_P(nu: float, mu: float, x: float) -> float:
     """Ferrers function P_nu^{-mu}(x) for x in (-1, 1), mu >= 0.
 
     Degrees more than one step above mu are reached by the upward degree
     recurrence from two adjacent series seeds (the direct Gauss series
     cancels catastrophically at large degree-order offsets).
     """
-    d = _as_degree_order(do)
+    if not mu >= 0.0:
+        raise DomainError(f"order mu must be >= 0, got {mu}")
     if not -1.0 + SING_TOL < x < 1.0 - SING_TOL:
         raise DomainError(
             f"ferrers_P requires |x| < 1 - {SING_TOL}, got {x}")
-    nu = max(d.nu, -d.nu - 1.0)    # P_nu = P_{-nu-1}
-    mu = d.mu
+    nu = max(nu, -nu - 1.0)    # P_nu = P_{-nu-1}
     n = int(math.floor(nu - mu + 1e-9))
     if n <= 1:
         return _ferrers_direct(nu, mu, x)
@@ -238,20 +207,18 @@ def _check_axis(x: float):
 
 def legendre_Q(lam: float, zeta: float) -> float:
     """Legendre function of the second kind Q_lambda(zeta), zeta > 1, lambda > -1."""
-    return legendre_Qhat_axis((lam, 0.0), zeta)
+    return legendre_Qhat_axis(lam, 0.0, zeta)
 
 
 def legendre_P_axis(lam: float, x: float) -> float:
     """Legendre function of the first kind P_lambda(x) on (1, oo), order 0."""
-    return math.exp(_axis_P_log((lam, 0.0), x))
+    return math.exp(_axis_P_log(lam, 0.0, x))
 
 
-def _axis_P_log(do, x: float) -> float:
+def _axis_P_log(nu: float, mu: float, x: float) -> float:
     """log of P_nu^{-mu}(x) on (1, oo); the function is strictly positive."""
-    d = _as_degree_order(do)
     _check_axis(x)
-    nu = max(d.nu, -d.nu - 1.0)
-    mu = d.mu
+    nu = max(nu, -nu - 1.0)
     w = (x - 1.0) / (x + 1.0)
     # Pfaff transform of F(nu+1, -nu; 1+mu; (1-x)/2): positive-term series
     F, _ = _hyp_series(nu + 1.0, nu + mu + 1.0, 1.0 + mu, w)
@@ -261,17 +228,7 @@ def _axis_P_log(do, x: float) -> float:
             + math.log(F))
 
 
-def _fold_Q_degree(nu: float) -> float:
-    """nu folded by Q_{-nu-1} = Q_nu below -1: exact at half-integer degrees,
-    the only ones below -1 that the mode sums reach."""
-    if nu > -1.0:
-        return nu
-    if abs(2.0 * nu - round(2.0 * nu)) < 1e-12 and round(2.0 * nu) % 2 != 0:
-        return -nu - 1.0
-    raise DomainError(f"Q degree {nu} <= -1 supported only at half-integers")
-
-
-def _axis_Qbar_log(do, x: float) -> tuple[float, float]:
+def _axis_Qbar_log(nu: float, mu: float, x: float) -> tuple[float, float]:
     """(log|Qbar|, sign), Qbar_nu^{-mu} = Qhat_nu^{-mu} Gamma(nu+3/2) / Gamma(nu-mu+1):
     gamma-free, entire in the degree and ~ e^{-nu xi}, so long chains
     neither overflow nor hit order poles.
@@ -284,9 +241,7 @@ def _axis_Qbar_log(do, x: float) -> tuple[float, float]:
         sqrt(pi) 2^{-nu-1} x^{mu-nu-1} (x^2-1)^{-mu/2} F(.; nu+3/2; 1/x^2),
     because at order mu the e^{-2 xi} form alternates and cancels.
     """
-    d = _as_degree_order(do)
     _check_axis(x)
-    nu, mu = _fold_Q_degree(d.nu), d.mu
     if mu == 0.0:
         xi = math.acosh(x)
         F, _ = _hyp_series(0.5, nu + 1.0, nu + 1.5, math.exp(-2.0 * xi))
@@ -299,20 +254,20 @@ def _axis_Qbar_log(do, x: float) -> tuple[float, float]:
     return log_abs, math.copysign(1.0, F)
 
 
-def legendre_Qhat_axis(do, x: float) -> float:
-    """Qhat_nu^{-mu}(x) = e^{mu pi i} Q_nu^{-mu}(x); real for x > 1.
+def legendre_Qhat_axis(nu: float, mu: float, x: float) -> float:
+    """Qhat_nu^{-mu}(x) = e^{mu pi i} Q_nu^{-mu}(x); real for x > 1, mu >= 0.
 
-    Qbar times Gamma(nu-mu+1) / Gamma(nu+3/2).  Validity needs lambda > -1
-    at order 0 (below that the defining integral representations diverge);
-    half-integer degrees below -1/2 are folded with Q_{-nu-1} = Q_nu.
+    Qbar times Gamma(nu-mu+1) / Gamma(nu+3/2).  Validity needs degree > -1
+    at every order (below that the defining integral representations
+    diverge).
     """
-    d = _as_degree_order(do)
-    if d.mu == 0.0 and d.nu <= -1.0:
-        raise DomainError(f"legendre_Q requires degree > -1, got {d.nu}")
-    nu, mu = _fold_Q_degree(d.nu), d.mu
+    if not mu >= 0.0:
+        raise DomainError(f"order mu must be >= 0, got {mu}")
+    if nu <= -1.0:
+        raise DomainError(f"Legendre Q requires degree > -1, got {nu}")
     if _near_nonpositive_integer(nu - mu + 1.0):
         raise PoleError(f"Qhat undefined: nu - mu + 1 = {nu - mu + 1.0} at a gamma pole")
-    log_abs, sign = _axis_Qbar_log((nu, mu), x)
+    log_abs, sign = _axis_Qbar_log(nu, mu, x)
     lg, sg = gamma_ratio_signed(nu - mu + 1.0, nu + 1.5)
     return sign * sg * math.exp(log_abs + lg)
 
@@ -364,14 +319,14 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
             / (nu + 0.5)
 
     top = count - 1
-    la, sa = (_axis_Qbar_log((nu0 + top, mu), x) if nu0 + top <= _MILLER_DEGREE
+    la, sa = (_axis_Qbar_log(nu0 + top, mu, x) if nu0 + top <= _MILLER_DEGREE
               else (-math.inf, 1.0))
     if la - top * log_scale > -708.0:   # a subnormal start zeroes the chain
         out = np.empty(count)
         out[top] = sa * math.exp(la - top * log_scale)
         if count == 1:
             return out
-        lb, sb = _axis_Qbar_log((nu0 + top - 1.0, mu), x)
+        lb, sb = _axis_Qbar_log(nu0 + top - 1.0, mu, x)
         out[top - 1] = sb * math.exp(lb - (top - 1) * log_scale)
         if not (np.isfinite(out[top]) and np.isfinite(out[top - 1])):
             raise ConvergenceError("Qbar sequence start values not finite")
@@ -387,13 +342,18 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
     # (tighter than 1e250 only at x above about 1e44)
     big = min(1e250, 1e300 / ((2.0 * (nu0 + count + buffer) + 1.0)
                               * x * max(e1, 1.0)))
+    l0, s0 = _axis_Qbar_log(nu0, mu, x)
+    if big == 0.0 and log_scale >= 0.0:
+        # (2 nu + 1) x overflowed, so 1/(2x) < (nu + 1) / 1.8e308: each step
+        # up scales Qbar by about e1 / (2x), and past its bottom value the
+        # chain is zero in float precision
+        return np.r_[s0 * math.exp(l0), np.zeros(count - 1)]
     raw = np.zeros(count + buffer + 1)
     raw[-2] = 1.0
     for k in range(count + buffer - 2, 0, -1):
         raw[k - 1] = step_down(nu0 + k, raw[k], raw[k + 1])
         if abs(raw[k - 1]) > big:
             raw[k - 1:] *= min(1e-250, big / abs(raw[k - 1]))
-    l0, s0 = _axis_Qbar_log((nu0, mu), x)
     if raw[0] == 0.0 or not math.isfinite(raw[0]):
         raise ConvergenceError("Miller recursion lost the minimal solution")
     # divide first: exp(l0) / raw[0] alone can underflow at large x
@@ -410,10 +370,10 @@ def legendre_P_axis_sequence(nu0: float, mu: float, x: float, count: int,
     if count < 1:
         raise DomainError("count must be >= 1")
     out = np.empty(count)
-    out[0] = math.exp(_axis_P_log((nu0, mu), x))
+    out[0] = math.exp(_axis_P_log(nu0, mu, x))
     if count == 1:
         return out
-    out[1] = math.exp(_axis_P_log((nu0 + 1.0, mu), x) - log_scale)
+    out[1] = math.exp(_axis_P_log(nu0 + 1.0, mu, x) - log_scale)
     e1, e2 = math.exp(-log_scale), math.exp(-2.0 * log_scale)
     for k in range(2, count):
         nu = nu0 + (k - 1)

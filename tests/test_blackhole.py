@@ -199,6 +199,34 @@ def test_chi_radial_green_jump_condition(rng):
         assert jump == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, -2])
+def test_chi_radial_green_nonzero_n(n):
+    # p(eta<) q(eta>) / (2 |n| alpha M), symmetric in eta <-> eta'
+    g = DeficitGeometry(alpha=0.65, M=1.3)
+    lam = 1.7
+    pair = radial_solutions(n, lam, g)
+    for eta, eta_p in ((1.2, 3.5), (2.0, 2.5), (1.01, 9.0)):
+        expected = pair.p(eta) * pair.q(eta_p) / (2.0 * abs(n) * g.alpha * g.M)
+        assert chi_radial_green(n, lam, eta, eta_p, g, pair) == expected
+        assert chi_radial_green(n, lam, eta_p, eta, g, pair) == expected
+        assert chi_radial_green(n, lam, eta_p, eta, g) == pytest.approx(
+            expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,lam", [(1, 0.0), (2, 1.0), (3, 2.5)])
+def test_dp_series_branch_matches_ode_branch(n, lam):
+    # below t = eta - 1 = 1e-4 dp comes from the Frobenius series, above it
+    # from the ODE solution; both sides of the switch must agree
+    pair = radial_solutions(n, lam, GEO)
+    below = pair.dp(1.0 + 1e-4 * (1.0 - 1e-9))
+    above = pair.dp(1.0 + 1e-4 * (1.0 + 1e-9))
+    assert below == pytest.approx(above, rel=1e-6)
+    # and the series derivative is the derivative of the series value
+    t, h = 3e-5, 1e-9
+    fd = (pair.p(1.0 + t + h) - pair.p(1.0 + t - h)) / (2.0 * h)
+    assert pair.dp(1.0 + t) == pytest.approx(fd, rel=1e-6)
+
+
 # ----------------------------------------------------------------------
 # horizon Green's function
 # ----------------------------------------------------------------------

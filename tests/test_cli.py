@@ -1,9 +1,14 @@
 """Command-line surface: exit codes, output schemas, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from stringhorizon.cli import (EXIT_CONFIG, EXIT_FAILURES, EXIT_NUMERIC,
                                EXIT_OK, main)
 
 PI = math.pi
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_manifest(path, cases, extra_top=None, extra_case_key=None):
@@ -78,7 +84,42 @@ def test_verify_parallel_matches_serial(tmp_path):
 def test_verify_empty_manifest(tmp_path, capsys):
     man = write_manifest(tmp_path / "m.json", [])
     assert main(["verify", "--manifest", man]) == EXIT_OK
-    assert "warning: empty manifest" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "warning: empty manifest" in captured.err
+    assert json.loads(captured.out) == []
+
+
+def test_verify_report_on_stdout_parses(tmp_path, capsys):
+    # without --out the report alone goes to stdout, the summary to stderr
+    man = write_manifest(tmp_path / "m.json", [dict(_CLASSIC)])
+    assert main(["verify", "--manifest", man]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)[0]["passed"]
+    assert "PASS heine_classic" in captured.err
+    assert "1 checks: 1 passed" in captured.err
+    assert main(["verify", "--manifest", man, "--format", "csv"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert text.startswith("name,params,lmax,")
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 1 and rows[0]["name"] == "heine_classic"
+    assert rows[0]["passed"] == "True"
+
+
+def test_verify_huge_zeta_under_warnings_as_errors(tmp_path):
+    # (2l + 1) zeta overflows in the Miller recurrence of the Q chain; the
+    # case must pass without a RuntimeWarning
+    man = write_manifest(tmp_path / "m.json", [
+        {"check": "heine_classic", "params": {"zeta": 1e307, "psi": 0.3}},
+        {"check": "heine_classic", "params": {"zeta": 1.7e308, "psi": 0.3}}])
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "stringhorizon.cli", "verify", "--manifest", man, "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    assert all(r["passed"] for r in json.loads(out.read_text()))
 
 
 def test_verify_domain_error_case_distinct_exit(tmp_path, capsys):

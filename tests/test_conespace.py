@@ -136,6 +136,21 @@ def test_g4_closed_symmetry_positivity():
         assert a > 0.0
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.75, 0.3])
+def test_g4_closed_at_zero_chi(alpha):
+    # equal rho, z and tau, different phi: chi = 0 exactly, where the
+    # sinh(chi/alpha)/sinh(chi) ratio takes its small-chi form
+    a = ConePoint("cylindrical", (1.3, 0.4, 0.2), tau=0.1)
+    b = ConePoint("cylindrical", (1.3, 0.4, 1.9), tau=0.1)
+    assert SeparationInvariants.from_points(a, b).chi == 0.0
+    g0 = g4_closed(a, b, alpha)
+    assert math.isfinite(g0) and g0 > 0.0
+    # z moved by 1.3e-6 gives chi = 1e-6, above the switch at 1e-8
+    near = ConePoint("cylindrical", (1.3, 0.4 + 1.3e-6, 1.9), tau=0.1)
+    assert SeparationInvariants.from_points(a, near).chi > 1e-8
+    assert g0 == pytest.approx(g4_closed(a, near, alpha), rel=1e-9)
+
+
 def test_g4_small_chi_expansion_coefficients():
     # kernel(chi) = sinh(chi/a)/[sinh chi (cosh(chi/a)-1)]
     #             = 2a/chi^2 + (1/(6a) - a/3) + O(chi^2)

@@ -14,7 +14,7 @@ from scipy.special import gammaln, lpmv
 from stringhorizon import specfun
 from stringhorizon.blackhole import lambda_of
 from stringhorizon.errors import ConvergenceError, DomainError, PoleError
-from stringhorizon.specfun import (DegreeOrder, arccosh1p, bessel_IK,
+from stringhorizon.specfun import (arccosh1p, bessel_IK,
                                    ferrers_band, ferrers_P,
                                    ferrers_P_sequence, gamma_ratio_signed,
                                    legendre_P_axis, legendre_P_axis_sequence,
@@ -58,8 +58,8 @@ def test_log_gamma_ratio_pole(a, b):
 # ----------------------------------------------------------------------
 
 def test_ferrers_trivial_degrees():
-    assert ferrers_P((0.0, 0.0), 0.3) == pytest.approx(1.0, abs=1e-15)
-    assert ferrers_P((1.0, 0.0), 0.3) == pytest.approx(0.3, rel=1e-14)
+    assert ferrers_P(0.0, 0.0, 0.3) == pytest.approx(1.0, abs=1e-15)
+    assert ferrers_P(1.0, 0.0, 0.3) == pytest.approx(0.3, rel=1e-14)
 
 
 def mehler_dirichlet(nu, mu, x):
@@ -85,7 +85,7 @@ def test_ferrers_quadrature_oracle():
     # value frozen from the oracle itself: 0.11815030154461420355
     assert mehler_dirichlet(2.5, 1.25, 0.5) == pytest.approx(
         0.11815030154461420355, rel=1e-10)
-    assert ferrers_P((2.5, 1.25), 0.5) == pytest.approx(
+    assert ferrers_P(2.5, 1.25, 0.5) == pytest.approx(
         0.11815030154461420355, rel=1e-10)
 
 
@@ -93,7 +93,7 @@ def test_ferrers_quadrature_oracle():
     (0.5, 0.8, -0.7), (4.7, 3.2, 0.9), (10.2, 3.2, 0.001), (6.0, 5.5, -0.3),
 ])
 def test_ferrers_against_quadrature_oracle(nu, mu, x):
-    assert ferrers_P((nu, mu), x) == pytest.approx(
+    assert ferrers_P(nu, mu, x) == pytest.approx(
         mehler_dirichlet(nu, mu, x), rel=1e-10)
 
 
@@ -102,33 +102,41 @@ def test_ferrers_against_quadrature_oracle(nu, mu, x):
 def test_ferrers_integer_orders_match_classical_recurrence(l, x):
     # scipy.special.lpmv implements the classical Ferrers recurrence
     for m in range(0, l + 1):
-        mine = ferrers_P((float(l), float(m)), x)
+        mine = ferrers_P(float(l), float(m), x)
         ref = float(lpmv(-m, l, x))
         assert mine == pytest.approx(ref, rel=1e-12, abs=1e-280)
 
 
 def test_ferrers_finite_limit_toward_cut_edge():
     # P_nu^{-mu} -> 0 as x -> 1- for mu > 0
-    vals = [ferrers_P((2.5, 1.25), x) for x in (0.9, 0.99, 0.999999)]
+    vals = [ferrers_P(2.5, 1.25, x) for x in (0.9, 0.99, 0.999999)]
     assert vals[0] > vals[1] > vals[2] > 0.0
 
 
 def test_ferrers_domain_rejection():
     with pytest.raises(DomainError):
-        ferrers_P((1.0, 0.0), 1.0)
+        ferrers_P(1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
-        ferrers_P((1.0, 0.0), 1.0 - 1e-13)
+        ferrers_P(1.0, 0.0, 1.0 - 1e-13)
     with pytest.raises(DomainError):
-        ferrers_P((1.0, 0.0), -1.0 + 1e-13)
+        ferrers_P(1.0, 0.0, -1.0 + 1e-13)
     with pytest.raises(DomainError):
-        ferrers_P((1.0, -0.5), 0.3)
+        ferrers_P(1.0, -0.5, 0.3)
+
+
+@pytest.mark.parametrize("mu", [-0.1, math.nan])
+def test_negative_or_nan_order_rejected(mu):
+    with pytest.raises(DomainError):
+        ferrers_P(1.0, mu, 0.3)
+    with pytest.raises(DomainError):
+        legendre_Qhat_axis(1.0, mu, 2.0)
 
 
 def test_ferrers_sequence_matches_single_evaluations():
     mu = 1.6
     seq = ferrers_P_sequence(mu, mu, 0.4, 12)
     for k in (0, 3, 11):
-        assert seq[k] == pytest.approx(ferrers_P((mu + k, mu), 0.4), rel=1e-11)
+        assert seq[k] == pytest.approx(ferrers_P(mu + k, mu, 0.4), rel=1e-11)
 
 
 @pytest.mark.parametrize("mu", [0.0, 1.6, 40.0])
@@ -141,7 +149,7 @@ def test_ferrers_band_matches_term_by_term_product(mu):
         lam = mu + k
         lg, sg = gamma_ratio_signed(lam + mu + 1.0, lam - mu + 1.0)
         ref = (sg * math.exp(lg + log_factor[k])
-               * ferrers_P((lam, mu), x1) * ferrers_P((lam, mu), x2))
+               * ferrers_P(lam, mu, x1) * ferrers_P(lam, mu, x2))
         assert band[k] == pytest.approx(ref, rel=1e-11, abs=1e-300)
 
 
@@ -197,6 +205,14 @@ def test_legendre_Q_domain():
         legendre_Q(-1.0, 2.0)
 
 
+@pytest.mark.parametrize("nu,mu", [(-1.5, 0.5), (-1.5, 0.0), (-1.0, 0.5),
+                                   (-2.5, 1.0)])
+def test_Qhat_degree_at_or_below_minus_one_rejected(nu, mu):
+    # degree > -1 at every order; no half-integer fold Q_{-nu-1} = Q_nu
+    with pytest.raises(DomainError):
+        legendre_Qhat_axis(nu, mu, 2.0)
+
+
 def test_legendre_Q_unreachable_tolerance_errors_loudly():
     with pytest.raises(ConvergenceError):
         legendre_Q(0.0, 1.0 + 2e-12)
@@ -204,7 +220,7 @@ def test_legendre_Q_unreachable_tolerance_errors_loudly():
 
 def test_legendre_PQ_axis_trivial():
     p = legendre_P_axis_sequence(0.0, 0.0, 2.0, 1)[0]
-    q = legendre_Qhat_axis((0.0, 0.0), 2.0)
+    q = legendre_Qhat_axis(0.0, 0.0, 2.0)
     assert p == pytest.approx(1.0, abs=1e-15)
     assert q == pytest.approx(0.5 * math.log(3.0), rel=1e-13)
 
@@ -224,7 +240,7 @@ def heine_integral_oracle(zeta):
 
 def test_legendre_Q_minus_half_integral_oracle():
     p = legendre_P_axis_sequence(-0.5, 0.0, 1.2, 1)[0]
-    q = legendre_Qhat_axis((-0.5, 0.0), 1.2)
+    q = legendre_Qhat_axis(-0.5, 0.0, 1.2)
     assert q > 0.0
     assert q == pytest.approx(heine_integral_oracle(1.2), rel=1e-10)
     assert p == pytest.approx(legendre_P_axis(-0.5, 1.2), rel=1e-14)
@@ -234,7 +250,7 @@ def test_legendre_PQ_axis_fractional_order_frozen_oracle():
     # frozen from the arbitrary-precision oracle (mpmath legenp/legenq type 3,
     # with the e^{mu pi i} phase absorbed into Qhat)
     p = legendre_P_axis_sequence(0.5, 0.8, 1.5, 1)[0]
-    q = legendre_Qhat_axis((0.5, 0.8), 1.5)
+    q = legendre_Qhat_axis(0.5, 0.8, 1.5)
     assert p == pytest.approx(0.61980752818223876838, rel=1e-12)
     assert q == pytest.approx(0.60643677741722520573, rel=1e-12)
 
@@ -326,7 +342,7 @@ def test_Qbar_chain_order0_miller(nu0, extra, x):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(nu=st.floats(-0.999, 1000.0), x=axis_x)
 def test_Qhat_order0_single(nu, x):
-    assert_log_close(legendre_Qhat_axis((nu, 0.0), x), mp_log_Qhat(nu, 0.0, x))
+    assert_log_close(legendre_Qhat_axis(nu, 0.0, x), mp_log_Qhat(nu, 0.0, x))
 
 
 @pytest.mark.parametrize("nu", [80.0, 700.0])
@@ -341,6 +357,16 @@ def test_Q_order0_near_singular_point(nu):
 def test_Qbar_chain_start_below_normal_range(nu0, count):
     # at x = 10 the top of the chain underflows while its bottom does not
     assert_chain_matches(nu0, 0.0, 10.0, count)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("zeta", [1e307, 1.7e308])
+def test_Q_chain_where_a_miller_step_overflows(zeta):
+    # (2 nu + 1) zeta leaves float range; Q_1 / Q_0 ~ 1/(2 zeta), so past
+    # Q_0 = atanh(1/zeta) the chain is zero in float precision
+    q = legendre_Q_sequence(0.0, zeta, 12)
+    assert q[0] == pytest.approx(1.0 / zeta, rel=1e-12)
+    assert not q[1:].any()
 
 
 @pytest.mark.parametrize("nu0,mu,x,count", [
@@ -368,7 +394,7 @@ def test_normalization_integral(alpha, m):
 
             def f(t):
                 x = math.cos(t)
-                return (ferrers_P((lam, mu), x) * ferrers_P((lam_p, mu), x)
+                return (ferrers_P(lam, mu, x) * ferrers_P(lam_p, mu, x)
                         * math.sin(t))
 
             val, err = quad(f, 0.0, math.pi, epsabs=1e-12, epsrel=1e-11,
@@ -445,22 +471,22 @@ def test_bessel_overflow_and_scaling():
 # ----------------------------------------------------------------------
 
 def test_degree_order_mode_indices():
-    do = DegreeOrder(nu=lambda_of(3, 2, 0.5), mu=2 / 0.5)
-    assert do.nu == pytest.approx(5.0)
-    assert do.mu == pytest.approx(4.0)
-    assert do.degree_offset == pytest.approx(1.0)
+    # mode (l, m) carries degree lambda_of(l, m, alpha) and order |m|/alpha,
+    # whose difference l - |m| keeps 1/Gamma(nu - mu + 1) off its poles
+    for l, m, alpha in ((3, 2, 0.5), (3, -2, 0.5), (4, 1, 0.75), (2, 0, 0.3)):
+        nu, mu = lambda_of(l, m, alpha), abs(m) / alpha
+        assert nu - mu == pytest.approx(l - abs(m), abs=1e-14)
+    assert lambda_of(3, 2, 0.5) == pytest.approx(5.0)
     with pytest.raises(DomainError):
         lambda_of(1, 2, 0.5)
-    with pytest.raises(DomainError):
-        DegreeOrder(nu=1.0, mu=-0.1)
 
 
 def test_eval_domain_classification():
     # ferrers_P evaluates on the cut only, away from the singular points
-    assert math.isfinite(ferrers_P((0.5, 0.0), 0.3))
+    assert math.isfinite(ferrers_P(0.5, 0.0, 0.3))
     for bad in (1.0, -1.0, 1.0 + 5e-13, 1.0 - 5e-13, -2.0, 1.5, math.nan):
         with pytest.raises(DomainError):
-            ferrers_P((0.5, 0.0), bad)
+            ferrers_P(0.5, 0.0, bad)
 
 
 def test_arccosh1p_stability():
