@@ -478,9 +478,12 @@ def _toroidal_coefficients(alpha, m, w_lt, w_gt, count):
     qb = specfun.legendre_Qbar_axis_sequence(-0.5, mu, x_gt, count,
                                              log_scale=-w_gt)
     n = np.arange(count, dtype=float)
-    # gr * Qhat = [G(n+mu+1/2)/G(n+1)] * Qbar  (the G(n-mu+1/2) factors cancel)
-    g = np.exp(gammaln(n + mu + 0.5) - gammaln(n + 1.0))
-    return g * p * qb * np.exp(-n * (w_gt - w_lt))
+    # gr * Qhat = [G(n+mu+1/2)/G(n+1)] * Qbar (the G(n-mu+1/2) factors
+    # cancel), in logs: the gamma ratio alone leaves float range at large mu
+    with np.errstate(divide="ignore"):
+        return np.sign(qb) * np.exp(
+            gammaln(n + mu + 0.5) - gammaln(n + 1.0) + np.log(p)
+            + np.log(np.abs(qb)) - n * (w_gt - w_lt))
 
 
 def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol):
@@ -521,23 +524,21 @@ def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
 
 def _spheroidal_coefficients(alpha, m, th1, th2, s_lt, s_gt, count):
     """(2 lam + 1) gr^2 P^{-mu}_lam(cos th) P^{-mu}_lam(cos th')
-    P^{-mu}_lam(cosh s<) Qhat^{-mu}_lam(cosh s>), lam = mu + k.
-    Assembled with scaled axis chains so long sums stay finite."""
+    P^{-mu}_lam(cosh s<) Qhat^{-mu}_lam(cosh s>), lam = mu + k: the Ferrers
+    band with the scaled axis chains as its log factor."""
     mu = m / alpha
-    p1 = specfun.ferrers_P_sequence(mu, mu, math.cos(th1), count)
-    p2 = specfun.ferrers_P_sequence(mu, mu, math.cos(th2), count)
     pa = specfun.legendre_P_axis_sequence(mu, mu, math.cosh(s_lt), count,
                                           log_scale=s_lt)
     qb = specfun.legendre_Qbar_axis_sequence(mu, mu, math.cosh(s_gt), count,
                                              log_scale=-s_gt)
-    lam = mu + np.arange(count)
-    # gr^2 * Qhat = [G(lam+mu+1)^2 / (G(lam-mu+1) G(lam+3/2))] * Qbar
-    lg = (2.0 * gammaln(lam + mu + 1.0) - gammaln(lam - mu + 1.0)
-          - gammaln(lam + 1.5))
     k = np.arange(count, dtype=float)
-    with np.errstate(over="raise"):
-        coef = np.exp(lg - k * (s_gt - s_lt))
-    return (2.0 * lam + 1.0) * coef * p1 * p2 * pa * qb
+    lam = mu + k
+    # gr^2 * Qhat = gr * [G(lam+mu+1) / G(lam+3/2)] * Qbar, gr in the band
+    with np.errstate(divide="ignore"):
+        log_axis = (gammaln(lam + mu + 1.0) - gammaln(lam + 1.5) + np.log(pa)
+                    + np.log(np.abs(qb)) - k * (s_gt - s_lt))
+    return (2.0 * lam + 1.0) * np.sign(qb) * specfun.ferrers_band(
+        mu, math.cos(th1), math.cos(th2), count, log_axis)
 
 
 def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,

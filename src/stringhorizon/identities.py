@@ -383,7 +383,7 @@ def run_case(case: dict, tol_override: float | None = None) -> dict:
     try:
         result = CHECKS[name](**params)
         return result.to_record()
-    except (StringHorizonError, OverflowError) as exc:
+    except (StringHorizonError, ArithmeticError) as exc:
         return {"name": name, "params": params, "passed": False,
                 "error": f"{type(exc).__name__}: {exc}"}
 

@@ -273,11 +273,10 @@ def legendre_Qhat_axis(nu: float, mu: float, x: float) -> float:
 
 
 def legendre_Q_sequence(lam0: float, zeta: float, count: int) -> np.ndarray:
-    """[Q_{lam0+k}(zeta) for k = 0..count-1] via downward recurrence.
+    """[Q_{lam0+k}(zeta) for k = 0..count-1]: the gamma-free Qbar chain
+    (one series value times backward ratios) times Gamma(lam+1)/Gamma(lam+3/2).
 
-    Q is the minimal solution of the degree recurrence on the axis, so this
-    is the gamma-free Qbar chain times Gamma(lam+1)/Gamma(lam+3/2).  Every
-    lam0 + k + 1 must stay off the gamma poles.
+    Every lam0 + k + 1 must stay off the gamma poles.
     """
     qb = legendre_Qbar_axis_sequence(lam0, 0.0, zeta, count)
     lam = lam0 + np.arange(count, dtype=float)
@@ -285,13 +284,6 @@ def legendre_Q_sequence(lam0: float, zeta: float, count: int) -> np.ndarray:
     if np.any((a < 0.5) & (np.abs(a - np.round(a)) < 1e-12)):
         raise PoleError("Q chain crosses a gamma pole; use the Qbar chain")
     return qb * gammasgn(a) * np.exp(gammaln(a) - gammaln(lam + 1.5))
-
-
-# Chains with a higher top degree start by Miller, which needs a series
-# value at the bottom degree only: near x = 1 the order-mu 1/x^2 series
-# grows like 2^nu and needs about (nu - mu) / (2 (x^2 - 1)) terms.  The
-# order-zero series needs about 17/xi terms at any degree.
-_MILLER_DEGREE = 250.0
 
 
 def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
@@ -302,62 +294,30 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
     Qbar is the minimal solution of
         (nu+mu+1)(nu-mu+1)/(nu+3/2) Qbar_{nu+1}
             = (2nu+1) x Qbar_nu - (nu+1/2) Qbar_{nu-1},
-    computed downward.  Short chains start from two series values at the
-    top; long chains, and short ones whose top value underflows, use
-    Miller's algorithm (arbitrary seed well above the range, normalized at
-    the bottom).
+    computed by Miller's algorithm in ratio form (Gautschi, SIAM Rev. 9, 24
+    (1967)): the ratios r_k = e^{-log_scale} Qbar_{nu0+k} / Qbar_{nu0+k-1}
+    stay bounded and run downward from r = 0 well above the chain, and one
+    series value at the bottom times their running product gives the chain,
+    with nothing to rescale.  The recurrence separates its minimal solution
+    only above nu ~ mu, hence the mu - nu0 in the start; where (2nu+1) x
+    overflows, the ratio is exactly 0.  The bottom value comes first, so a
+    chain too close to x = 1 raises ConvergenceError before the loop runs.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    _check_axis(x)
+    log_abs, sign = _axis_Qbar_log(nu0, mu, x)
     e1, e2 = math.exp(log_scale), math.exp(2.0 * log_scale)
-
-    def step_down(nu, g_k, g_k1):
-        # g_{k-1} from g_k (degree nu) and g_{k+1} (degree nu+1)
-        return ((2.0 * nu + 1.0) * x * g_k * e1
-                - (nu + mu + 1.0) * (nu - mu + 1.0) / (nu + 1.5) * g_k1 * e2) \
-            / (nu + 0.5)
-
-    top = count - 1
-    la, sa = (_axis_Qbar_log(nu0 + top, mu, x) if nu0 + top <= _MILLER_DEGREE
-              else (-math.inf, 1.0))
-    if la - top * log_scale > -708.0:   # a subnormal start zeroes the chain
-        out = np.empty(count)
-        out[top] = sa * math.exp(la - top * log_scale)
-        if count == 1:
-            return out
-        lb, sb = _axis_Qbar_log(nu0 + top - 1.0, mu, x)
-        out[top - 1] = sb * math.exp(lb - (top - 1) * log_scale)
-        if not (np.isfinite(out[top]) and np.isfinite(out[top - 1])):
-            raise ConvergenceError("Qbar sequence start values not finite")
-        for k in range(top - 1, 0, -1):
-            out[k - 1] = step_down(nu0 + k, out[k], out[k + 1])
-        return out
-    # Miller: the component along the downward-growing solution (Qbar)
-    # survives; everything is fixed by one series value at the bottom.
-    xi = math.acosh(x)
-    buffer = int(math.ceil(17.0 / xi)) + 20
-    # rescale freely, the normalization fixes it: one step multiplies |raw|
-    # by up to about (2 nu + 1) x e1, so |raw| stays below 1e300 over that
-    # (tighter than 1e250 only at x above about 1e44)
-    big = min(1e250, 1e300 / ((2.0 * (nu0 + count + buffer) + 1.0)
-                              * x * max(e1, 1.0)))
-    l0, s0 = _axis_Qbar_log(nu0, mu, x)
-    if big == 0.0 and log_scale >= 0.0:
-        # (2 nu + 1) x overflowed, so 1/(2x) < (nu + 1) / 1.8e308: each step
-        # up scales Qbar by about e1 / (2x), and past its bottom value the
-        # chain is zero in float precision
-        return np.r_[s0 * math.exp(l0), np.zeros(count - 1)]
-    raw = np.zeros(count + buffer + 1)
-    raw[-2] = 1.0
-    for k in range(count + buffer - 2, 0, -1):
-        raw[k - 1] = step_down(nu0 + k, raw[k], raw[k + 1])
-        if abs(raw[k - 1]) > big:
-            raw[k - 1:] *= min(1e-250, big / abs(raw[k - 1]))
-    if raw[0] == 0.0 or not math.isfinite(raw[0]):
-        raise ConvergenceError("Miller recursion lost the minimal solution")
-    # divide first: exp(l0) / raw[0] alone can underflow at large x
-    return raw[:count] / raw[0] * (s0 * math.exp(l0))
+    r = 0.0
+    ratios = np.ones(count)
+    # the start r = 0 errs by about e^{-2 xi} per step: 17/xi steps give e^{-34}
+    top = count + math.ceil(max(0.0, mu - nu0) + 17.0 / math.acosh(x)) + 20
+    for k in range(top - 1, 0, -1):
+        nu = nu0 + k
+        r = (nu + 0.5) / ((2.0 * nu + 1.0) * x * e1 - (nu + mu + 1.0)
+                          * (nu - mu + 1.0) / (nu + 1.5) * e2 * r)
+        if k < count:
+            ratios[k] = r
+    return sign * math.exp(log_abs) * np.cumprod(ratios)
 
 
 def legendre_P_axis_sequence(nu0: float, mu: float, x: float, count: int,

@@ -8,7 +8,7 @@ import pytest
 
 from stringhorizon.conespace import _toroidal_coefficients
 from stringhorizon.errors import DomainError
-from stringhorizon.identities import (check_app5, check_heine_classic,
+from stringhorizon.identities import (CHECKS, check_app5, check_heine_classic,
                                       check_heine_generalized,
                                       check_linet_sum, check_norm_integral,
                                       check_spheroidal_sum,
@@ -71,10 +71,9 @@ def test_heine_generalized_residual_decreases_with_lmax():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("zeta", [1e200, 1e300, 1e307, 1.7e308])
 def test_heine_classic_at_huge_zeta(zeta):
-    # one Miller step of the Q chain gains a factor of about 2 zeta, so the
-    # chain must keep its values low enough that no step overflows; from
-    # about 3e306 the factor (2l + 1) zeta itself overflows, and there every
-    # Q_l with l >= 1 underflows, so the sum is Q_0
+    # each backward ratio Q_l / Q_{l-1} of the chain is about 1/(2 zeta);
+    # from about 3e306 the factor (2l + 1) zeta overflows and the ratio is
+    # 0, while every Q_l with l >= 1 underflows anyway, so the sum is Q_0
     c = check_heine_classic(zeta, 0.3)
     assert c.passed and c.residual_rel < 1e-12
 
@@ -306,6 +305,15 @@ def test_run_case_records_overflow():
                                "dphi": 0.3, "chi": 1.0}})
     assert not rec["passed"]
     assert rec["error"].startswith("OverflowError")
+
+
+def test_run_case_records_any_arithmetic_error(monkeypatch):
+    def divide_by_zero(tol=1e-8):
+        return 1.0 / 0.0
+    monkeypatch.setitem(CHECKS, "divide_by_zero", divide_by_zero)
+    rec = run_case({"check": "divide_by_zero", "params": {}})
+    assert not rec["passed"]
+    assert rec["error"].startswith("ZeroDivisionError")
 
 
 def test_run_cases_parallel_matches_serial():

@@ -285,7 +285,7 @@ def test_Q_sequence_matches_single(rng):
 # differential tests of the Q chains against mpmath, in log form
 # ----------------------------------------------------------------------
 
-MILLER_DEGREE = specfun._MILLER_DEGREE   # higher top degrees start by Miller
+MILLER_DEGREE = 250.0   # splits the order-0 inputs below into short and long chains
 LOG_NORMAL_MIN = -700.0    # below this a double is subnormal or zero
 
 
@@ -370,13 +370,59 @@ def test_Q_chain_where_a_miller_step_overflows(zeta):
 
 
 @pytest.mark.parametrize("nu0,mu,x,count", [
-    (-0.5, 4.0 / 3.0, 1.5, 40),      # toroidal chain, two-point start
-    (2.5, 2.5, 1.2, 30),             # spheroidal chain, two-point start
+    (-0.5, 4.0 / 3.0, 1.5, 40),      # toroidal chain
+    (2.5, 2.5, 1.2, 30),             # spheroidal chain
     (40.0, 40.0, 1.01, 5),           # large order near x = 1
-    (-0.5, 2.0, 1.05, 400),          # Miller start
+    (-0.5, 2.0, 1.05, 400),          # long chain, top degree above 250
 ])
 def test_Qbar_chain_positive_order(nu0, mu, x, count):
     assert_chain_matches(nu0, mu, x, count)
+
+
+def assert_abs_chain_matches(nu0, mu, x, count):
+    """log|Qbar| along an order-mu chain, whose sign changes below nu = mu,
+    against mpmath; degrees on a gamma pole (where mp_log_Qbar is undefined)
+    and references outside float range are skipped."""
+    seq = legendre_Qbar_axis_sequence(nu0, mu, x, count)
+    for k in sorted({0, count // 2, count - 1}):
+        a = nu0 + k - mu + 1.0
+        if a <= 0.0 and abs(a - round(a)) < 1e-9:
+            continue
+        ref = mp_log_Qbar(nu0 + k, mu, x)
+        if LOG_NORMAL_MIN < ref < 700.0:
+            assert abs(math.log(abs(seq[k])) - ref) <= 1e-12 + 1e-15 * abs(ref)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mu=st.floats(0.0, 300.0), at_order=st.booleans(),
+       x=st.floats(1.05, 5.0), count=st.integers(1, 60))
+def test_Qbar_chain_order_mu(mu, at_order, x, count):
+    # toroidal chains start at nu0 = -1/2, spheroidal ones at nu0 = mu
+    assert_abs_chain_matches(mu if at_order else -0.5, mu, x, count)
+
+
+def test_Qbar_chain_starts_above_the_order():
+    # the ratios separate the minimal solution only above nu ~ mu: a start
+    # 17/xi + 20 above the top degree alone missed by 3.2e-6 here
+    assert_abs_chain_matches(-0.5, 200.0, 1.438, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_Qbar_chain_where_the_scaled_step_overflows():
+    # (2 nu + 1) x e^{log_scale} leaves float range, so every ratio is 0:
+    # the chain is its bottom value Qbar_0 = sqrt(pi)/2 atanh(1/x), then zeros
+    x = 1e307
+    seq = legendre_Qbar_axis_sequence(0.0, 0.0, x, 12, log_scale=-1.0)
+    assert seq[0] == pytest.approx(0.5 * math.sqrt(math.pi) * math.atanh(1.0 / x),
+                                   rel=1e-12)
+    assert not seq[1:].any()
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.5])
+def test_Qbar_chain_near_singular_point_raises(mu):
+    # the bottom series value cannot be certified this close to x = 1
+    with pytest.raises(ConvergenceError):
+        legendre_Qbar_axis_sequence(0.0, mu, 1.0 + 1e-11, 3)
 
 
 # ----------------------------------------------------------------------
