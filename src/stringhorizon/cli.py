@@ -338,9 +338,9 @@ def main(argv=None) -> int:
         # line; verify records its cases' domain errors instead of raising
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StringHorizonError, ArithmeticError) as exc:
-        # ArithmeticError: a float operation left its range, such as math.exp
-        # or math.sinh at P_lambda(eta) for large lambda and eta
+    except (StringHorizonError, OverflowError) as exc:
+        # OverflowError: math.exp or math.sinh met a value beyond float
+        # range, such as P_lambda(eta) at large lambda and eta
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

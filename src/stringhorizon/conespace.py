@@ -21,8 +21,8 @@ from scipy.integrate import quad
 from scipy.special import gammaln, ive, kve
 
 from . import specfun
-from .errors import (CoincidenceError, DomainError, QuadratureError,
-                     SlowConvergenceError)
+from .errors import (CoincidenceError, ConvergenceError, DomainError,
+                     QuadratureError, SlowConvergenceError)
 from .specfun import arccosh1p
 from .summation import sum_l, sum_m_bands
 
@@ -480,10 +480,11 @@ def _toroidal_coefficients(alpha, m, w_lt, w_gt, count):
     n = np.arange(count, dtype=float)
     # gr * Qhat = [G(n+mu+1/2)/G(n+1)] * Qbar (the G(n-mu+1/2) factors
     # cancel), in logs: the gamma ratio alone leaves float range at large mu
-    with np.errstate(divide="ignore"):
-        return np.sign(qb) * np.exp(
-            gammaln(n + mu + 0.5) - gammaln(n + 1.0) + np.log(p)
-            + np.log(np.abs(qb)) - n * (w_gt - w_lt))
+    if not (p.all() and qb.all()):     # neither vanishes: a 0 underflowed
+        raise ConvergenceError("axis chain underflowed; order too large")
+    return np.sign(qb) * np.exp(
+        gammaln(n + mu + 0.5) - gammaln(n + 1.0) + np.log(p)
+        + np.log(np.abs(qb)) - n * (w_gt - w_lt))
 
 
 def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol):
@@ -522,23 +523,35 @@ def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
 
 # -- prolate spheroidal ------------------------------------------------
 
-def _spheroidal_coefficients(alpha, m, th1, th2, s_lt, s_gt, count):
-    """(2 lam + 1) gr^2 P^{-mu}_lam(cos th) P^{-mu}_lam(cos th')
-    P^{-mu}_lam(cosh s<) Qhat^{-mu}_lam(cosh s>), lam = mu + k: the Ferrers
-    band with the scaled axis chains as its log factor."""
+def _spheroidal_lsum(alpha, m, th1, th2, s_lt, s_gt, tol):
+    """sum_k (2 lam + 1) gr^2 P^{-mu}_lam(cos th) P^{-mu}_lam(cos th')
+    P^{-mu}_lam(cosh s<) Qhat^{-mu}_lam(cosh s>), lam = mu + k, by `sum_l`
+    at rate s> - s<, each term the Ferrers band with the scaled axis chains
+    as its log factor.  At mu = m/alpha of about 100 the terms still grow at
+    that cutoff: SlowConvergenceError when the last three hold the largest."""
     mu = m / alpha
-    pa = specfun.legendre_P_axis_sequence(mu, mu, math.cosh(s_lt), count,
-                                          log_scale=s_lt)
-    qb = specfun.legendre_Qbar_axis_sequence(mu, mu, math.cosh(s_gt), count,
-                                             log_scale=-s_gt)
-    k = np.arange(count, dtype=float)
-    lam = mu + k
-    # gr^2 * Qhat = gr * [G(lam+mu+1) / G(lam+3/2)] * Qbar, gr in the band
-    with np.errstate(divide="ignore"):
+
+    def terms(count):
+        pa = specfun.legendre_P_axis_sequence(mu, mu, math.cosh(s_lt), count,
+                                              log_scale=s_lt)
+        qb = specfun.legendre_Qbar_axis_sequence(mu, mu, math.cosh(s_gt),
+                                                 count, log_scale=-s_gt)
+        if not (pa.all() and qb.all()):   # neither vanishes: a 0 underflowed
+            raise ConvergenceError("axis chain underflowed; order too large")
+        k = np.arange(count, dtype=float)
+        lam = mu + k
+        # gr^2 * Qhat = gr * [G(lam+mu+1) / G(lam+3/2)] * Qbar, gr in the band
         log_axis = (gammaln(lam + mu + 1.0) - gammaln(lam + 1.5) + np.log(pa)
                     + np.log(np.abs(qb)) - k * (s_gt - s_lt))
-    return (2.0 * lam + 1.0) * np.sign(qb) * specfun.ferrers_band(
-        mu, math.cos(th1), math.cos(th2), count, log_axis)
+        t = (2.0 * lam + 1.0) * np.sign(qb) * specfun.ferrers_band(
+            mu, math.cos(th1), math.cos(th2), count, log_axis)
+        size = np.abs(t)
+        if size[-3:].max() == size.max() > 0.0:
+            raise SlowConvergenceError(
+                f"spheroidal terms still grow at k = {count - 1} (mu = {mu})")
+        return t
+
+    return sum_l(terms, tol, s_gt - s_lt)
 
 
 def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
@@ -556,7 +569,6 @@ def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
         raise SlowConvergenceError(
             "sigma coordinates too close for the spheroidal mode sum")
     value, _, _ = sum_m_bands(
-        lambda m: sum_l(lambda n: _spheroidal_coefficients(
-            alpha, m, th1, th2, s_lt, s_gt, n), tol, rate)[:2],
+        lambda m: _spheroidal_lsum(alpha, m, th1, th2, s_lt, s_gt, tol)[:2],
         tol, dphi)
     return value / (4.0 * math.pi * alpha)

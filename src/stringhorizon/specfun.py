@@ -250,7 +250,7 @@ def _axis_Qbar_log(nu: float, mu: float, x: float) -> tuple[float, float]:
     F, _ = _hyp_series(0.5 * (nu - mu) + 1.0, 0.5 * (nu - mu + 1.0), nu + 1.5, w)
     log_abs = (0.5 * math.log(math.pi)
                - (nu + 1.0) * math.log(2.0) + (mu - nu - 1.0) * math.log(x)
-               - 0.5 * mu * math.log(x * x - 1.0) + math.log(abs(F)))
+               - 0.5 * mu * math.log((x - 1.0) * (x + 1.0)) + math.log(abs(F)))
     return log_abs, math.copysign(1.0, F)
 
 
@@ -301,7 +301,8 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
     with nothing to rescale.  The recurrence separates its minimal solution
     only above nu ~ mu, hence the mu - nu0 in the start; where (2nu+1) x
     overflows, the ratio is exactly 0.  The bottom value comes first, so a
-    chain too close to x = 1 raises ConvergenceError before the loop runs.
+    chain too close to x = 1 raises ConvergenceError before the loop runs;
+    a chain that comes out non-finite raises it too.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -317,7 +318,11 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
                           * (nu - mu + 1.0) / (nu + 1.5) * e2 * r)
         if k < count:
             ratios[k] = r
-    return sign * math.exp(log_abs) * np.cumprod(ratios)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sign * math.exp(log_abs) * np.cumprod(ratios)
+    if not np.isfinite(out).all():
+        raise ConvergenceError("Qbar chain not finite")
+    return out
 
 
 def legendre_P_axis_sequence(nu0: float, mu: float, x: float, count: int,

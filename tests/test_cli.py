@@ -122,19 +122,26 @@ def test_verify_huge_zeta_under_warnings_as_errors(tmp_path):
     assert all(r["passed"] for r in json.loads(out.read_text()))
 
 
-@pytest.mark.parametrize("case", [
-    {"check": "spheroidal_sum",
-     "params": {"alpha": 0.01, "m": 1, "theta": 0.7, "theta_p": 1.1,
-                "sigma_lt": 0.8, "sigma_gt": 1.5}},
-    {"check": "spheroidal_ratio_audit", "params": {"alpha": 0.05}},
-    {"check": "toroidal_addition",
-     "params": {"alpha": 0.01, "m": 3, "w": 0.5, "w_p": 0.9,
-                "eta": 1.0, "eta_p": 2.0}},
+@pytest.mark.parametrize("case,code,error", [
+    # l-sum terms at mu = 100 still grow at the rate's cutoff lmax = 30
+    ({"check": "spheroidal_sum",
+      "params": {"alpha": 0.01, "m": 1, "theta": 0.7, "theta_p": 1.1,
+                 "sigma_lt": 0.8, "sigma_gt": 1.5}},
+     EXIT_NUMERIC, "SlowConvergenceError"),
+    # finite but failed: at one point the terms cancel beyond float64
+    ({"check": "spheroidal_ratio_audit", "params": {"alpha": 0.05}},
+     EXIT_FAILURES, None),
+    # P_{n-1/2}^{-300}(cosh 0.5) underflows in every term
+    ({"check": "toroidal_addition",
+      "params": {"alpha": 0.01, "m": 3, "w": 0.5, "w_p": 0.9,
+                 "eta": 1.0, "eta_p": 2.0}},
+     EXIT_NUMERIC, "ConvergenceError"),
 ])
-def test_verify_small_alpha_coefficients_under_warnings_as_errors(tmp_path, case):
+def test_verify_small_alpha_coefficients_under_warnings_as_errors(
+        tmp_path, case, code, error):
     # the gamma ratios of the toroidal and spheroidal coefficients leave
-    # float range at mu = m/alpha of a few hundred, while the coefficients
-    # themselves do not; each case must give a finite report record
+    # float range at mu = m/alpha of a few hundred; each case must give a
+    # failed report record, never a traceback and never a PASS
     man = write_manifest(tmp_path / "m.json", [case])
     out = tmp_path / "r.json"
     proc = subprocess.run(
@@ -142,10 +149,14 @@ def test_verify_small_alpha_coefficients_under_warnings_as_errors(tmp_path, case
          "stringhorizon.cli", "verify", "--manifest", man, "--out", str(out)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
         timeout=120)
-    assert proc.returncode in (EXIT_OK, EXIT_FAILURES), proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert proc.stderr == ""
     [record] = json.loads(out.read_text())
-    assert "error" not in record and math.isfinite(record["lhs"])
+    assert record["passed"] is False
+    if error is None:
+        assert "error" not in record and math.isfinite(record["lhs"])
+    else:
+        assert record["error"].startswith(error + ":")
 
 
 def test_verify_domain_error_case_distinct_exit(tmp_path, capsys):

@@ -383,7 +383,12 @@ def assert_abs_chain_matches(nu0, mu, x, count):
     """log|Qbar| along an order-mu chain, whose sign changes below nu = mu,
     against mpmath; degrees on a gamma pole (where mp_log_Qbar is undefined)
     and references outside float range are skipped."""
-    seq = legendre_Qbar_axis_sequence(nu0, mu, x, count)
+    try:
+        seq = legendre_Qbar_axis_sequence(nu0, mu, x, count)
+    except OverflowError:
+        # only a bottom value beyond float range may overflow
+        assert mp_log_Qbar(nu0, mu, x) > 709.0
+        return
     for k in sorted({0, count // 2, count - 1}):
         a = nu0 + k - mu + 1.0
         if a <= 0.0 and abs(a - round(a)) < 1e-9:
@@ -394,8 +399,8 @@ def assert_abs_chain_matches(nu0, mu, x, count):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(mu=st.floats(0.0, 300.0), at_order=st.booleans(),
-       x=st.floats(1.05, 5.0), count=st.integers(1, 60))
+@given(mu=st.floats(0.0, 300.0), at_order=st.booleans(), x=axis_x,
+       count=st.integers(1, 60))
 def test_Qbar_chain_order_mu(mu, at_order, x, count):
     # toroidal chains start at nu0 = -1/2, spheroidal ones at nu0 = mu
     assert_abs_chain_matches(mu if at_order else -0.5, mu, x, count)
@@ -416,6 +421,13 @@ def test_Qbar_chain_where_the_scaled_step_overflows():
     assert seq[0] == pytest.approx(0.5 * math.sqrt(math.pi) * math.atanh(1.0 / x),
                                    rel=1e-12)
     assert not seq[1:].any()
+
+
+@pytest.mark.filterwarnings("error")
+def test_Qbar_chain_beyond_float_range_raises():
+    # e^{300 k} Qbar_k(2) ~ e^{(300 - 1.32) k} overflows from k = 3
+    with pytest.raises(ConvergenceError):
+        legendre_Qbar_axis_sequence(0.0, 0.0, 2.0, 10, log_scale=-300.0)
 
 
 @pytest.mark.parametrize("mu", [0.0, 2.5])
