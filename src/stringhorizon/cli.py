@@ -193,15 +193,7 @@ def cmd_phi2(args) -> int:
     if args.format == "json":
         _emit(_json_dumps(payload), args.out)
     else:
-        lines = [f"{k},{_fmt(v)}" for k, v in payload.items()]
-        text = "\n".join(lines) + "\n"
-        if args.out is None:
-            print(f"closed route:        {_fmt(res.value_closed)}")
-            print(f"limit route:         {_fmt(res.value_limit)}")
-            print(f"extrapolation error: {_fmt(res.extrapolation_error)}")
-            print(f"route agreement:     {_fmt(res.route_agreement)}")
-        else:
-            _emit(text, args.out)
+        _emit("".join(f"{k},{_fmt(v)}\n" for k, v in payload.items()), args.out)
     return EXIT_OK
 
 
@@ -272,8 +264,10 @@ def cmd_radial(args) -> int:
                    "table": [{"eta": r[0], "p": r[1], "q": r[2]} for r in table]}
         _emit(_json_dumps(payload), args.out)
     else:
+        # the diagnostics stay out of a table written to stdout
+        log = sys.stderr if args.out is None else sys.stdout
         for k, v in sorted(diag.items()):
-            print(f"# {k} = {_fmt(v)}")
+            print(f"# {k} = {_fmt(v)}", file=log)
         lines = ["eta,p,q"]
         lines += [f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2])}" for r in table]
         _emit("\n".join(lines) + "\n", args.out)

@@ -206,7 +206,9 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     P_lam^{-mu}(cos th) P_lam^{-mu}(cos th') Q_lam(zeta),
     lam = l - |m| + |m|/alpha, mu = |m|/alpha.
 
-    Returns (value, certified_tail, lmax_used, mmax_used).
+    Returns (value, certified_tail, lmax_used, mmax_used).  Bands whose mu
+    differ by integers read one log-Q chain, started at the first one's mu
+    and rebuilt at double length when a later band needs more degrees.
     """
     check_alpha(alpha)
     if zeta <= 1.0 + 1e-6:
@@ -214,13 +216,21 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
             f"heine_double_sum needs zeta > 1 + 1e-6, got zeta = {zeta}")
     x1, x2 = math.cos(theta), math.cos(theta_p)
     xi = math.acosh(zeta)               # Q_lam(zeta) ~ e^{-lam xi}
+    chains = {}                         # lattice start mu0: log Qbar_{mu0+j}(zeta)
 
     def terms(mu, count):
-        q = specfun.legendre_Q_sequence(mu, zeta, count)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_q = np.log(q)
-        return ((2.0 * (mu + np.arange(count)) + 1.0)
-                * specfun.ferrers_band(mu, x1, x2, count, log_q))
+        mu0 = next((c for c in chains if abs(mu - c - round(mu - c))
+                    <= 1e-12 * (1.0 + mu)), mu)
+        j = round(mu - mu0)
+        log_qbar = chains.setdefault(mu0, np.empty(0))
+        if j + count > log_qbar.size:
+            n = max(2 * log_qbar.size, j + count)
+            log_qbar = chains[mu0] = np.log(specfun.legendre_Qbar_axis_sequence(
+                mu0, 0.0, zeta, n, log_scale=-xi)) - xi * np.arange(n)
+        lam = mu + np.arange(count)
+        # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2)
+        log_q = log_qbar[j:j + count] + gammaln(lam + 1.0) - gammaln(lam + 1.5)
+        return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
     lmax = None                         # sum_l's cutoff: the same for every band
 

@@ -11,12 +11,13 @@ Conventions
   e^{mu*pi*i} * Q_nu^{-mu}, real for x > 1 and degree nu > -1.  The phase
   factor matches the one multiplying Q in the toroidal and spheroidal mode
   sums, so every interface in this package stays real-valued.
-* ``ferrers_band`` is the gamma-ratio x P x P band shared by every mode sum
-  over the angular functions.
+* A Ferrers chain is a mantissa and a log offset per degree, so it never
+  underflows; ``ferrers_band``, the gamma-ratio x P x P band of every mode
+  sum over the angular functions, adds them in logs and builds one chain
+  when theta = theta'.
 
-All evaluations go through hypergeometric series with certified geometric
-tail bounds; a series that cannot certify the requested tolerance within
-the iteration budget raises ConvergenceError instead of returning.
+Every series has a certified geometric tail bound; one that cannot certify
+its tolerance within the iteration budget raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -113,67 +114,62 @@ def _hyp_series(a: float, b: float, c: float, w: float):
 # Ferrers function on the cut
 # ----------------------------------------------------------------------
 
-def _ferrers_direct(nu: float, mu: float, x: float) -> float:
-    """Series evaluation for nu - mu < 2 (at most one alternating term):
-    P_nu^{-mu}(x) = (sin(theta)/2)^mu / Gamma(1+mu) * F(mu-nu, mu+nu+1; 1+mu; (1-x)/2).
-
-    This Euler-transformed form is one-signed for the seed degrees at any
-    x in (-1, 1), so there is no cancellation at large order.  Degree
-    offsets within 5e-13 of the regular non-negative-integer family are
-    snapped onto it, making the series terminate exactly.
-    """
-    z = 0.5 * (1.0 - x)
-    a = mu - nu
-    if abs(a - round(a)) < 5e-13 and round(a) <= 0:
-        a = float(round(a))
-    F, _ = _hyp_series(a, mu + nu + 1.0, 1.0 + mu, z)
-    lnpref = (0.5 * mu * (math.log1p(-x) + math.log1p(x)) - mu * math.log(2.0)
-              - gammaln(1.0 + mu))
-    if F == 0.0:
-        return 0.0
-    return math.copysign(math.exp(lnpref + math.log(abs(F))), F)
-
-
 def ferrers_P(nu: float, mu: float, x: float) -> float:
-    """Ferrers function P_nu^{-mu}(x) for x in (-1, 1), mu >= 0.
-
-    Degrees more than one step above mu are reached by the upward degree
-    recurrence from two adjacent series seeds (the direct Gauss series
-    cancels catastrophically at large degree-order offsets).
-    """
+    """Ferrers function P_nu^{-mu}(x) for x in (-1, 1), mu >= 0: the last
+    element of the `ferrers_P_sequence` chain that climbs to degree nu."""
     if not mu >= 0.0:
         raise DomainError(f"order mu must be >= 0, got {mu}")
+    nu = max(nu, -nu - 1.0)    # P_nu = P_{-nu-1}
+    n = max(0, int(math.floor(nu - mu + 1e-9)))
+    m, L = ferrers_P_sequence(nu - n, mu, x, n + 1)
+    return float(m[-1] * math.exp(L[-1]))
+
+
+_BIG = 2.0 ** 500          # Ferrers mantissas are rescaled by this power of
+_TINY = 1.0 / _BIG         # two to stay within [_TINY, _BIG], exactly
+
+
+def ferrers_P_sequence(nu0: float, mu: float, x: float,
+                       count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, L) with P_{nu0+k}^{-mu}(x) = m[k] e^{L[k]}, k = 0..count-1: a
+    mantissa and a log offset, so no value underflows at large mu.
+
+    The seeds at nu0 and nu0 + 1 (nu0 - mu < 2) are the Euler-transformed
+    series (sin(theta)/2)^mu / Gamma(1+mu) * F(mu-nu, mu+nu+1; 1+mu; (1-x)/2),
+    one-signed there, with F as the mantissa and the log of the prefactor as
+    the offset (degree offsets within 5e-13 of the regular family snap onto
+    it).  The upward degree recurrence runs on the mantissas and moves an
+    exact power of two into the offset when they leave [_TINY, _BIG].  It
+    is stable where (nu + 1/2) sin(theta) > mu; in the evanescent region its
+    relative error grows with the dominant/minimal ratio, but there P itself
+    is exponentially small by the same factor.
+    """
     if not -1.0 + SING_TOL < x < 1.0 - SING_TOL:
         raise DomainError(
-            f"ferrers_P requires |x| < 1 - {SING_TOL}, got {x}")
-    nu = max(nu, -nu - 1.0)    # P_nu = P_{-nu-1}
-    n = int(math.floor(nu - mu + 1e-9))
-    if n <= 1:
-        return _ferrers_direct(nu, mu, x)
-    return float(ferrers_P_sequence(nu - n, mu, x, n + 1)[-1])
-
-
-def ferrers_P_sequence(nu0: float, mu: float, x: float, count: int) -> np.ndarray:
-    """[P_{nu0+k}^{-mu}(x) for k = 0..count-1] via two series seeds and the
-    upward degree recurrence.
-
-    Stable in the oscillatory regime (nu + 1/2) sin(theta) > mu; inside the
-    evanescent region the relative error grows with the dominant/minimal
-    ratio, but there P itself is exponentially small by the same factor.
-    """
+            f"Ferrers functions require |x| < 1 - {SING_TOL}, got {x}")
     if count < 1:
         raise DomainError("count must be >= 1")
     if nu0 - mu >= 2.0:
         raise DomainError("sequence seeds need nu0 - mu < 2")
-    out = np.empty(count)
-    out[0] = _ferrers_direct(nu0, mu, x)
-    if count == 1:
-        return out
-    out[1] = _ferrers_direct(nu0 + 1.0, mu, x)
+    seeds = []
+    for nu in (nu0, nu0 + 1.0)[:count]:
+        a = mu - nu
+        a = float(round(a)) if abs(a - round(a)) < 5e-13 and a < 0.5 else a
+        seeds.append(_hyp_series(a, mu + nu + 1.0, 1.0 + mu, 0.5 * (1.0 - x))[0])
+    m = np.empty(count)
+    m[:len(seeds)] = seeds
+    L = np.full(count, 0.5 * mu * (math.log1p(-x) + math.log1p(x))
+                - mu * math.log(2.0) - gammaln(1.0 + mu))
+    a, b = seeds[0], seeds[-1]
     for k in range(2, count):
         nu = nu0 + (k - 1)
-        out[k] = ((2.0 * nu + 1.0) * x * out[k - 1] - (nu - mu) * out[k - 2]) / (nu + mu + 1.0)
-    return out
+        a, b = b, ((2.0 * nu + 1.0) * x * b - (nu - mu) * a) / (nu + mu + 1.0)
+        if abs(b) > _BIG or (abs(b) < _TINY and abs(a) < _TINY):
+            s = _TINY if abs(b) > _BIG else _BIG
+            a, b = a * s, b * s
+            L[k:] -= math.log(s)
+        m[k] = b
+    return m, L
 
 
 def ferrers_band(mu: float, x1: float, x2: float, count: int,
@@ -181,19 +177,19 @@ def ferrers_band(mu: float, x1: float, x2: float, count: int,
     """[G(lam+mu+1)/G(lam-mu+1) P_lam^{-mu}(x1) P_lam^{-mu}(x2) e^{log_factor}
     for lam = mu + k, k = 0..count-1].
 
-    Assembled in logs, because the gamma ratio alone leaves float range at
-    large mu while the product stays small; `log_factor` (a scalar or one
-    value per degree) enters the same exponential.  Terms that come out
-    non-finite are set to 0.
+    Assembled in logs from the chains' mantissas and offsets, because the
+    gamma ratio alone leaves float range at large mu while the product
+    stays small; `log_factor` (a scalar or one value per degree) enters the
+    same exponential.  With x2 == x1 the one chain serves both factors.
     """
-    p1 = ferrers_P_sequence(mu, mu, x1, count)
-    p2 = ferrers_P_sequence(mu, mu, x2, count)
+    m1, L1 = ferrers_P_sequence(mu, mu, x1, count)
+    m2, L2 = (m1, L1) if x2 == x1 else ferrers_P_sequence(mu, mu, x2, count)
     lam = mu + np.arange(count)
     lgr = gammaln(lam + mu + 1.0) - gammaln(lam - mu + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sign(p1) * np.sign(p2) * np.exp(
-            lgr + np.log(np.abs(p1)) + np.log(np.abs(p2)) + log_factor)
-    return np.where(np.isfinite(out), out, 0.0)
+    with np.errstate(divide="ignore"):     # a zero of P: log 0 = -inf, term 0
+        return np.sign(m1) * np.sign(m2) * np.exp(
+            lgr + L1 + L2 + np.log(np.abs(m1)) + np.log(np.abs(m2))
+            + log_factor)
 
 
 # ----------------------------------------------------------------------

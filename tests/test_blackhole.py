@@ -11,7 +11,7 @@ from stringhorizon.blackhole import (DeficitGeometry, chi_radial_green,
                                      geodesic_distance_expansion,
                                      horizon_green, horizon_green_closed,
                                      lambda_of, radial_solutions)
-from stringhorizon.errors import DomainError
+from stringhorizon.errors import DomainError, SlowConvergenceError
 from stringhorizon.specfun import legendre_P_axis, legendre_Q
 
 GEO = DeficitGeometry(alpha=1.0, M=1.0)
@@ -245,6 +245,25 @@ def test_horizon_green_matches_generalized_closed_form():
     val = horizon_green(0.9, 1.2, 0.8, 1.3, GEO_S, tol=1e-9)
     ref = horizon_green_closed(0.9, 1.2, 0.8, 1.3, GEO_S)
     assert val == pytest.approx(ref, rel=1e-7)
+
+
+@pytest.mark.parametrize("alpha,theta,eps,tol", [
+    (0.5, math.pi / 2, 5e-3, 1e-8),
+    (0.5, math.pi / 2, 2.5e-3, 1e-8),
+    (0.75, math.pi / 3, 2.5e-3, 1e-10),
+])
+def test_horizon_green_near_horizon_meets_tol(alpha, theta, eps, tol):
+    # the bands pass mu = 160, where P^{-mu}(cos theta) leaves float range
+    geometry = DeficitGeometry(alpha=alpha, M=1.0)
+    val = horizon_green(theta, theta, 0.0, 1.0 + eps, geometry, tol=tol)
+    ref = horizon_green_closed(theta, theta, 0.0, 1.0 + eps, geometry)
+    assert abs(val - ref) <= tol * abs(ref)
+
+
+def test_horizon_green_past_the_band_cap_raises():
+    # eps = 1e-3 at alpha = 1 needs more than 400 bands
+    with pytest.raises(SlowConvergenceError):
+        horizon_green(math.pi / 2, math.pi / 2, 0.0, 1.0 + 1e-3, GEO, tol=1e-8)
 
 
 def test_horizon_green_symmetries():

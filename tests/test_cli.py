@@ -159,6 +159,30 @@ def test_verify_small_alpha_coefficients_under_warnings_as_errors(
         assert record["error"].startswith(error + ":")
 
 
+def test_verify_pole_angle_is_an_error_record(tmp_path):
+    # theta = 0 puts cos(theta) = 1 on the pole of the Ferrers functions:
+    # every path that reaches a Ferrers chain raises DomainError, which the
+    # run records, instead of a traceback
+    man = write_manifest(tmp_path / "m.json", [
+        {"check": "app5", "params": {"alpha": 1.0, "m": 1, "theta": 0.0,
+                                     "theta_p": 1.0}},
+        {"check": "linet", "params": {"alpha": 0.75, "theta": 0.0,
+                                      "theta_p": 1.0, "dphi": 0.5}},
+        {"check": "spheroidal_sum",
+         "params": {"alpha": 1.0, "m": 1, "theta": 0.0, "theta_p": 1.1,
+                    "sigma_lt": 0.8, "sigma_gt": 1.5}}])
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "stringhorizon.cli", "verify", "--manifest", man, "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120)
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert "Traceback" not in proc.stderr
+    records = json.loads(out.read_text())
+    assert [r["error"].split(":")[0] for r in records] == ["DomainError"] * 3
+
+
 def test_verify_domain_error_case_distinct_exit(tmp_path, capsys):
     cases = list(SMALL_CASES) + [
         {"check": "linet", "params": {"alpha": 0.4, "theta": PI / 3,
@@ -338,10 +362,17 @@ def test_phi2_json(capsys):
     assert payload["route_agreement"] < 1e-8
 
 
-def test_phi2_human_output(capsys):
-    assert main(["phi2", "--theta", "0.8", "--alpha", "0.75"]) == EXIT_OK
+def test_phi2_human_output(tmp_path, capsys):
+    # stdout gets the same key,value rows as --out, and nothing else
+    out = tmp_path / "phi2.csv"
+    argv = ["phi2", "--theta", "0.8", "--alpha", "0.75"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert main(argv) == EXIT_OK
     text = capsys.readouterr().out
-    assert "closed route" in text and "route agreement" in text
+    assert text == out.read_text()
+    assert [row.split(",")[0] for row in text.splitlines()] == [
+        "theta", "alpha", "M", "phi2_closed", "phi2_limit",
+        "extrapolation_error", "route_agreement"]
 
 
 def test_phi2_pole_is_config_error(capsys):
@@ -422,6 +453,14 @@ def test_radial_n0_analytic(tmp_path, capsys):
     assert lines[0] == "eta,p,q"
     eta, p, q = map(float, lines[-1].split(","))
     assert p == pytest.approx(0.5 * (3 * eta ** 2 - 1), rel=1e-10)
+
+
+def test_radial_table_alone_on_stdout(capsys):
+    # the diagnostics go to stderr when the table goes to stdout
+    assert main(["radial", "--n", "0", "--l", "2", "--m", "0"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "eta,p,q"
+    assert "# branch = analytic" in captured.err
 
 
 @pytest.mark.parametrize("n,l,m,alpha", [(1, 0, 0, 1.0), (3, 2, 1, 0.5)])

@@ -300,6 +300,32 @@ def test_g3_coincidence_and_slow_convergence_guards():
         g3_spherical_sum(Q1, sep, 0.7)   # equal radii, angular separation
 
 
+@pytest.mark.parametrize("alpha,lattices", [
+    (1.0, 1), (0.5, 1), (0.75, 3), (1.0 / math.sqrt(2.0), None)])
+def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
+    # Q_lam(zeta) depends on lam alone: bands whose mu differ by integers
+    # read one chain, rebuilt at double length as the bands climb; at an
+    # irrational alpha every band starts its own
+    starts = []
+    chain = specfun.legendre_Qbar_axis_sequence
+
+    def counted(nu0, mu, x, count, log_scale=0.0):
+        starts.append(nu0)
+        return chain(nu0, mu, x, count, log_scale)
+    monkeypatch.setattr(specfun, "legendre_Qbar_axis_sequence", counted)
+    zeta = math.cosh(0.05)
+    value, _, lmax, mmax = heine_double_sum(alpha, math.pi / 2, math.pi / 2,
+                                            0.3, zeta, tol=1e-6)
+    rhs = generalized_heine_rhs(alpha, math.pi / 2, math.pi / 2, 0.3, 0.05)
+    assert value == pytest.approx(rhs, rel=1e-6)
+    if lattices is None:
+        assert starts == [m / alpha for m in range(mmax + 1)]
+    else:
+        assert len(set(starts)) == lattices
+        rebuilds = math.log2((mmax / alpha + lmax + 1) / (lmax + 1))
+        assert len(starts) <= lattices * (2 + rebuilds) < mmax / 10
+
+
 def test_heine_double_sum_zeta_guard():
     with pytest.raises(DomainError):
         heine_double_sum(0.8, 1.0, 1.0, 0.5, 1.0 + 1e-9)

@@ -134,9 +134,74 @@ def test_negative_or_nan_order_rejected(mu):
 
 def test_ferrers_sequence_matches_single_evaluations():
     mu = 1.6
-    seq = ferrers_P_sequence(mu, mu, 0.4, 12)
+    m, L = ferrers_P_sequence(mu, mu, 0.4, 12)
+    assert m.shape == L.shape == (12,)
     for k in (0, 3, 11):
-        assert seq[k] == pytest.approx(ferrers_P(mu + k, mu, 0.4), rel=1e-11)
+        assert m[k] * math.exp(L[k]) == pytest.approx(
+            ferrers_P(mu + k, mu, 0.4), rel=1e-11)
+
+
+def mp_ferrers(nu, mu, x):
+    # P_nu^{-mu}(x) for nu - mu a non-negative integer k, by the parity
+    # P(-x) = (-1)^k P(x) at x <= 0, where mpmath's series cancels badly
+    k = round(nu - mu)
+    if x == 0.0 and k % 2:
+        return mpmath.mpf(0)
+    # an mpf argument carries mpmath through the cancellation near x = 0
+    p = mpmath.legenp(nu, -mu, mpmath.mpf(abs(x)), type=2)
+    return (-1) ** k * p if x < 0 else p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mu=st.one_of(st.integers(0, 500).map(float), st.floats(0.0, 500.0)),
+       x=st.integers(-9900, 9900).map(lambda i: i / 1e4),
+       count=st.integers(1, 1200),
+       frac=st.floats(0.0, 1.0))
+def test_ferrers_chain_matches_mpmath(mu, x, count, frac):
+    # m e^L over values far below float range: |error| <= 1e-9 of the
+    # largest |P| among the degree and its two neighbours, which is relative
+    # away from the zeros of P and local near one
+    m, L = ferrers_P_sequence(mu, mu, x, count)
+    with mpmath.workdps(30):
+        for k in sorted({0, int(frac * (count - 1)), count - 1}):
+            ref = [mp_ferrers(mu + j, mu, x) for j in (k - 1, k, k + 1)
+                   if j >= 0]
+            got = mpmath.mpf(float(m[k])) * mpmath.exp(float(L[k]))
+            assert abs(got - mp_ferrers(mu + k, mu, x)) <= 1e-9 * max(
+                abs(r) for r in ref)
+
+
+def test_ferrers_chain_below_float_range():
+    # P_mu^{-mu}(0) = 2^-mu / Gamma(1 + mu) is 1.2e-308 at mu = 150 and
+    # e^-2958 at mu = 500; a chain carries it in its offset
+    m, L = ferrers_P_sequence(500.0, 500.0, 0.0, 3)
+    assert m[0] == 1.0 and m[1] == 0.0
+    assert L[0] == pytest.approx(-500.0 * math.log(2.0) - gammaln(501.0),
+                                 rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [1.0, -1.0, 1.0 - 1e-13, math.nan])
+def test_ferrers_chain_rejects_the_poles(x):
+    with pytest.raises(DomainError):
+        ferrers_P_sequence(0.0, 0.0, x, 3)
+    with pytest.raises(DomainError):
+        ferrers_band(1.0, 0.3, x, 3)
+
+
+def test_ferrers_band_builds_one_chain_at_equal_angles(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ferrers_P_sequence(*args)
+    monkeypatch.setattr(specfun, "ferrers_P_sequence", counted)
+    same = ferrers_band(2.5, 0.4, 0.4, 10)
+    assert len(calls) == 1
+    ferrers_band(2.5, 0.4, -0.7, 10)
+    assert len(calls) == 3
+    lg, _ = gamma_ratio_signed(2.5 + 9 + 2.5 + 1.0, 9 + 1.0)
+    assert same[9] == pytest.approx(
+        math.exp(lg) * ferrers_P(11.5, 2.5, 0.4) ** 2, rel=1e-11)
 
 
 @pytest.mark.parametrize("mu", [0.0, 1.6, 40.0])
@@ -151,14 +216,6 @@ def test_ferrers_band_matches_term_by_term_product(mu):
         ref = (sg * math.exp(lg + log_factor[k])
                * ferrers_P(lam, mu, x1) * ferrers_P(lam, mu, x2))
         assert band[k] == pytest.approx(ref, rel=1e-11, abs=1e-300)
-
-
-def test_ferrers_band_sets_non_finite_terms_to_zero():
-    # P_mu^{-mu}(0) underflows to 0 near mu = 160, and a factor of e^1000
-    # overflows: both come out as 0, never as inf or nan
-    assert np.all(ferrers_band(170.0, 0.0, 0.0, 4) == 0.0)
-    with np.errstate(over="ignore"):
-        assert np.all(ferrers_band(1.0, 0.4, -0.7, 4, 1000.0) == 0.0)
 
 
 # ----------------------------------------------------------------------
