@@ -262,7 +262,7 @@ def horizon_green(theta: float, theta_p: float, dphi: float, eta: float,
                   geometry: DeficitGeometry, tol: float = 1e-8) -> float:
     """Green's function with one point on the horizon (only n = 0 survives):
     the generalized-Heine double sum with Q_lambda(eta)."""
-    if eta <= 1.0:
+    if not eta > 1.0:
         raise DomainError(f"exterior point needs eta > 1, got {eta}")
     value = heine_double_sum(geometry.alpha, theta, theta_p, dphi, eta,
                              tol=tol)[0]
@@ -272,7 +272,7 @@ def horizon_green(theta: float, theta_p: float, dphi: float, eta: float,
 def horizon_green_closed(theta: float, theta_p: float, dphi: float, eta: float,
                          geometry: DeficitGeometry) -> float:
     """Closed form of horizon_green via the generalized Heine identity."""
-    if eta <= 1.0:
+    if not eta > 1.0:
         raise DomainError(f"exterior point needs eta > 1, got {eta}")
     ss = math.sin(theta) * math.sin(theta_p)
     # cosh(chi) - 1 = (eta - cos(theta - theta_p)) / (sin sin') - 1, stable form

@@ -206,48 +206,67 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     P_lam^{-mu}(cos th) P_lam^{-mu}(cos th') Q_lam(zeta),
     lam = l - |m| + |m|/alpha, mu = |m|/alpha.
 
-    Returns (value, certified_tail, lmax_used, mmax_used).  Bands whose mu
-    differ by integers read one log-Q chain, started at the first one's mu
-    and rebuilt at double length when a later band needs more degrees.
+    Returns (value, certified_tail, lmax_used, mmax_used).  Band m falls as
+    e^{-m chi/alpha}, cosh chi = (zeta - cos th cos th') / (sin th sin th'):
+    blocks of 1.25 alpha ln(10/tol)/chi + 2 bands (at most 400), then each
+    half the last (at least 4), are built at most 2^15 terms at a time
+    ahead of the m-sum, which drops the bands past its stop.  Bands whose
+    mu differ by integers read one log-Q chain, started at the first one's
+    mu and rebuilt at double length when a later band needs more degrees.
     """
     check_alpha(alpha)
-    if zeta <= 1.0 + 1e-6:
+    if not zeta > 1.0 + 1e-6:
         raise DomainError(
             f"heine_double_sum needs zeta > 1 + 1e-6, got zeta = {zeta}")
+    if not (math.isfinite(dphi) and 0.0 < tol < 1.0):
+        raise DomainError(f"need a finite dphi and 0 < tol < 1, got {dphi}, {tol}")
     x1, x2 = math.cos(theta), math.cos(theta_p)
     xi = math.acosh(zeta)               # Q_lam(zeta) ~ e^{-lam xi}
+    ss = math.sin(theta) * math.sin(theta_p)
+    chi = math.acosh(max(zeta, (zeta - x1 * x2) / ss)) if ss > 0.0 else xi
     chains = {}                         # lattice start mu0: log Qbar_{mu0+j}(zeta)
 
-    def terms(mu, count):
+    def log_qbar(mu, count):
         mu0 = next((c for c in chains if abs(mu - c - round(mu - c))
                     <= 1e-12 * (1.0 + mu)), mu)
         j = round(mu - mu0)
-        log_qbar = chains.setdefault(mu0, np.empty(0))
-        if j + count > log_qbar.size:
-            n = max(2 * log_qbar.size, j + count)
-            log_qbar = chains[mu0] = np.log(specfun.legendre_Qbar_axis_sequence(
+        chain = chains.setdefault(mu0, np.empty(0))
+        if j + count > chain.size:
+            n = max(2 * chain.size, j + count)
+            chain = chains[mu0] = np.log(specfun.legendre_Qbar_axis_sequence(
                 mu0, 0.0, zeta, n, log_scale=-xi)) - xi * np.arange(n)
-        lam = mu + np.arange(count)
+        return chain[j:j + count]
+
+    def terms(stop, count):             # the next bands' terms, a row each
+        step = max(1, 2 ** 15 // count)     # bands per batch: bounded memory
+        mu = np.arange(len(bands), min(stop, len(bands) + step)) / alpha
+        lam = mu[:, None] + np.arange(count)
         # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2)
-        log_q = log_qbar[j:j + count] + gammaln(lam + 1.0) - gammaln(lam + 1.5)
+        log_q = (np.array([log_qbar(v, count) for v in mu.tolist()])
+                 + gammaln(lam + 1.0) - gammaln(lam + 1.5))
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
-    lmax = None                         # sum_l's cutoff: the same for every band
+    bands, lmax, stop = [], None, 0     # (value, tail) per band built; block end
+    size = min(400, math.ceil(1.25 * alpha * math.log(10.0 / tol) / chi) + 2)
 
     def band(m: int):
-        nonlocal lmax
-        value, tail, lmax = sum_l(lambda n: terms(m / alpha, n), tol, xi)
-        return value, tail
+        nonlocal lmax, stop, size
+        while len(bands) <= m:
+            if len(bands) == stop:      # the next block
+                stop, size = min(stop + size, 400), max(4, size // 2)
+            values, tails, lmax = sum_l(lambda n: terms(stop, n), tol, xi)
+            bands.extend(zip(values, tails))
+        return bands[m]
 
-    value, tail, bands = sum_m_bands(band, tol, dphi)
-    return value, tail, lmax, bands
+    value, tail, mmax = sum_m_bands(band, tol, dphi)
+    return value, tail, lmax, mmax
 
 
 def generalized_heine_rhs(alpha: float, theta: float, theta_p: float,
                           dphi: float, chi: float) -> float:
     """sinh(chi/alpha) / [sin th sin th' sinh chi (cosh(chi/alpha) - cos dphi)],
     written in cancellation-free form."""
-    if chi <= 0.0:
+    if not chi > 0.0:
         raise DomainError(f"chi must be positive, got {chi}")
     ss = math.sin(theta) * math.sin(theta_p)
     denom = 2.0 * math.sinh(0.5 * chi / alpha) ** 2 + 2.0 * math.sin(0.5 * dphi) ** 2

@@ -104,12 +104,12 @@ def check_heine_generalized(alpha: float, theta: float, theta_p: float,
                             tol: float = 1e-6) -> IdentityCase:
     """Double sum of (2lam+1) gammaRatio P P Q_lam(zeta) against
     sinh(chi/alpha) / [sin sin' sinh(chi) (cosh(chi/alpha) - cos dphi)]."""
-    if chi <= 0.0:
+    if not chi > 0.0:
         raise DomainError(f"chi must be positive, got {chi}")
     cc = math.cos(theta) * math.cos(theta_p)
     ss = math.sin(theta) * math.sin(theta_p)
     zeta = cc + ss * math.cosh(chi)
-    if zeta <= 1.0 + 1e-6:
+    if not zeta > 1.0 + 1e-6:
         raise DomainError(
             f"zeta = {zeta:.6f} <= 1: no Euclidean pair has these (theta, theta', chi); "
             "chi must exceed arccosh((1 - cos th cos th')/(sin th sin th'))")

@@ -14,7 +14,10 @@ Conventions
 * A Ferrers chain is a mantissa and a log offset per degree, so it never
   underflows; ``ferrers_band``, the gamma-ratio x P x P band of every mode
   sum over the angular functions, adds them in logs and builds one chain
-  when theta = theta'.
+  when theta = theta'.  Given an array of orders it returns a band per row
+  from one vectorized degree loop, bit for bit the scalar chains' bands;
+  one band keeps the scalar chain, the faster one for a single row (the
+  point values of ``ferrers_P`` and the long Wynn-limit bands).
 
 Every series has a certified geometric tail bound; one that cannot certify
 its tolerance within the iteration budget raises ConvergenceError.
@@ -129,6 +132,17 @@ _BIG = 2.0 ** 500          # Ferrers mantissas are rescaled by this power of
 _TINY = 1.0 / _BIG         # two to stay within [_TINY, _BIG], exactly
 
 
+def _ferrers_offset(mu, x: float, count: int):
+    """Check x and count; log of the seeds' (sin(theta)/2)^mu / Gamma(1+mu)."""
+    if not -1.0 + SING_TOL < x < 1.0 - SING_TOL:
+        raise DomainError(
+            f"Ferrers functions require |x| < 1 - {SING_TOL}, got {x}")
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    return (0.5 * mu * (math.log1p(-x) + math.log1p(x))
+            - mu * math.log(2.0) - gammaln(1.0 + mu))
+
+
 def ferrers_P_sequence(nu0: float, mu: float, x: float,
                        count: int) -> tuple[np.ndarray, np.ndarray]:
     """(m, L) with P_{nu0+k}^{-mu}(x) = m[k] e^{L[k]}, k = 0..count-1: a
@@ -144,11 +158,7 @@ def ferrers_P_sequence(nu0: float, mu: float, x: float,
     relative error grows with the dominant/minimal ratio, but there P itself
     is exponentially small by the same factor.
     """
-    if not -1.0 + SING_TOL < x < 1.0 - SING_TOL:
-        raise DomainError(
-            f"Ferrers functions require |x| < 1 - {SING_TOL}, got {x}")
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    L = np.full(count, _ferrers_offset(mu, x, count))
     if nu0 - mu >= 2.0:
         raise DomainError("sequence seeds need nu0 - mu < 2")
     seeds = []
@@ -158,8 +168,6 @@ def ferrers_P_sequence(nu0: float, mu: float, x: float,
         seeds.append(_hyp_series(a, mu + nu + 1.0, 1.0 + mu, 0.5 * (1.0 - x))[0])
     m = np.empty(count)
     m[:len(seeds)] = seeds
-    L = np.full(count, 0.5 * mu * (math.log1p(-x) + math.log1p(x))
-                - mu * math.log(2.0) - gammaln(1.0 + mu))
     a, b = seeds[0], seeds[-1]
     for k in range(2, count):
         nu = nu0 + (k - 1)
@@ -172,18 +180,51 @@ def ferrers_P_sequence(nu0: float, mu: float, x: float,
     return m, L
 
 
-def ferrers_band(mu: float, x1: float, x2: float, count: int,
+def _ferrers_chains(mu: np.ndarray, x: float,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`ferrers_P_sequence(mu, mu, x, count)`, or a row of it per entry of a
+    1-D mu from one loop that repeats its operations (seeds F = 1 and
+    1 - (2 mu + 2)/(1 + mu) (1 - x)/2).  No pair max(|m_{k-1}|, |m_k|)
+    grows over 3-fold or shrinks by more than c2 / (|c1| + c3) a step, so
+    the bands are checked only where that allows a rescaling."""
+    if mu.ndim == 0:
+        return ferrers_P_sequence(float(mu), float(mu), x, count)
+    m, L = np.ones((mu.size, count)), np.empty((mu.size, count))
+    L[:] = _ferrers_offset(mu, x, count)[:, None]
+    w = 0.5 * (1.0 - x)
+    m[:, 1:2] = (1.0 - (mu + (mu + 1.0) + 1.0) / (1.0 + mu) * w)[:, None]
+    nu = np.add.outer(np.arange(1.0, count - 1), mu)    # degree nu0 + k - 1
+    c1, c2, c3 = (2.0 * nu + 1.0) * x, nu - mu, nu + mu + 1.0
+    shrink = 0.5 * (c2 / (np.abs(c1) + c3)).min(axis=1, initial=1.0)
+    a, b, t, top, low = m[:, 0], m[:, :2][:, -1], np.empty(mu.size), math.inf, 0.0
+    for k, (s1, s2, s3, f) in enumerate(zip(c1, c2, c3, shrink.tolist()), 2):
+        np.subtract(np.multiply(s1, b, out=t), s2 * a, out=t)
+        a, b, top, low = b, np.divide(t, s3, out=m[:, k]), 4.0 * top, f * low
+        if not (top <= _BIG and low >= _TINY):
+            big, tiny = np.abs(b) > _BIG, (np.abs(b) < _TINY) & (np.abs(a) < _TINY)
+            if big.any() or tiny.any():
+                s = np.where(big, _TINY, np.where(tiny, _BIG, 1.0))
+                a, b[:] = a * s, b * s
+                L[:, k:] -= (big * math.log(_TINY) + tiny * math.log(_BIG))[:, None]
+            pair = np.maximum(np.abs(a), np.abs(b))
+            top, low = pair.max(initial=0.0), pair.min(initial=math.inf)
+    return m, L
+
+
+def ferrers_band(mu, x1: float, x2: float, count: int,
                  log_factor=0.0) -> np.ndarray:
     """[G(lam+mu+1)/G(lam-mu+1) P_lam^{-mu}(x1) P_lam^{-mu}(x2) e^{log_factor}
-    for lam = mu + k, k = 0..count-1].
+    for lam = mu + k, k = 0..count-1], or a row per entry of a 1-D array mu.
 
     Assembled in logs from the chains' mantissas and offsets, because the
     gamma ratio alone leaves float range at large mu while the product
     stays small; `log_factor` (a scalar or one value per degree) enters the
     same exponential.  With x2 == x1 the one chain serves both factors.
     """
-    m1, L1 = ferrers_P_sequence(mu, mu, x1, count)
-    m2, L2 = (m1, L1) if x2 == x1 else ferrers_P_sequence(mu, mu, x2, count)
+    mu = np.asarray(mu, dtype=float)
+    m1, L1 = _ferrers_chains(mu, x1, count)
+    m2, L2 = (m1, L1) if x2 == x1 else _ferrers_chains(mu, x2, count)
+    mu = mu[..., None]                     # one row per band
     lam = mu + np.arange(count)
     lgr = gammaln(lam + mu + 1.0) - gammaln(lam - mu + 1.0)
     with np.errstate(divide="ignore"):     # a zero of P: log 0 = -inf, term 0

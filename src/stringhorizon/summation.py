@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import SlowConvergenceError
+from .errors import DomainError, SlowConvergenceError
 
 __all__ = [
     "sum_l",
@@ -90,14 +90,16 @@ def wynn_limit(terms_fn, tol: float) -> tuple[float, float, int]:
         n *= 2
 
 
-def sum_l(terms_fn, tol: float,
-          rate: float | None = None) -> tuple[float, float, int]:
+def sum_l(terms_fn, tol: float, rate: float | None = None):
     """(value, tail, lmax) of sum_{l=0}^{lmax} t_l, terms_fn(n) giving
     t_0..t_{n-1}.  With a rate (|t_l| ~ e^{-rate l}) the terms are summed
     directly: lmax = ceil(ln(1/tol)/rate) + 10, capped at 100,000
     (SlowConvergenceError), and tail = 10 max|last three terms| r/(1 - r),
-    r = e^{-rate}.  With rate=None it is `wynn_limit` on as many terms as
-    the limit needs."""
+    r = e^{-rate}; 2-D terms give one such sum per row, value and tail as
+    lists.  With rate=None it is `wynn_limit` on as many terms as the limit
+    needs.  DomainError unless 0 < tol < 1."""
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     if rate is None:
         value, err, n = wynn_limit(terms_fn, tol)
         return value, err, n - 1
@@ -109,8 +111,8 @@ def sum_l(terms_fn, tol: float,
             f"truncation {lmax} exceeds cap 100000 (rate={rate}, tol={tol})")
     terms = terms_fn(lmax + 1)
     r = math.exp(-rate)
-    amp = max(abs(float(t)) for t in terms[-3:])
-    return float(terms.sum()), 10.0 * amp * r / (1.0 - r), lmax
+    amp = np.abs(terms[..., -3:]).max(axis=-1)
+    return terms.sum(axis=-1).tolist(), (10.0 * amp * r / (1.0 - r)).tolist(), lmax
 
 
 def richardson_table(vals) -> list[np.ndarray]:

@@ -2,12 +2,15 @@
 and cross-representation agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from stringhorizon import conespace as cs
 from stringhorizon import specfun
+from stringhorizon.blackhole import DeficitGeometry, horizon_green
 from stringhorizon.conespace import (ConePoint, SeparationInvariants,
                                      bessel_integral_lhs, g3_axisym_integral,
                                      g3_cylindrical_Qsum, g3_linet,
@@ -17,7 +20,9 @@ from stringhorizon.conespace import (ConePoint, SeparationInvariants,
                                      generalized_heine_rhs, heine_double_sum)
 from stringhorizon.errors import (CoincidenceError, DomainError,
                                   SlowConvergenceError)
+from stringhorizon.identities import check_heine_generalized
 from stringhorizon.specfun import legendre_Q
+from stringhorizon.summation import sum_l, sum_m_bands
 
 P1 = ConePoint("spherical", (1.0, 1.1, 0.3), tau=0.2)
 P2 = ConePoint("spherical", (1.6, 0.8, 1.1), tau=-0.1)
@@ -305,7 +310,8 @@ def test_g3_coincidence_and_slow_convergence_guards():
 def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
     # Q_lam(zeta) depends on lam alone: bands whose mu differ by integers
     # read one chain, rebuilt at double length as the bands climb; at an
-    # irrational alpha every band starts its own
+    # irrational alpha every band computed starts its own, and bands are
+    # computed ahead, at most to the end of the last block begun
     starts = []
     chain = specfun.legendre_Qbar_axis_sequence
 
@@ -319,11 +325,91 @@ def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
     rhs = generalized_heine_rhs(alpha, math.pi / 2, math.pi / 2, 0.3, 0.05)
     assert value == pytest.approx(rhs, rel=1e-6)
     if lattices is None:
-        assert starts == [m / alpha for m in range(mmax + 1)]
+        built, size = 0, min(400, math.ceil(1.25 * alpha * math.log(1e7) / 0.05) + 2)
+        while built <= mmax:
+            built, size = min(built + size, 400), max(4, size // 2)
+        assert starts == [m / alpha for m in range(len(starts))]
+        assert mmax < len(starts) <= built
     else:
         assert len(set(starts)) == lattices
         rebuilds = math.log2((mmax / alpha + lmax + 1) / (lmax + 1))
         assert len(starts) <= lattices * (2 + rebuilds) < mmax / 10
+
+
+def _heine_per_band(alpha, theta, theta_p, dphi, zeta, tol):
+    """The generalized Heine sum band by band: `sum_m_bands` over `sum_l` of
+    the scalar band, with one log-Q chain per lattice of degrees, rebuilt
+    at double length as the bands climb."""
+    x1, x2 = math.cos(theta), math.cos(theta_p)
+    xi = math.acosh(zeta)
+    chains = {}
+
+    def terms(mu, count):
+        mu0 = next((c for c in chains if abs(mu - c - round(mu - c))
+                    <= 1e-12 * (1.0 + mu)), mu)
+        j = round(mu - mu0)
+        log_qbar = chains.setdefault(mu0, np.empty(0))
+        if j + count > log_qbar.size:
+            n = max(2 * log_qbar.size, j + count)
+            log_qbar = chains[mu0] = np.log(specfun.legendre_Qbar_axis_sequence(
+                mu0, 0.0, zeta, n, log_scale=-xi)) - xi * np.arange(n)
+        lam = mu + np.arange(count)
+        log_q = log_qbar[j:j + count] + gammaln(lam + 1.0) - gammaln(lam + 1.5)
+        return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
+
+    lmax = None
+
+    def band(m):
+        nonlocal lmax
+        value, tail, lmax = sum_l(lambda n: terms(m / alpha, n), tol, xi)
+        return value, tail
+
+    value, tail, mmax = sum_m_bands(band, tol, dphi)
+    return value, tail, lmax, mmax
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.75, 0.25, 1.0 / math.sqrt(2.0)])
+@pytest.mark.parametrize("chi", [0.5, 0.05])
+@pytest.mark.parametrize("theta,theta_p", [(math.pi / 2, math.pi / 2),
+                                           (1.0, 1.02)])
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+def test_heine_double_sum_equals_per_band_sum(alpha, chi, theta, theta_p, tol):
+    # the blocks of bands, their row sums and the shared Q chains must leave
+    # every number as the band-by-band sum gives it; at chi = 0.05 and
+    # tol = 1e-3 the sum runs past its first block
+    zeta = (math.cos(theta) * math.cos(theta_p)
+            + math.sin(theta) * math.sin(theta_p) * math.cosh(chi))
+    args = (alpha, theta, theta_p, 0.3, zeta, tol)
+    assert heine_double_sum(*args) == _heine_per_band(*args)
+
+
+def test_heine_double_sum_memory_is_bounded():
+    # a block of 254 bands x 702 degrees is built 2^15 terms at a time; built
+    # at once it held 12.8 MB
+    tracemalloc.start()
+    try:
+        heine_double_sum(0.25, math.pi / 2, math.pi / 2, 0.3, math.cosh(0.02),
+                         tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+@pytest.mark.parametrize("call", [
+    lambda: heine_double_sum(1.0, 1.0, 1.0, 0.0, math.nan),
+    lambda: heine_double_sum(1.0, 1.0, 1.0, math.nan, 1.5),
+    lambda: heine_double_sum(1.0, 1.0, 1.0, 0.0, 1.5, tol=0.0),
+    lambda: heine_double_sum(1.0, 1.0, 1.0, 0.0, 1.5, tol=math.nan),
+    lambda: heine_double_sum(1.0, 1.0, 1.0, 0.0, 1.5, tol=2.0),
+    lambda: horizon_green(1.0, 1.0, 0.0, math.nan, DeficitGeometry(1.0)),
+    lambda: check_heine_generalized(1.0, 1.0, 1.0, 0.0, chi=math.nan),
+], ids=["zeta-nan", "dphi-nan", "tol-0", "tol-nan", "tol-2", "eta-nan",
+        "chi-nan"])
+def test_heine_entry_points_reject_bad_input(call):
+    # a DomainError is a StringHorizonError, which a verify case records
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_heine_double_sum_zeta_guard():

@@ -218,6 +218,25 @@ def test_ferrers_band_matches_term_by_term_product(mu):
         assert band[k] == pytest.approx(ref, rel=1e-11, abs=1e-300)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=st.sampled_from([1.0, 0.75, 0.5, 0.25, 1.0 / math.sqrt(2.0)]),
+       first=st.integers(0, 399), bands=st.integers(1, 400),
+       x1=st.floats(-0.99, 0.99), x2=st.one_of(st.none(), st.floats(-0.99, 0.99)),
+       count=st.integers(1, 800), log_factor=st.booleans())
+def test_ferrers_band_rows_equal_scalar_bands(alpha, first, bands, x1, x2,
+                                              count, log_factor):
+    # an array of orders runs one vectorized chain; each row must be the
+    # scalar chain's band bit for bit, with mu up to 1600 so that mantissas
+    # cross 2^+-500
+    mu = np.arange(first, min(first + bands, 400)) / alpha
+    x2 = x1 if x2 is None else x2
+    extra = -0.01 * np.arange(count) if log_factor else 0.0
+    rows = ferrers_band(mu, x1, x2, count, extra)
+    ref = np.array([ferrers_band(v, x1, x2, count, extra) for v in mu.tolist()])
+    assert rows.shape == (mu.size, count)
+    assert np.array_equal(rows, ref)
+
+
 # ----------------------------------------------------------------------
 # Legendre functions on the axis
 # ----------------------------------------------------------------------
