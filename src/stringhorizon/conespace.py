@@ -21,10 +21,10 @@ from scipy.integrate import quad
 from scipy.special import gammaln, ive, kve
 
 from . import specfun
-from .errors import (CoincidenceError, ConvergenceError, DomainError,
-                     QuadratureError, SlowConvergenceError)
+from .errors import (CoincidenceError, DomainError, QuadratureError,
+                     SlowConvergenceError)
 from .specfun import arccosh1p
-from .summation import sum_l, sum_m_bands
+from .summation import MAX_BANDS, sum_l, sum_m_bands
 
 __all__ = [
     "check_alpha",
@@ -41,6 +41,7 @@ __all__ = [
     "g3_spheroidal_sum",
     "heine_double_sum",
     "generalized_heine_rhs",
+    "heine_kernel",
     "linet_kernel",
 ]
 
@@ -156,18 +157,12 @@ def _pair_cyl(x: ConePoint, xp: ConePoint):
     return rho1, z1, rho2, z2, dphi, t1 - t2
 
 
-def _separation2(x: ConePoint, xp: ConePoint, alpha: float, with_tau: bool) -> float:
+def _guard_separation(x: ConePoint, xp: ConePoint, alpha: float, with_tau: bool):
+    check_alpha(alpha)
     rho1, z1, rho2, z2, dphi, dtau = _pair_cyl(x, xp)
     d2 = (z1 - z2) ** 2 + (rho1 - rho2) ** 2 \
         + 2.0 * rho1 * rho2 * alpha * alpha * (1.0 - math.cos(dphi))
-    if with_tau:
-        d2 += dtau * dtau
-    return d2
-
-
-def _guard_separation(x: ConePoint, xp: ConePoint, alpha: float, with_tau: bool):
-    check_alpha(alpha)
-    if _separation2(x, xp, alpha, with_tau) < COINCIDENCE_TOL ** 2:
+    if d2 + (dtau * dtau if with_tau else 0.0) < COINCIDENCE_TOL ** 2:
         raise CoincidenceError("point pair closer than the coincidence guard")
 
 
@@ -208,8 +203,8 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
 
     Returns (value, certified_tail, lmax_used, mmax_used).  Band m falls as
     e^{-m chi/alpha}, cosh chi = (zeta - cos th cos th') / (sin th sin th'):
-    blocks of 1.25 alpha ln(10/tol)/chi + 2 bands (at most 400), then each
-    half the last (at least 4), are built at most 2^15 terms at a time
+    blocks of 1.25 alpha ln(10/tol)/chi + 2 bands (at most MAX_BANDS), then
+    each half the last (at least 4), are built at most 2^15 terms at a time
     ahead of the m-sum, which drops the bands past its stop.  Bands whose
     mu differ by integers read one log-Q chain, started at the first one's
     mu and rebuilt at double length when a later band needs more degrees.
@@ -247,13 +242,13 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
     bands, lmax, stop = [], None, 0     # (value, tail) per band built; block end
-    size = min(400, math.ceil(1.25 * alpha * math.log(10.0 / tol) / chi) + 2)
+    size = min(MAX_BANDS, math.ceil(1.25 * alpha * math.log(10.0 / tol) / chi) + 2)
 
     def band(m: int):
         nonlocal lmax, stop, size
         while len(bands) <= m:
             if len(bands) == stop:      # the next block
-                stop, size = min(stop + size, 400), max(4, size // 2)
+                stop, size = min(stop + size, MAX_BANDS), max(4, size // 2)
             values, tails, lmax = sum_l(lambda n: terms(stop, n), tol, xi)
             bands.extend(zip(values, tails))
         return bands[m]
@@ -262,18 +257,27 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     return value, tail, lmax, mmax
 
 
-def generalized_heine_rhs(alpha: float, theta: float, theta_p: float,
-                          dphi: float, chi: float) -> float:
-    """sinh(chi/alpha) / [sin th sin th' sinh chi (cosh(chi/alpha) - cos dphi)],
-    written in cancellation-free form."""
-    if not chi > 0.0:
-        raise DomainError(f"chi must be positive, got {chi}")
-    ss = math.sin(theta) * math.sin(theta_p)
+def heine_kernel(alpha: float, chi: float, dphi: float, scale: float) -> float:
+    """sinh(chi/alpha) / [scale sinh chi (cosh(chi/alpha) - cos dphi)], the
+    generalized Heine kernel: the last factor as 2 sinh^2(chi/(2 alpha)) +
+    2 sin^2(dphi/2), the ratio by its series where chi/alpha < 1e-8, and
+    CoincidenceError where that factor is below 1e-14 (a null image)."""
     denom = 2.0 * math.sinh(0.5 * chi / alpha) ** 2 + 2.0 * math.sin(0.5 * dphi) ** 2
     if denom < 1e-14:
         raise CoincidenceError("generalized Heine kernel at a null-separated image")
-    ratio = math.sinh(chi / alpha) / math.sinh(chi)
-    return ratio / (ss * denom)
+    if chi / alpha < 1e-8:
+        ratio = (1.0 / alpha) * (1.0 + chi * chi * (1.0 / (alpha * alpha) - 1.0) / 6.0)
+    else:
+        ratio = math.sinh(chi / alpha) / math.sinh(chi)
+    return ratio / (scale * denom)
+
+
+def generalized_heine_rhs(alpha: float, theta: float, theta_p: float,
+                          dphi: float, chi: float) -> float:
+    """`heine_kernel` at scale sin th sin th': `heine_double_sum` in closed form."""
+    if not chi > 0.0:
+        raise DomainError(f"chi must be positive, got {chi}")
+    return heine_kernel(alpha, chi, dphi, math.sin(theta) * math.sin(theta_p))
 
 
 # ----------------------------------------------------------------------
@@ -281,19 +285,12 @@ def generalized_heine_rhs(alpha: float, theta: float, theta_p: float,
 # ----------------------------------------------------------------------
 
 def g4_closed(x: ConePoint, xp: ConePoint, alpha: float) -> float:
-    """Closed form of the 4D Euclidean Green's function on the cone."""
+    """Closed form of the 4D Euclidean Green's function on the cone:
+    `heine_kernel` with scale 8 pi^2 alpha rho rho'."""
     _guard_separation(x, xp, alpha, with_tau=True)
-    rho1, z1, rho2, z2, dphi, dtau = _pair_cyl(x, xp)
-    dcosh = (dtau * dtau + (z1 - z2) ** 2 + (rho1 - rho2) ** 2) / (2.0 * rho1 * rho2)
-    chi = arccosh1p(dcosh)
-    denom = 2.0 * math.sinh(0.5 * chi / alpha) ** 2 + 2.0 * math.sin(0.5 * dphi) ** 2
-    if denom < 1e-14:
-        raise CoincidenceError("null-separated image: cosh(chi/alpha) = cos(dphi)")
-    if chi < 1e-8:
-        ratio = (1.0 / alpha) * (1.0 + chi * chi * (1.0 / (alpha * alpha) - 1.0) / 6.0)
-    else:
-        ratio = math.sinh(chi / alpha) / math.sinh(chi)
-    return ratio / (8.0 * math.pi ** 2 * alpha * rho1 * rho2 * denom)
+    rho1, _, rho2, _, dphi, _ = _pair_cyl(x, xp)
+    chi = SeparationInvariants.from_points(x, xp).chi
+    return heine_kernel(alpha, chi, dphi, 8.0 * math.pi ** 2 * alpha * rho1 * rho2)
 
 
 def g4_modesum_spherical(x: ConePoint, xp: ConePoint, alpha: float,
@@ -375,18 +372,13 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
     return value / (4.0 * math.pi * alpha)
 
 
-def _qsum_u(x: ConePoint, xp: ConePoint):
-    rho1, z1, rho2, z2, dphi, _ = _pair_cyl(x, xp)
-    du = ((z1 - z2) ** 2 + (rho1 - rho2) ** 2) / (2.0 * rho1 * rho2)
-    return rho1, rho2, dphi, 1.0 + du
-
-
 def g3_cylindrical_Qsum(x: ConePoint, xp: ConePoint, alpha: float,
                         tol: float = 1e-8) -> float:
     """3D Green's function as the azimuthal sum of Q_{|m|/alpha - 1/2}(u),
     u = ((z-z')^2 + rho^2 + rho'^2) / (2 rho rho')."""
     _guard_separation(x, xp, alpha, with_tau=False)
-    rho1, rho2, dphi, u = _qsum_u(x, xp)
+    rho1, z1, rho2, z2, dphi, _ = _pair_cyl(x, xp)
+    u = 1.0 + ((z1 - z2) ** 2 + (rho1 - rho2) ** 2) / (2.0 * rho1 * rho2)
     if u <= 1.0 + 1e-12:
         raise CoincidenceError("u = 1: pair on the same azimuthal circle")
 
@@ -495,25 +487,11 @@ def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
 
 def _toroidal_coefficients(alpha, m, w_lt, w_gt, count):
     """c_n = G(n+mu+1/2)/G(n-mu+1/2) P_{n-1/2}^{-mu}(cosh w<) Qhat_{n-1/2}^{-mu}(cosh w>)
-    for n = 0..count-1 (even in n).
-
-    Written as G(n+mu+1/2) * P * Qtilde with the entire Qtilde chain: the
-    G(n-mu+1/2) poles of the ratio cancel against Qhat's gamma factor, so
-    half-odd-integer orders mu are regular here.  Scaled chains keep long
-    sums finite."""
-    mu = m / alpha
-    x_lt, x_gt = math.cosh(w_lt), math.cosh(w_gt)
-    p = specfun.legendre_P_axis_sequence(-0.5, mu, x_lt, count, log_scale=w_lt)
-    qb = specfun.legendre_Qbar_axis_sequence(-0.5, mu, x_gt, count,
-                                             log_scale=-w_gt)
-    n = np.arange(count, dtype=float)
-    # gr * Qhat = [G(n+mu+1/2)/G(n+1)] * Qbar (the G(n-mu+1/2) factors
-    # cancel), in logs: the gamma ratio alone leaves float range at large mu
-    if not (p.all() and qb.all()):     # neither vanishes: a 0 underflowed
-        raise ConvergenceError("axis chain underflowed; order too large")
-    return np.sign(qb) * np.exp(
-        gammaln(n + mu + 0.5) - gammaln(n + 1.0) + np.log(p)
-        + np.log(np.abs(qb)) - n * (w_gt - w_lt))
+    for n = 0..count-1 (even in n): the `specfun.axis_band` at degree n - 1/2,
+    whose Qbar absorbs the G(n-mu+1/2) poles, so half-odd-integer orders mu
+    are regular here."""
+    sign, log_abs = specfun.axis_band(-0.5, m / alpha, w_lt, w_gt, count)
+    return sign * np.exp(log_abs)
 
 
 def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol):
@@ -555,24 +533,16 @@ def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
 def _spheroidal_lsum(alpha, m, th1, th2, s_lt, s_gt, tol):
     """sum_k (2 lam + 1) gr^2 P^{-mu}_lam(cos th) P^{-mu}_lam(cos th')
     P^{-mu}_lam(cosh s<) Qhat^{-mu}_lam(cosh s>), lam = mu + k, by `sum_l`
-    at rate s> - s<, each term the Ferrers band with the scaled axis chains
+    at rate s> - s<, each term the Ferrers band with the `specfun.axis_band`
     as its log factor.  At mu = m/alpha of about 100 the terms still grow at
     that cutoff: SlowConvergenceError when the last three hold the largest."""
     mu = m / alpha
 
     def terms(count):
-        pa = specfun.legendre_P_axis_sequence(mu, mu, math.cosh(s_lt), count,
-                                              log_scale=s_lt)
-        qb = specfun.legendre_Qbar_axis_sequence(mu, mu, math.cosh(s_gt),
-                                                 count, log_scale=-s_gt)
-        if not (pa.all() and qb.all()):   # neither vanishes: a 0 underflowed
-            raise ConvergenceError("axis chain underflowed; order too large")
-        k = np.arange(count, dtype=float)
-        lam = mu + k
+        lam = mu + np.arange(count, dtype=float)
         # gr^2 * Qhat = gr * [G(lam+mu+1) / G(lam+3/2)] * Qbar, gr in the band
-        log_axis = (gammaln(lam + mu + 1.0) - gammaln(lam + 1.5) + np.log(pa)
-                    + np.log(np.abs(qb)) - k * (s_gt - s_lt))
-        t = (2.0 * lam + 1.0) * np.sign(qb) * specfun.ferrers_band(
+        sign, log_axis = specfun.axis_band(mu, mu, s_lt, s_gt, count)
+        t = (2.0 * lam + 1.0) * sign * specfun.ferrers_band(
             mu, math.cos(th1), math.cos(th2), count, log_axis)
         size = np.abs(t)
         if size[-3:].max() == size.max() > 0.0:

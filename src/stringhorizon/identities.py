@@ -63,6 +63,8 @@ class IdentityCase:
 
 def _make_case(name, params, tol, lhs, rhs, tail, lmax=None, mmax=None,
                note="") -> IdentityCase:
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     res_abs = abs(lhs - rhs)
     res_rel = res_abs / abs(rhs) if rhs != 0.0 else math.inf
     scale = max(1.0, abs(rhs))
@@ -83,9 +85,9 @@ def _make_case(name, params, tol, lhs, rhs, tail, lmax=None, mmax=None,
 def check_heine_classic(zeta: float, psi: float,
                         tol: float = 1e-8) -> IdentityCase:
     """sum_l (2l+1) P_l(psi) Q_l(zeta) = 1/(zeta - psi), |psi| < zeta."""
-    if zeta <= 1.0 + 1e-12:
+    if not zeta > 1.0 + 1e-12:
         raise DomainError(f"zeta must exceed 1, got {zeta}")
-    if abs(psi) >= min(1.0, zeta):
+    if not abs(psi) < min(1.0, zeta):
         raise DomainError(f"validity needs |psi| < min(1, zeta), got {psi}")
 
     def terms(count):
@@ -208,7 +210,7 @@ def check_linet_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     if not 0.5 < alpha <= 1.0:
         raise DomainError(f"Linet identity requires alpha in (1/2, 1], got {alpha}")
     dphi = math.remainder(dphi, 2.0 * math.pi)
-    if abs(dphi) >= 2.0 * math.pi - math.pi / alpha - 1e-9:
+    if not abs(dphi) < 2.0 * math.pi - math.pi / alpha - 1e-9:
         raise DomainError(
             "pair outside the single-image window |dphi| < 2 pi - pi/alpha")
     note = ""
@@ -237,15 +239,15 @@ def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
     from the addition theorem.
     """
     check_alpha(alpha)
-    if w <= 0.0 or w_p <= 0.0:
+    if not (w > 0.0 and w_p > 0.0):
         raise DomainError("toroidal coordinates must be positive")
     mu = abs(m) / alpha
     deta = math.remainder(eta - eta_p, 2.0 * math.pi)
     w_lt, w_gt = min(w, w_p), max(w, w_p)
     chi = (math.cosh(w) * math.cosh(w_p) - math.cos(deta)) \
         / (math.sinh(w) * math.sinh(w_p))
-    if chi <= 1.0 + 1e-12:
-        raise DomainError("coincident toroidal pair; RHS divergent")
+    if not chi > 1.0 + 1e-12:
+        raise DomainError(f"coincident toroidal pair (cosh chi = {chi}); RHS divergent")
     note = ""
     if w_gt - w_lt <= 1e-3:
         if abs(deta) < 1e-6:
@@ -270,8 +272,8 @@ def _spheroidal_chi(theta, theta_p, s1, s2):
 
 
 def _spheroidal_lhs_rhs(alpha, m, theta, theta_p, sigma_lt, sigma_gt, tol):
-    if sigma_gt - sigma_lt < 1e-3:
-        raise DomainError("sigma< and sigma> too close; l-sum has no decay")
+    if not sigma_gt - sigma_lt >= 1e-3:
+        raise DomainError(f"sigma> - sigma< = {sigma_gt - sigma_lt}: l-sum has no decay")
     lhs, tail, lmax = _spheroidal_lsum(alpha, m, theta, theta_p, sigma_lt,
                                        sigma_gt, tol)
     mu = abs(m) / alpha
@@ -310,6 +312,9 @@ _AUDIT_POINTS = [
 def spheroidal_ratio_audit(alpha: float, tol: float = 1e-8) -> IdentityCase:
     """LHS/RHS of the printed spheroidal identity over 10 parameter points:
     passes when the ratio is constant; flagged when the constant is not 1."""
+    check_alpha(alpha)
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     ratios = []
     for (m, th, thp, s1, s2) in _AUDIT_POINTS:
         lhs, rhs, _, _ = _spheroidal_lhs_rhs(alpha, m, th, thp, s1, s2, 1e-10)

@@ -18,6 +18,9 @@ Conventions
   from one vectorized degree loop, bit for bit the scalar chains' bands;
   one band keeps the scalar chain, the faster one for a single row (the
   point values of ``ferrers_P`` and the long Wynn-limit bands).
+* ``axis_band`` is its counterpart on the axis, the gamma-ratio x P x Qbar
+  band of the toroidal and spheroidal mode sums, returned as signs and
+  logs; it is the one reader of the axis chains at nonzero order.
 
 Every series has a certified geometric tail bound; one that cannot certify
 its tolerance within the iteration budget raises ConvergenceError.
@@ -45,6 +48,7 @@ __all__ = [
     "legendre_P_axis_sequence",
     "legendre_Qhat_axis",
     "legendre_Qbar_axis_sequence",
+    "axis_band",
     "bessel_IK",
     "arccosh1p",
 ]
@@ -162,10 +166,11 @@ def ferrers_P_sequence(nu0: float, mu: float, x: float,
     if nu0 - mu >= 2.0:
         raise DomainError("sequence seeds need nu0 - mu < 2")
     seeds = []
-    for nu in (nu0, nu0 + 1.0)[:count]:
-        a = mu - nu
+    for k in range(min(count, 2)):      # a = mu - nu, exact at nu0 = mu
+        a = (mu - nu0) - k
         a = float(round(a)) if abs(a - round(a)) < 5e-13 and a < 0.5 else a
-        seeds.append(_hyp_series(a, mu + nu + 1.0, 1.0 + mu, 0.5 * (1.0 - x))[0])
+        seeds.append(_hyp_series(a, mu + (nu0 + k) + 1.0, 1.0 + mu,
+                                 0.5 * (1.0 - x))[0])
     m = np.empty(count)
     m[:len(seeds)] = seeds
     a, b = seeds[0], seeds[-1]
@@ -382,6 +387,23 @@ def legendre_P_axis_sequence(nu0: float, mu: float, x: float, count: int,
         out[k] = ((2.0 * nu + 1.0) * x * out[k - 1] * e1
                   - (nu - mu) * out[k - 2] * e2) / (nu + mu + 1.0)
     return out
+
+
+def axis_band(nu0: float, mu: float, s_lt: float, s_gt: float,
+              count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log|band|) of [G(nu+mu+1)/G(nu+3/2) P_nu^{-mu}(cosh s<)
+    Qbar_nu^{-mu}(cosh s>), nu = nu0 + k, k < count], the axis counterpart
+    of `ferrers_band`: chains scaled by e^{-k s<} and e^{k s>}, unscaled in
+    logs.  A 0 in either chain (an underflow) raises ConvergenceError."""
+    p = legendre_P_axis_sequence(nu0, mu, math.cosh(s_lt), count, log_scale=s_lt)
+    qb = legendre_Qbar_axis_sequence(nu0, mu, math.cosh(s_gt), count,
+                                     log_scale=-s_gt)
+    if not (p.all() and qb.all()):
+        raise ConvergenceError("axis chain underflowed; order too large")
+    k = np.arange(count, dtype=float)
+    nu = nu0 + k
+    return np.sign(qb), (gammaln(nu + mu + 1.0) - gammaln(nu + 1.5) + np.log(p)
+                         + np.log(np.abs(qb)) - k * (s_gt - s_lt))
 
 
 # ----------------------------------------------------------------------

@@ -19,11 +19,14 @@ import numpy as np
 from .errors import DomainError, SlowConvergenceError
 
 __all__ = [
+    "MAX_BANDS",
     "sum_l",
     "sum_m_bands",
     "wynn_limit",
     "richardson_table",
 ]
+
+MAX_BANDS = 400           # the most m-bands any azimuthal sum takes
 
 
 def sum_m_bands(band_fn, tol: float,
@@ -34,13 +37,13 @@ def sum_m_bands(band_fn, tol: float,
     band_fn(m) returns (B_m, tail_m): the unweighted band and the tail of
     its own inner sum (0.0 when it tracks none).  The sum stops once three
     successive weighted bands with m > 0 each fall below tol/10, and raises
-    SlowConvergenceError if 400 bands do not settle.
+    SlowConvergenceError if MAX_BANDS bands do not settle.
 
     Returns (value, sum of band tails + 10 |last weighted band|, last m).
     """
     total = tails = 0.0
     small = 0
-    for m in range(400):
+    for m in range(MAX_BANDS):
         band, tail = band_fn(m)
         if m > 0:
             band = 2.0 * math.cos(m * dphi) * band
@@ -54,7 +57,7 @@ def sum_m_bands(band_fn, tol: float,
         else:
             small = 0
     raise SlowConvergenceError(
-        f"m-band sum did not settle within 400 bands (tol={tol})")
+        f"m-band sum did not settle within {MAX_BANDS} bands (tol={tol})")
 
 
 def _wynn(sums: np.ndarray) -> float:
@@ -103,7 +106,7 @@ def sum_l(terms_fn, tol: float, rate: float | None = None):
     if rate is None:
         value, err, n = wynn_limit(terms_fn, tol)
         return value, err, n - 1
-    if rate <= 0.0:
+    if not rate > 0.0:
         raise SlowConvergenceError(f"no geometric decay (rate={rate})")
     lmax = int(math.ceil(math.log(1.0 / tol) / rate)) + 10
     if lmax > 100_000:

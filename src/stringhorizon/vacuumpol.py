@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackhole import DeficitGeometry, g_sing
-from .conespace import check_alpha
+from .conespace import check_alpha, heine_kernel
 from .errors import DomainError, ExtrapolationError
 from .specfun import arccosh1p
 from .summation import richardson_table
@@ -75,10 +75,7 @@ def _bracket(epsilon: float, theta: float, geometry: DeficitGeometry) -> float:
     alpha, M = geometry.alpha, geometry.M
     s2 = math.sin(theta) ** 2
     dcosh = epsilon / (M * s2)            # cosh(chi) - 1
-    chi = arccosh1p(dcosh)
-    # kernel = sinh(chi/alpha) / [sinh(chi) (cosh(chi/alpha) - 1)], stable
-    kernel = (math.sinh(chi / alpha) / math.sinh(chi)
-              / (2.0 * math.sinh(0.5 * chi / alpha) ** 2))
+    kernel = heine_kernel(alpha, arccosh1p(dcosh), 0.0, 1.0)
     G = kernel / (32.0 * math.pi ** 2 * M * M * alpha * s2)
     return G - g_sing(epsilon, geometry)
 

@@ -4,6 +4,7 @@ and cross-representation agreement."""
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -22,7 +23,7 @@ from stringhorizon.errors import (CoincidenceError, DomainError,
                                   SlowConvergenceError)
 from stringhorizon.identities import check_heine_generalized
 from stringhorizon.specfun import legendre_Q
-from stringhorizon.summation import sum_l, sum_m_bands
+from stringhorizon.summation import MAX_BANDS, sum_l, sum_m_bands
 
 P1 = ConePoint("spherical", (1.0, 1.1, 0.3), tau=0.2)
 P2 = ConePoint("spherical", (1.6, 0.8, 1.1), tau=-0.1)
@@ -150,7 +151,8 @@ def test_g4_closed_at_zero_chi(alpha):
     assert SeparationInvariants.from_points(a, b).chi == 0.0
     g0 = g4_closed(a, b, alpha)
     assert math.isfinite(g0) and g0 > 0.0
-    # z moved by 1.3e-6 gives chi = 1e-6, above the switch at 1e-8
+    # z moved by 1.3e-6 gives chi = 1e-6: chi/alpha is above the series
+    # switch at 1e-8
     near = ConePoint("cylindrical", (1.3, 0.4 + 1.3e-6, 1.9), tau=0.1)
     assert SeparationInvariants.from_points(a, near).chi > 1e-8
     assert g0 == pytest.approx(g4_closed(a, near, alpha), rel=1e-9)
@@ -169,6 +171,22 @@ def test_g4_small_chi_expansion_coefficients():
         assert coef[0] == pytest.approx(2.0 * alpha, rel=1e-6)
         assert coef[1] == pytest.approx(1.0 / (6.0 * alpha) - alpha / 3.0,
                                         rel=1e-5)
+
+
+@pytest.mark.parametrize("alpha", [1e-7, 6e-8])
+def test_g4_closed_small_alpha_against_mpmath(alpha):
+    # chi = 9.9e-9 but chi/alpha = 0.1 or more: the kernel takes the sinh
+    # ratio there, not the chi -> 0 series (which was 8e-7 and 6e-6 off)
+    a = ConePoint("cylindrical", (1.0, 0.0, 0.0))
+    b = ConePoint("cylindrical", (1.0 + 9.9e-9, 0.0, 3.0))
+    with mpmath.workdps(50):
+        r1, r2 = mpmath.mpf(1.0), mpmath.mpf(1.0 + 9.9e-9)
+        al = mpmath.mpf(alpha)
+        chi = mpmath.acosh(1 + (r1 - r2) ** 2 / (2 * r1 * r2))
+        ref = (mpmath.sinh(chi / al) / mpmath.sinh(chi)
+               / (mpmath.cosh(chi / al) - mpmath.cos(3))
+               / (8 * mpmath.pi ** 2 * al * r1 * r2))
+    assert g4_closed(a, b, alpha) == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_g4_modesum_matches_closed():
@@ -325,9 +343,10 @@ def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
     rhs = generalized_heine_rhs(alpha, math.pi / 2, math.pi / 2, 0.3, 0.05)
     assert value == pytest.approx(rhs, rel=1e-6)
     if lattices is None:
-        built, size = 0, min(400, math.ceil(1.25 * alpha * math.log(1e7) / 0.05) + 2)
+        built = 0
+        size = min(MAX_BANDS, math.ceil(1.25 * alpha * math.log(1e7) / 0.05) + 2)
         while built <= mmax:
-            built, size = min(built + size, 400), max(4, size // 2)
+            built, size = min(built + size, MAX_BANDS), max(4, size // 2)
         assert starts == [m / alpha for m in range(len(starts))]
         assert mmax < len(starts) <= built
     else:

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from stringhorizon.cli import _load_manifest
 from stringhorizon.conespace import _toroidal_coefficients
 from stringhorizon.errors import (ConvergenceError, DomainError,
                                   SlowConvergenceError)
-from stringhorizon.identities import (check_app5, check_heine_classic,
+from stringhorizon.identities import (CHECKS, check_app5,
+                                      check_heine_classic,
                                       check_heine_generalized,
                                       check_linet_sum, check_norm_integral,
                                       check_spheroidal_sum,
@@ -306,6 +308,23 @@ def test_run_case_records_errors():
                                "dphi": 1.0}})
     assert not rec["passed"]
     assert rec["error"].startswith("DomainError")
+
+
+def test_run_case_records_nan_parameters_as_domain_errors():
+    # each float parameter of the first manifest case of every check, and
+    # its tol, set to NaN: a DomainError record, never a traceback, a NaN
+    # record or a run of the sum to its band cap
+    firsts = {}
+    for case in _load_manifest(None):
+        firsts.setdefault(case["check"], case)
+    assert set(firsts) == set(CHECKS)
+    for name, case in firsts.items():
+        floats = {k for k, v in case["params"].items() if isinstance(v, float)}
+        floats.add("tol")
+        for key in sorted(floats):
+            rec = run_case({"check": name,
+                            "params": dict(case["params"], **{key: math.nan})})
+            assert rec.get("error", "").startswith("DomainError"), (name, key, rec)
 
 
 def test_run_case_records_overflow():

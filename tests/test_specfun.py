@@ -227,8 +227,10 @@ def test_ferrers_band_rows_equal_scalar_bands(alpha, first, bands, x1, x2,
                                               count, log_factor):
     # an array of orders runs one vectorized chain; each row must be the
     # scalar chain's band bit for bit, with mu up to 1600 so that mantissas
-    # cross 2^+-500
-    mu = np.arange(first, min(first + bands, 400)) / alpha
+    # cross 2^+-500, and at one mu where mu + 1 rounds (the second seed's
+    # a = mu - nu is exactly -1 on both paths)
+    mu = np.append(np.arange(first, min(first + bands, 400)) / alpha,
+                   16383.749999999998)
     x2 = x1 if x2 is None else x2
     extra = -0.01 * np.arange(count) if log_factor else 0.0
     rows = ferrers_band(mu, x1, x2, count, extra)
@@ -511,6 +513,46 @@ def test_Qbar_chain_near_singular_point_raises(mu):
     # the bottom series value cannot be certified this close to x = 1
     with pytest.raises(ConvergenceError):
         legendre_Qbar_axis_sequence(0.0, mu, 1.0 + 1e-11, 3)
+
+
+# ----------------------------------------------------------------------
+# the axis band of the toroidal and spheroidal mode sums
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("nu0,mu", [(-0.5, 4.0 / 3.0), (-0.5, 1.0),
+                                    (1.0, 1.0), (2.0, 2.0)])
+def test_axis_band_is_the_term_by_term_product(nu0, mu):
+    # G(nu+mu+1)/G(nu-mu+1) P_nu^{-mu}(cosh s<) Qhat_nu^{-mu}(cosh s>), each
+    # factor a point value: the chains' scales e^{-k s<}, e^{k s>} cancel
+    s_lt, s_gt, count = 0.7, 1.3, 12
+    sign, log_abs = specfun.axis_band(nu0, mu, s_lt, s_gt, count)
+    for k in range(count):
+        nu = nu0 + k
+        lg, sg = gamma_ratio_signed(nu + mu + 1.0, nu - mu + 1.0)
+        ref = (sg * math.exp(lg)
+               * legendre_P_axis_sequence(nu, mu, math.cosh(s_lt), 1)[0]
+               * legendre_Qhat_axis(nu, mu, math.cosh(s_gt)))
+        assert sign[k] * math.exp(log_abs[k]) == pytest.approx(ref, rel=1e-12)
+
+
+def test_axis_band_regular_at_half_odd_order():
+    # at mu = 3/2 and nu0 = -1/2, G(nu-mu+1) has poles at k = 0, 1 that Qbar
+    # absorbs: the rows are finite and move by O(1e-9) as mu moves by 1e-9
+    def band(mu):
+        sign, log_abs = specfun.axis_band(-0.5, mu, 0.9, 1.4, 10)
+        return sign * np.exp(log_abs)
+    mid = band(1.5)
+    assert np.isfinite(mid).all() and (mid != 0.0).all()
+    for mu in (1.5 - 1e-9, 1.5 + 1e-9):
+        np.testing.assert_allclose(band(mu), mid, rtol=1e-7)
+
+
+@pytest.mark.filterwarnings("error")
+def test_axis_band_raises_where_a_chain_underflows():
+    # P_nu^{-300}(cosh 0.1) is about sinh(0.1)^300 / (2^300 300!): below
+    # the smallest subnormal, so the chain holds a 0
+    with pytest.raises(ConvergenceError, match="underflowed"):
+        specfun.axis_band(-0.5, 300.0, 0.1, 0.5, 4)
 
 
 # ----------------------------------------------------------------------

@@ -123,8 +123,9 @@ def test_sum_l_cap_and_no_decay_raise():
     # ln(1e8)/1e-4 + 10 is about 184,217 > 100,000
     with pytest.raises(SlowConvergenceError):
         sum_l(terms, 1e-8, 1e-4)
-    with pytest.raises(SlowConvergenceError):
-        sum_l(terms, 1e-8, 0.0)
+    for rate in (0.0, math.nan):
+        with pytest.raises(SlowConvergenceError):
+            sum_l(terms, 1e-8, rate)
 
 
 def test_sum_l_without_rate_is_the_wynn_limit():
