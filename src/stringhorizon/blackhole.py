@@ -4,16 +4,19 @@ function, horizon-limited Green's function, and geometric subtraction terms.
 Radial variable: eta = r/M - 1, horizon at eta = 1.  The n = 0 radial
 solutions are Legendre P_lambda / Q_lambda of eta; for n != 0 the equation
 is integrated numerically between a Frobenius start at the horizon
-(indicial exponents +-|n|/2) and a decaying start at an outer boundary.
+(indicial exponents +-|n|/2) and a decaying start at an outer boundary,
+by a DOP853 stepper on Python floats.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from . import specfun
 from .conespace import check_alpha, generalized_heine_rhs, heine_double_sum
@@ -78,6 +81,7 @@ def lambda_of(l: int, m: int, alpha: float) -> float:
 # ----------------------------------------------------------------------
 
 _FROBENIUS_T = 1e-4     # eta - 1 below which p is its Frobenius series
+_Q_T_MIN = 1e-6         # eta - 1 where the inward solve of q ends
 
 
 def frobenius_coefficients(n: int, lam: float, exponent: float,
@@ -107,13 +111,154 @@ def frobenius_coefficients(n: int, lam: float, exponent: float,
     return np.asarray(a)
 
 
-def _radial_rhs(sv, y, n, lam):
-    # u(s) = chi(1 + e^s):  (1 + 2 e^{-s}) u'' + u' = V(s) u
-    t = math.exp(sv)
-    V = lam * (lam + 1.0) + n * n * (2.0 + t) ** 4 / (16.0 * t * (t + 2.0))
-    u, up = y
-    upp = (V * u - up) / (1.0 + 2.0 / t)
-    return (up, upp)
+def _radial_rhs(n, lam):
+    """(u', u'') of the radial equation in s = ln(eta - 1), u(s) = chi(1 + e^s):
+    (1 + 2 e^{-s}) u'' + u' = V(s) u."""
+    ll = lam * (lam + 1.0)
+    n2 = n * n
+
+    def rhs(sv, u, up):
+        t = math.exp(sv)
+        V = ll + n2 * (2.0 + t) ** 4 / (16.0 * t * (t + 2.0))
+        return up, (V * u - up) / (1.0 + 2.0 / t)
+    return rhs
+
+
+# ----------------------------------------------------------------------
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) on floats
+# ----------------------------------------------------------------------
+
+_RTOL, _ATOL = 1e-11, 1e-300
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0     # the error estimator has order 7
+
+
+@functools.cache
+def _dop853_tableau():
+    """scipy's DOP853 coefficients as floats: C, the rows A[s, :s] of all 16
+    stages, B, E3, E5 and the interpolant's D."""
+    from scipy.integrate._ivp import dop853_coefficients as c
+    rows = tuple(tuple(c.A[s, :s].tolist()) for s in range(c.N_STAGES_EXTENDED))
+    return (tuple(c.C.tolist()), rows, tuple(c.B.tolist()), tuple(c.E3.tolist()),
+            tuple(c.E5.tolist()), tuple(tuple(r) for r in c.D.tolist()))
+
+
+def _rms(a, b):
+    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+
+
+class _Dop853:
+    """(u, u') from s0 to s1 by the steps of scipy's DOP853 integrator at
+    rtol 1e-11, atol 1e-300, on two Python floats: the same initial step,
+    RMS error norm with its E3/E5 correction, and step control.  Calling it
+    at s in [s0, s1] evaluates the 7th-order interpolant of the step holding
+    s (at a step boundary, the step that ends there), built on first use.
+    A non-finite state or error norm, or a step below 10 ulp, raises
+    StiffnessError."""
+
+    def __init__(self, rhs, s0, s1, y0, label):
+        _, _, B, E3, E5, _ = self._tableau = _dop853_tableau()
+        self._rhs = rhs
+        self._dir = d = 1.0 if s1 >= s0 else -1.0
+        t, (u, up) = s0, y0
+        fu, fp = rhs(t, u, up)
+        h_abs = self._initial_step(t, u, up, fu, fp, s1)
+        self.ts, self._ys, self._k, self._dense = [t], [(u, up)], [], {}
+        while d * (t - s1) < 0.0:
+            min_step = 10.0 * abs(math.nextafter(t, d * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StiffnessError(
+                        f"{label} integration failed: the step fell below 10 ulp "
+                        f"at eta - 1 = {math.exp(t):.6g}")
+                t_new = t + h_abs * d
+                if d * (t_new - s1) > 0.0:
+                    t_new = s1
+                h = t_new - t
+                h_abs = abs(h)
+                ku, kp = self._stages_to(12, t, h, u, up, [fu], [fp])
+                u1 = u + h * sum(map(mul, B, ku))
+                up1 = up + h * sum(map(mul, B, kp))
+                fu1, fp1 = rhs(t + h, u1, up1)
+                ku.append(fu1)
+                kp.append(fp1)
+                su = _ATOL + max(abs(u), abs(u1)) * _RTOL
+                sp = _ATOL + max(abs(up), abs(up1)) * _RTOL
+                e5u, e5p = sum(map(mul, E5, ku)) / su, sum(map(mul, E5, kp)) / sp
+                e3u, e3p = sum(map(mul, E3, ku)) / su, sum(map(mul, E3, kp)) / sp
+                e5, e3 = e5u * e5u + e5p * e5p, e3u * e3u + e3p * e3p
+                err = 0.0 if e5 == 0.0 and e3 == 0.0 else (
+                    h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0))
+                if not all(map(math.isfinite, (u1, up1, fu1, fp1, err))):
+                    raise StiffnessError(
+                        f"{label} integration overflowed near eta - 1 = "
+                        f"{math.exp(t):.6g}")
+                if err < 1.0:
+                    factor = _MAX_FACTOR if err == 0.0 else min(
+                        _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                rejected = True
+            self._k.append((ku, kp))
+            t, u, up, fu, fp = t_new, u1, up1, fu1, fp1
+            self.ts.append(t)
+            self._ys.append((u, up))
+        self._keys = [d * x for x in self.ts]
+
+    def _initial_step(self, t, u, up, fu, fp, s1):
+        """scipy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4)."""
+        length = abs(s1 - t)
+        su, sp = _ATOL + abs(u) * _RTOL, _ATOL + abs(up) * _RTOL
+        d0, d1 = _rms(u / su, up / sp), _rms(fu / su, fp / sp)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+        hd = h0 * self._dir
+        gu, gp = self._rhs(t + hd, u + hd * fu, up + hd * fp)
+        d2 = _rms((gu - fu) / su, (gp - fp) / sp) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+        return min(100.0 * h0, h1, length)
+
+    def _stages_to(self, stop, t, h, u, up, ku, kp):
+        """Append the stages len(ku) .. stop - 1 of the step (t, h) from
+        (u, up) to the stage lists ku, kp and return them."""
+        C, A = self._tableau[:2]
+        for s in range(len(ku), stop):
+            a = A[s]
+            gu, gp = self._rhs(t + C[s] * h, u + sum(map(mul, a, ku)) * h,
+                               up + sum(map(mul, a, kp)) * h)
+            ku.append(gu)
+            kp.append(gp)
+        return ku, kp
+
+    def _interpolant(self, i):
+        """(y, F[0..6]) of step i per component, F[3..6] from the three
+        extra stages of the extended tableau."""
+        if i not in self._dense:
+            t, h = self.ts[i], self.ts[i + 1] - self.ts[i]
+            (u, up), (u1, up1) = self._ys[i], self._ys[i + 1]
+            ku, kp = self._stages_to(16, t, h, u, up, *self._k[i])
+            self._dense[i] = tuple(
+                (y, dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
+                 *(h * sum(map(mul, row, k)) for row in self._tableau[5]))
+                for y, dy, k in ((u, u1 - u, ku), (up, up1 - up, kp)))
+        return self._dense[i]
+
+    def __call__(self, s):
+        i = max(bisect.bisect_left(self._keys, self._dir * s) - 1, 0)
+        h = self.ts[i + 1] - self.ts[i]
+        x = (s - self.ts[i]) / h
+        out = []
+        for y0, *F in self._interpolant(i):
+            y = 0.0
+            for j in range(6, -1, -1):      # odd j multiply by 1 - x
+                y = (y + F[j]) * (x if j % 2 == 0 else 1.0 - x)
+            out.append(y + y0)
+        return out
 
 
 @dataclass
@@ -136,13 +281,19 @@ class RadialSolutionPair:
         if not 1.0 < eta <= self.eta_max:
             raise DomainError(f"eta = {eta} outside (1, {self.eta_max}]")
 
+    def _check_q(self, eta):
+        self._check(eta)
+        if eta - 1.0 < _Q_T_MIN:
+            raise DomainError(
+                f"q is integrated down to eta - 1 = {_Q_T_MIN:g}, got eta = {eta}")
+
     def p(self, eta: float) -> float:
         self._check(eta)
         t = eta - 1.0
         if t < _FROBENIUS_T:
             ks = np.arange(self._series.size)
             return float(np.sum(self._series * t ** (abs(self.n) / 2.0 + ks)))
-        return float(self._p_sol.sol(math.log(t))[0])
+        return self._p_sol(math.log(t))[0]
 
     def dp(self, eta: float) -> float:
         self._check(eta)
@@ -151,16 +302,16 @@ class RadialSolutionPair:
             ks = np.arange(self._series.size)
             e = abs(self.n) / 2.0 + ks
             return float(np.sum(self._series * e * t ** (e - 1.0)))
-        return float(self._p_sol.sol(math.log(t))[1]) / t
+        return self._p_sol(math.log(t))[1] / t
 
     def q(self, eta: float) -> float:
-        self._check(eta)
-        return float(self._q_sol.sol(math.log(eta - 1.0))[0]) / self._q_norm
+        self._check_q(eta)
+        return self._q_sol(math.log(eta - 1.0))[0] / self._q_norm
 
     def dq(self, eta: float) -> float:
-        self._check(eta)
+        self._check_q(eta)
         t = eta - 1.0
-        return float(self._q_sol.sol(math.log(t))[1]) / t / self._q_norm
+        return self._q_sol(math.log(t))[1] / t / self._q_norm
 
 
 def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None,
@@ -169,9 +320,10 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
 
     p starts from an 8-term Frobenius series at eta = 1 + 1e-4 and integrates
     outward; q starts from the decaying large-eta behavior e^{-|n| eta/4}/eta
-    at eta_max and integrates inward, then is rescaled so its fitted
-    (eta-1)^{-|n|/2} coefficient is 1.  The equation is integrated in
-    s = ln(eta - 1), where the horizon endpoint is regular.
+    at eta_max and integrates inward to eta = 1 + 1e-6, then is rescaled so
+    its fitted (eta-1)^{-|n|/2} coefficient is 1; q and dq are defined for
+    eta - 1 >= 1e-6 only.  The equation is integrated in s = ln(eta - 1),
+    where the horizon endpoint is regular, by DOP853 at rtol 1e-11.
 
     In the eta variable the equation is mass-free (kappa M = 1/4), so
     `geometry` only fixes the normalization used downstream.
@@ -190,24 +342,18 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     v0 = float(np.sum(a * t0 ** (nn / 2.0 + ks)))
     dv0 = float(np.sum(a * (nn / 2.0 + ks) * t0 ** (nn / 2.0 + ks - 1.0)))
     s0, s1 = math.log(t0), math.log(eta_max - 1.0)
-    p_sol = solve_ivp(_radial_rhs, (s0, s1), (v0, t0 * dv0), args=(n, lam),
-                      method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
-    if not p_sol.success:
-        raise StiffnessError(f"outward integration failed: {p_sol.message}")
+    rhs = _radial_rhs(n, lam)
+    p_sol = _Dop853(rhs, s0, s1, (v0, t0 * dv0), "outward")
 
     q0 = 1.0
     dq0 = -(nn / 4.0 + 1.0 / eta_max) * q0
-    t_min = 1e-6
-    q_sol = solve_ivp(_radial_rhs, (s1, math.log(t_min)),
-                      (q0, (eta_max - 1.0) * dq0), args=(n, lam),
-                      method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
-    if not q_sol.success:
-        raise StiffnessError(f"inward integration failed: {q_sol.message}")
+    q_sol = _Dop853(rhs, s1, math.log(_Q_T_MIN), (q0, (eta_max - 1.0) * dq0),
+                    "inward")
 
     # leading coefficient of q ~ c t^{-|n|/2}: 3-point fit with basis
     # {1, t ln t, t} removes the subleading (and possible log) terms
-    ts = np.array([t_min, 2.0 * t_min, 4.0 * t_min])
-    vals = np.array([q_sol.sol(math.log(t))[0] * t ** (nn / 2.0) for t in ts])
+    ts = np.array([_Q_T_MIN, 2.0 * _Q_T_MIN, 4.0 * _Q_T_MIN])
+    vals = np.array([q_sol(math.log(t))[0] * t ** (nn / 2.0) for t in ts])
     design = np.stack([np.ones(3), ts * np.log(ts), ts], axis=1)
     q_norm = float(np.linalg.solve(design, vals)[0])
     if q_norm == 0.0 or not math.isfinite(q_norm):
@@ -297,6 +443,7 @@ def geodesic_distance(epsilon: float, geometry: DeficitGeometry) -> float:
     s = int_2M^{2M+eps} dr / sqrt(1 - 2M/r), by quadrature (substitution
     x = u^2 removes the integrable endpoint singularity)."""
     _check_eps(epsilon, geometry)
+    from scipy.integrate import quad
     M = geometry.M
 
     def f(u):

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, ive, kve
 
 from . import specfun
@@ -318,6 +317,7 @@ def bessel_integral_lhs(lam: float, r_lt: float, r_gt: float, dtau: float,
         raise DomainError(f"integral diverges as lambda -> -1; got {lam}")
     if not 0.0 < r_lt <= r_gt:
         raise DomainError(f"need 0 < r< <= r>, got {r_lt}, {r_gt}")
+    from scipy.integrate import quad
     order = lam + 0.5
     gap = r_gt - r_lt
 
@@ -392,6 +392,7 @@ def g3_axisym_integral(x: ConePoint, xp: ConePoint, alpha: float,
                        tol: float = 1e-8) -> float:
     """3D Green's function from general axisymmetric potential theory:
     per-m integrals of sin^{2 mu} Psi over the half-period."""
+    from scipy.integrate import quad
     _guard_separation(x, xp, alpha, with_tau=False)
     rho1, z1, rho2, z2, dphi, _ = _pair_cyl(x, xp)
     base = (z1 - z2) ** 2 + rho1 * rho1 + rho2 * rho2
@@ -436,6 +437,8 @@ def linet_kernel(u: float, psi: float, alpha: float) -> float:
 def _linet_integral(c: float, dphi: float, alpha: float) -> tuple[float, float]:
     """(value, error) of int_0^oo F_alpha(u, dphi) / sqrt(c + cosh u) du by
     QUADPACK; the u-integral of both Linet forms (c > -1)."""
+    from scipy.integrate import quad
+
     def integrand(u):
         if u > 600.0:   # kernel ~ e^{-u/alpha}, denominator ~ e^{u/2}: far below eps
             return 0.0

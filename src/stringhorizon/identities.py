@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import eval_legendre, gammaln
 
 from . import specfun
@@ -182,6 +181,7 @@ def _linet_lhs_diag(alpha, theta, dphi, tol):
     int_0^oo sinh(t/a) / [(cosh(t/a) - cos dphi) 2 sinh(t/2)] dt."""
     if 2.0 * math.sin(0.5 * dphi) ** 2 < 1e-10:
         raise DomainError("diagonal Linet check needs dphi away from 0")
+    from scipy.integrate import quad
     beta = 1.0 / alpha
     cpsi = math.cos(dphi)
 
@@ -337,6 +337,7 @@ def check_norm_integral(alpha: float, m: int, l: int, l_p: int,
                         tol: float = 1e-8) -> IdentityCase:
     """Quadrature of int P_lam^{-mu} P_lam'^{-mu} d(cos th) against
     delta_{l l'} (2/(2 lam + 1)) Gamma(lam-mu+1)/Gamma(lam+mu+1)."""
+    from scipy.integrate import quad
     lam = lambda_of(l, m, alpha)
     lam_p = lambda_of(l_p, m, alpha)
     mu = abs(m) / alpha

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from stringhorizon.blackhole import (DeficitGeometry, chi_radial_green,
+from stringhorizon.blackhole import (DeficitGeometry, _radial_rhs,
+                                     chi_radial_green,
                                      exponent_fit, g_sing, geodesic_distance,
                                      geodesic_distance_expansion,
                                      horizon_green, horizon_green_closed,
@@ -119,6 +120,43 @@ def test_radial_domain_errors():
         pair.p(1.0)
     with pytest.raises(DomainError):
         pair.q(25.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.5, 5.0])
+def test_stepper_matches_solve_ivp(n, lam):
+    # both solves of the pair against scipy's DOP853 at the same tolerances:
+    # the same accepted steps, and u, u' within 1e-12 at 50 points each
+    from scipy.integrate import solve_ivp
+    pair = radial_solutions(n, lam, GEO)
+    rhs = _radial_rhs(n, lam)
+    for sol in (pair._p_sol, pair._q_sol):
+        s0, s1 = sol.ts[0], sol.ts[-1]
+        ref = solve_ivp(lambda s, y: rhs(s, *y), (s0, s1), sol._ys[0],
+                        method="DOP853", rtol=1e-11, atol=1e-300,
+                        dense_output=True)
+        assert ref.success
+        assert len(sol.ts) == len(ref.t)
+        for s in np.linspace(s0, s1, 50):
+            np.testing.assert_allclose(sol(float(s)), ref.sol(s), rtol=1e-12,
+                                       atol=0.0)
+
+
+@pytest.mark.parametrize("n,lam", [(1, 0.0), (2, 1.0)])
+def test_q_domain_ends_with_the_inward_solve(n, lam):
+    # q is integrated down to eta - 1 = 1e-6; below that it raises instead
+    # of extrapolating the last step's interpolant
+    pair = radial_solutions(n, lam, GEO)
+    t = 1e-6
+    assert pair.q(1.0 + 2.0 * t) * (2.0 * t) ** (n / 2.0) == pytest.approx(
+        1.0, abs=1e-4)
+    for d in (5e-7, 1e-10, 1e-12):
+        with pytest.raises(DomainError, match="eta - 1 = 1e-06"):
+            pair.q(1.0 + d)
+        with pytest.raises(DomainError):
+            pair.dq(1.0 + d)
+    # p has its Frobenius series there
+    assert pair.p(1.0 + 1e-10) == pytest.approx(1e-10 ** (n / 2.0), rel=1e-6)
 
 
 def test_nonzero_modes_vanish_on_horizon():

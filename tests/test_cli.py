@@ -474,6 +474,43 @@ def test_radial_exponent_diagnostics(n, l, m, alpha, capsys):
     assert d["wronskian_scale"] == pytest.approx(-2.0 * n, rel=1e-6)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "400", "--l", "1", "--m", "0"],
+    ["--n", "2", "--l", "3000", "--m", "0"],
+    ["--n", "2", "--l", "1", "--m", "0", "--eta-max", "1e6"],
+])
+def test_radial_overflow_is_one_line_stiffness_error(argv):
+    # the radial solutions leave float range before the solve ends
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "stringhorizon.cli", "radial"] + argv,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120)
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stderr.startswith("StiffnessError: ")
+    assert "overflowed" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def test_quadrature_and_ode_modules_load_on_use():
+    # scipy.integrate serves QUADPACK and the DOP853 coefficients only, so
+    # neither the import nor phi2 and figure1 load it
+    code = (
+        "import sys, io, contextlib\n"
+        "import stringhorizon\n"
+        "loaded = ['scipy.integrate' in sys.modules]\n"
+        "from stringhorizon.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['phi2', '--theta', '1.2', '--alpha', '0.75']),\n"
+        "             main(['figure1', '--points', '5'])]\n"
+        "loaded.append('scipy.integrate' in sys.modules)\n"
+        "print(codes, loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                          timeout=120)
+    assert proc.stdout == "[0, 0] [False, False]\n", proc.stderr
+
+
 # ----------------------------------------------------------------------
 # fuzz
 # ----------------------------------------------------------------------
