@@ -68,6 +68,8 @@ class DeficitGeometry:
 def lambda_of(l: int, m: int, alpha: float) -> float:
     """lambda = l - |m| + |m|/alpha; the degree that keeps the angular
     functions regular at the poles."""
+    if not (float(l).is_integer() and float(m).is_integer()):
+        raise DomainError(f"l and m must be integers, got l = {l}, m = {m}")
     if l < 0:
         raise DomainError(f"l must be >= 0, got {l}")
     if abs(m) > l:

@@ -341,11 +341,13 @@ def check_norm_integral(alpha: float, m: int, l: int, l_p: int,
     lam = lambda_of(l, m, alpha)
     lam_p = lambda_of(l_p, m, alpha)
     mu = abs(m) / alpha
+    n, n_p = int(l) - abs(int(m)), int(l_p) - abs(int(m))
 
-    def integrand(t):
+    def integrand(t):       # both degrees from one chain, nu0 = mu
         x = math.cos(t)
-        return (specfun.ferrers_P(lam, mu, x)
-                * specfun.ferrers_P(lam_p, mu, x) * math.sin(t))
+        p, L = specfun._ferrers_chain(mu, mu, x, max(n, n_p) + 1)
+        return (p[n] * math.exp(L[n]) * (p[n_p] * math.exp(L[n_p]))
+                * math.sin(t))
 
     val, err = quad(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-11,
                     limit=200)

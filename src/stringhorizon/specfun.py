@@ -123,13 +123,14 @@ def _hyp_series(a: float, b: float, c: float, w: float):
 
 def ferrers_P(nu: float, mu: float, x: float) -> float:
     """Ferrers function P_nu^{-mu}(x) for x in (-1, 1), mu >= 0: the last
-    element of the `ferrers_P_sequence` chain that climbs to degree nu."""
-    if not mu >= 0.0:
-        raise DomainError(f"order mu must be >= 0, got {mu}")
+    element of the Ferrers chain that climbs to degree nu."""
+    if not (0.0 <= mu < math.inf and math.isfinite(nu)):
+        raise DomainError(f"need a finite nu and order 0 <= mu < inf, got "
+                          f"nu = {nu}, mu = {mu}")
     nu = max(nu, -nu - 1.0)    # P_nu = P_{-nu-1}
     n = max(0, int(math.floor(nu - mu + 1e-9)))
-    m, L = ferrers_P_sequence(nu - n, mu, x, n + 1)
-    return float(m[-1] * math.exp(L[-1]))
+    m, L = _ferrers_chain(nu - n, mu, x, n + 1)
+    return m[-1] * math.exp(L[-1])
 
 
 _BIG = 2.0 ** 500          # Ferrers mantissas are rescaled by this power of
@@ -147,42 +148,54 @@ def _ferrers_offset(mu, x: float, count: int):
             - mu * math.log(2.0) - gammaln(1.0 + mu))
 
 
+def _ferrers_chain(nu0: float, mu: float, x: float,
+                   count: int) -> tuple[list, list]:
+    """`ferrers_P_sequence` on Python floats: lists (m, L)."""
+    if not (-0.5 <= nu0 and nu0 - mu < 2.0 and math.isfinite(mu)):
+        raise DomainError(f"sequence seeds need a finite mu and -1/2 <= nu0 < "
+                          f"mu + 2 (P_nu = P_(-nu-1)), got nu0 = {nu0}, mu = {mu}")
+    off = float(_ferrers_offset(mu, x, count))
+    m, L, w = [], [off] * count, 0.5 * (1.0 - x)
+    for k in range(min(count, 2)):      # the seeds F(a, b; c; w), a = mu - nu
+        a, b, c = (mu - nu0) - k, mu + (nu0 + k) + 1.0, 1.0 + mu
+        a = float(round(a)) if abs(a - round(a)) < 5e-13 and a < 0.5 else a
+        # at a = 0 or -1 the series ends after its first or second term
+        m.append(1.0 if a == 0.0 else 1.0 - b / c * w if a == -1.0
+                 else _hyp_series(a, b, c, w)[0])
+    a, b = m[0], m[-1]
+    push, big, tiny = m.append, _BIG, _TINY
+    for k in range(2, count):
+        nu = nu0 + (k - 1)
+        a, b = b, ((2.0 * nu + 1.0) * x * b - (nu - mu) * a) / (nu + mu + 1.0)
+        # rescale when b is too big, or when both a and b are too small
+        if not tiny <= abs(b) <= big and (abs(b) > big or abs(a) < tiny):
+            s = tiny if abs(b) > big else big
+            a, b = a * s, b * s
+            off -= math.log(s)
+            L[k:] = [off] * (count - k)
+        push(b)
+    return m, L
+
+
 def ferrers_P_sequence(nu0: float, mu: float, x: float,
                        count: int) -> tuple[np.ndarray, np.ndarray]:
     """(m, L) with P_{nu0+k}^{-mu}(x) = m[k] e^{L[k]}, k = 0..count-1: a
     mantissa and a log offset, so no value underflows at large mu.
 
-    The seeds at nu0 and nu0 + 1 (nu0 - mu < 2) are the Euler-transformed
-    series (sin(theta)/2)^mu / Gamma(1+mu) * F(mu-nu, mu+nu+1; 1+mu; (1-x)/2),
+    The seeds at nu0 and nu0 + 1 (-1/2 <= nu0 < mu + 2) are the
+    Euler-transformed series
+    (sin(theta)/2)^mu / Gamma(1+mu) * F(mu-nu, mu+nu+1; 1+mu; (1-x)/2),
     one-signed there, with F as the mantissa and the log of the prefactor as
     the offset (degree offsets within 5e-13 of the regular family snap onto
-    it).  The upward degree recurrence runs on the mantissas and moves an
-    exact power of two into the offset when they leave [_TINY, _BIG].  It
-    is stable where (nu + 1/2) sin(theta) > mu; in the evanescent region its
+    it); below nu0 = -1/2 the series cancels, and P_nu = P_{-nu-1} applies.
+    The upward degree recurrence runs on the mantissas and moves an exact
+    power of two into the offset when they leave [_TINY, _BIG].  It is
+    stable where (nu + 1/2) sin(theta) > mu; in the evanescent region its
     relative error grows with the dominant/minimal ratio, but there P itself
     is exponentially small by the same factor.
     """
-    L = np.full(count, _ferrers_offset(mu, x, count))
-    if nu0 - mu >= 2.0:
-        raise DomainError("sequence seeds need nu0 - mu < 2")
-    seeds = []
-    for k in range(min(count, 2)):      # a = mu - nu, exact at nu0 = mu
-        a = (mu - nu0) - k
-        a = float(round(a)) if abs(a - round(a)) < 5e-13 and a < 0.5 else a
-        seeds.append(_hyp_series(a, mu + (nu0 + k) + 1.0, 1.0 + mu,
-                                 0.5 * (1.0 - x))[0])
-    m = np.empty(count)
-    m[:len(seeds)] = seeds
-    a, b = seeds[0], seeds[-1]
-    for k in range(2, count):
-        nu = nu0 + (k - 1)
-        a, b = b, ((2.0 * nu + 1.0) * x * b - (nu - mu) * a) / (nu + mu + 1.0)
-        if abs(b) > _BIG or (abs(b) < _TINY and abs(a) < _TINY):
-            s = _TINY if abs(b) > _BIG else _BIG
-            a, b = a * s, b * s
-            L[k:] -= math.log(s)
-        m[k] = b
-    return m, L
+    m, L = _ferrers_chain(nu0, mu, x, count)
+    return np.array(m, dtype=float), np.array(L, dtype=float)
 
 
 def _ferrers_chains(mu: np.ndarray, x: float,

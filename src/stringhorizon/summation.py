@@ -68,7 +68,7 @@ def _wynn(sums: np.ndarray) -> float:
         while cur.size and math.isfinite(cur[-1]):
             est = float(cur[-1])
             for _ in range(2):
-                prev, cur = cur, prev[1:cur.size] + 1.0 / np.diff(cur)
+                prev, cur = cur, prev[1:cur.size] + 1.0 / (cur[1:] - cur[:-1])
     return est
 
 

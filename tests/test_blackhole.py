@@ -46,6 +46,14 @@ def test_lambda_of():
         lambda_of(1, 1, math.nan)
 
 
+def test_lambda_of_needs_integer_mode_numbers():
+    # an integral float is an integer; l - |m| indexes the Ferrers chain
+    assert lambda_of(3.0, 2.0, 0.5) == lambda_of(3, 2, 0.5)
+    for l, m in ((2, 0.5), (2.5, 0), (math.nan, 0), (2, math.inf)):
+        with pytest.raises(DomainError, match="must be integers"):
+            lambda_of(l, m, 0.75)
+
+
 def test_lambda_monotone_in_alpha():
     alphas = np.linspace(0.2, 1.0, 9)
     for (l, m) in [(3, 2), (5, 1), (4, 4)]:

@@ -279,6 +279,35 @@ def test_norm_integral_cases():
     assert c.rhs == 0.0 and c.residual_abs < 1e-8
 
 
+def test_norm_integral_matches_two_point_values_per_node():
+    # reference: the same quadrature with two ferrers_P climbs per node,
+    # on every norm_integral case of the default manifest
+    from scipy.integrate import quad
+
+    from stringhorizon.specfun import ferrers_P
+    cases = [c["params"] for c in _load_manifest(None)
+             if c["check"] == "norm_integral"]
+    assert len(cases) == 138
+    for p in cases:
+        mu = abs(p["m"]) / p["alpha"]
+        lam, lam_p = (l - abs(p["m"]) + mu for l in (p["l"], p["l_p"]))
+
+        def f(t):
+            x = math.cos(t)
+            return ferrers_P(lam, mu, x) * ferrers_P(lam_p, mu, x) * math.sin(t)
+
+        ref, _ = quad(f, 0.0, PI, epsabs=1e-12, epsrel=1e-11, limit=200)
+        assert abs(check_norm_integral(**p).lhs - ref) <= 1e-16
+
+
+@pytest.mark.parametrize("params", [{"m": 0.5, "l": 2, "l_p": 2},
+                                    {"m": 0, "l": 2.5, "l_p": 2}])
+def test_norm_integral_non_integer_mode_is_a_domain_error(params):
+    rec = run_case({"check": "norm_integral",
+                    "params": {"alpha": 0.75, **params}})
+    assert rec["error"].startswith("DomainError: l and m must be integers")
+
+
 # ----------------------------------------------------------------------
 # harness behavior
 # ----------------------------------------------------------------------

@@ -132,6 +132,73 @@ def test_negative_or_nan_order_rejected(mu):
         legendre_Qhat_axis(1.0, mu, 2.0)
 
 
+@pytest.mark.parametrize("nu,mu", [(math.nan, 1.0), (math.inf, 1.0),
+                                   (-math.inf, 1.0), (2.0, math.inf)])
+def test_ferrers_non_finite_degree_or_order_rejected(nu, mu):
+    with pytest.raises(DomainError):
+        ferrers_P(nu, mu, 0.3)
+
+
+@pytest.mark.parametrize("nu0,mu", [(math.nan, 1.0), (math.inf, 1.0),
+                                    (-math.inf, 1.0), (1.0, math.nan),
+                                    (1.0, math.inf)])
+def test_ferrers_sequence_non_finite_degree_or_order_rejected(nu0, mu):
+    with pytest.raises(DomainError):
+        ferrers_P_sequence(nu0, mu, 0.3, 3)
+
+
+def test_ferrers_sequence_rejects_a_start_below_minus_half():
+    # the seed series F(51, -48; 2; 0.35) cancels: the chain returned
+    # -12705.25 where P_{-50}^{-1}(0.3) = P_{49}^{-1}(0.3) = -0.0018983
+    with pytest.raises(DomainError, match="P_nu = P_"):
+        ferrers_P_sequence(-50.0, 1.0, 0.3, 1)
+    with pytest.raises(DomainError):
+        ferrers_P_sequence(-0.5 - 1e-9, 0.0, 0.3, 1)
+    assert ferrers_P(-50.0, 1.0, 0.3) == pytest.approx(
+        float(mpmath.legenp(-50, -1, 0.3, type=2)), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mu=st.floats(0.0, 20.0), t=st.floats(0.0, 0.999),
+       x=st.integers(-9900, 9900).filter(bool).map(lambda i: i / 1e4))
+def test_ferrers_sequence_starts_from_minus_half_match_mpmath(mu, t, x):
+    # nu0 anywhere in [-1/2, mu + 2): both seeds and two recurrence steps
+    # within 1e-12 of the largest |P| among the four degrees
+    nu0 = -0.5 + t * (mu + 2.5)
+    m, L = ferrers_P_sequence(nu0, mu, x, 4)
+    with mpmath.workdps(30):
+        ref = [mpmath.legenp(nu0 + k, -mu, mpmath.mpf(x), type=2)
+               for k in range(4)]
+        scale = max(abs(r) for r in ref)
+        for k in range(4):
+            got = mpmath.mpf(float(m[k])) * mpmath.exp(float(L[k]))
+            assert abs(got - ref[k]) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mu=st.one_of(st.integers(0, 500).map(float), st.floats(0.0, 500.0)),
+       x=st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True))
+def test_ferrers_closed_form_seeds_are_the_series_bit_for_bit(mu, x):
+    # at a = mu - nu = 0 and -1 the seed series ends after one or two terms
+    w = 0.5 * (1.0 - x)
+    expected = [specfun._hyp_series(0.0, mu + mu + 1.0, 1.0 + mu, w)[0],
+                specfun._hyp_series(-1.0, mu + (mu + 1.0) + 1.0, 1.0 + mu, w)[0]]
+    assert specfun._ferrers_chain(mu, mu, x, 2)[0] == expected
+    assert specfun._ferrers_chain(mu + 1.0, mu, x, 1)[0] == expected[1:]
+
+
+@pytest.mark.parametrize("mu,n,depth", [(0.5, 40, 0), (150.0, 1100, 1),
+                                        (400.0, 1400, 2)])
+@pytest.mark.parametrize("frac", [0.0, 0.37])
+def test_ferrers_point_value_is_the_sequence_end(mu, n, depth, frac):
+    # ferrers_P reads the last mantissa and offset of the same chain, after
+    # 0, 1 and 2 rescalings of the mantissas
+    x, nu = 0.3, mu + n + frac
+    m, L = ferrers_P_sequence(nu - n, mu, x, n + 1)
+    assert len(set(L.tolist())) - 1 == depth
+    assert ferrers_P(nu, mu, x) == m[-1] * math.exp(L[-1])
+
+
 def test_ferrers_sequence_matches_single_evaluations():
     mu = 1.6
     m, L = ferrers_P_sequence(mu, mu, 0.4, 12)
