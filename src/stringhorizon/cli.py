@@ -145,8 +145,6 @@ def _records_csv(records: list[dict]) -> str:
 def cmd_verify(args) -> int:
     if args.tolerance is not None:
         _check_tol(args.tolerance, "tolerance")
-    if args.parallelism < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")
     cases = _load_manifest(args.manifest)
     # the summary stays out of a report written to stdout
     log = sys.stderr if args.out is None else sys.stdout
@@ -155,8 +153,7 @@ def cmd_verify(args) -> int:
         _emit(_json_dumps([]) if args.format == "json" else _records_csv([]),
               args.out)
         return EXIT_OK
-    records = identities.run_cases(cases, tol_override=args.tolerance,
-                                   parallelism=args.parallelism)
+    records = identities.run_cases(cases, tol_override=args.tolerance)
     n_err = sum(1 for r in records if "error" in r)
     n_fail = sum(1 for r in records if not r.get("passed") and "error" not in r)
     for r in records:
@@ -289,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tolerance", type=float, default=None)
     v.add_argument("--out", default=None)
     v.add_argument("--format", choices=("csv", "json"), default="json")
-    v.add_argument("--parallelism", type=int, default=1)
     v.set_defaults(func=cmd_verify)
 
     f = sub.add_parser("phi2", help="horizon vacuum polarization, both routes")

@@ -1,12 +1,10 @@
 """Residual harness: every summation identity stated as LHS - RHS over a
-parameter grid, with certified truncation.
-
-Pass criterion: the residual is relative when |RHS| > 1 and absolute
-otherwise, and a case passes iff residual <= tol + certified_tail (tail
-scaled the same way).  Reports are deterministic: the same case list with
-the same tolerances produces bit-identical records: tol is the only
-truncation setting, and every cutoff follows from it.
-"""
+parameter grid, with certified truncation (norm_integral, an exact Gauss
+rule, files its rounding bound).  A case passes iff residual <= tol +
+certified_tail, both relative when |RHS| > 1 and absolute otherwise.
+Reports are deterministic: the same case list with the same tolerances
+produces bit-identical records: tol is the only truncation setting, and
+every cutoff follows from it."""
 
 from __future__ import annotations
 
@@ -333,33 +331,46 @@ def spheroidal_ratio_audit(alpha: float, tol: float = 1e-8) -> IdentityCase:
         certified_tail=0.0, passed=bool(spread <= tol), note=note)
 
 
+def _gauss_gegenbauer(mu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count-point Gauss rule of the weight (1 - x^2)^mu on [-1, 1] (Golub and
+    Welsch 1969); weights 1/sum p_k^2, p_k orthonormal: eigenvectors lose small ones."""
+    k = np.arange(1.0, count)
+    b = np.sqrt(k * (k + 2.0 * mu) / ((2.0 * (k + mu)) ** 2 - 1.0))
+    x = np.linalg.eigvalsh(np.diag(b, -1))
+    q_prev, q, total = np.zeros(count), np.ones(count), np.ones(count)
+    for b_prev, b_k in zip([0.0] + b.tolist(), b.tolist()):
+        q_prev, q = q, (x * q - b_prev * q_prev) / b_k
+        total += q * q
+    w0 = math.sqrt(math.pi) * math.exp(gammaln(mu + 1.0) - gammaln(mu + 1.5))
+    return x, w0 / total
+
+
 def check_norm_integral(alpha: float, m: int, l: int, l_p: int,
                         tol: float = 1e-8) -> IdentityCase:
-    """Quadrature of int P_lam^{-mu} P_lam'^{-mu} d(cos th) against
-    delta_{l l'} (2/(2 lam + 1)) Gamma(lam-mu+1)/Gamma(lam+mu+1)."""
-    from scipy.integrate import quad
+    """Gauss quadrature of int P_lam^{-mu} P_lam'^{-mu} d(cos th) against
+    delta_{l l'} (2/(2 lam + 1)) Gamma(lam-mu+1)/Gamma(lam+mu+1).  It is exact:
+    with n = lam - mu the integrand is (1 - x^2)^mu times a polynomial of degree
+    n + n' (DLMF 14.3, 18.3), and max(n, n') + 1 nodes of that weight take both
+    squares too, so the tail bounds rounding: 2 eps K sqrt(int P^2 int P'^2),
+    K = nodes + chain steps + mu ln 2 + |ln G(mu+1)| + |ln G(mu+3/2)|."""
     lam = lambda_of(l, m, alpha)
-    lam_p = lambda_of(l_p, m, alpha)
-    mu = abs(m) / alpha
-    n, n_p = int(l) - abs(int(m)), int(l_p) - abs(int(m))
-
-    def integrand(t):       # both degrees from one chain, nu0 = mu
-        x = math.cos(t)
-        p, L = specfun._ferrers_chain(mu, mu, x, max(n, n_p) + 1)
-        return (p[n] * math.exp(L[n]) * (p[n_p] * math.exp(L[n_p]))
-                * math.sin(t))
-
-    val, err = quad(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-11,
-                    limit=200)
-    if err > 1e-10:
-        raise QuadratureError(f"normalization quadrature error {err:.2e}")
-    if l == l_p:
-        rhs = (2.0 / (2.0 * lam + 1.0)) \
-            * math.exp(gammaln(lam - mu + 1.0) - gammaln(lam + mu + 1.0))
-    else:
-        rhs = 0.0
+    lambda_of(l_p, m, alpha)            # checks l' as it checks l
+    mu, n, n_p = abs(m) / alpha, int(l) - abs(int(m)), int(l_p) - abs(int(m))
+    count, rows = max(n, n_p) + 1, []
+    if count > 4096:        # the rule's dense Jacobi matrix holds count^2 floats
+        raise DomainError(f"max(l, l') - |m| must be below 4096, got {count - 1}")
+    for x, w in zip(*(a.tolist() for a in _gauss_gegenbauer(mu, count))):
+        p, L = specfun._ferrers_chain(mu, mu, x, count)     # both degrees
+        half = 0.5 * mu * (math.log1p(-x) + math.log1p(x))  # ln (1-x^2)^(mu/2)
+        u, v = p[n] * math.exp(L[n] - half), p[n_p] * math.exp(L[n_p] - half)
+        rows.append((w * u * v, w * u * u, w * v * v))
+    lhs, norm, norm_p = (math.fsum(c) for c in zip(*rows))
+    k = 2 * count + mu * math.log(2.0) + abs(gammaln(mu + 1.0)) + abs(gammaln(mu + 1.5))
+    tail = 2.0 * k * np.finfo(float).eps * math.sqrt(norm) * math.sqrt(norm_p)
+    rhs = 0.0 if l != l_p else (2.0 / (2.0 * lam + 1.0)) * math.exp(
+        gammaln(lam - mu + 1.0) - gammaln(lam + mu + 1.0))
     params = {"alpha": alpha, "m": m, "l": l, "l_p": l_p}
-    return _make_case("norm_integral", params, tol, val, rhs, err)
+    return _make_case("norm_integral", params, tol, lhs, rhs, tail)
 
 
 # ----------------------------------------------------------------------
@@ -386,20 +397,12 @@ def run_case(case: dict, tol_override: float | None = None) -> dict:
     if tol_override is not None:
         params["tol"] = tol_override
     try:
-        result = CHECKS[name](**params)
-        return result.to_record()
+        return CHECKS[name](**params).to_record()
     except (StringHorizonError, OverflowError) as exc:
         return {"name": name, "params": params, "passed": False,
                 "error": f"{type(exc).__name__}: {exc}"}
 
 
-def run_cases(cases, tol_override: float | None = None,
-              parallelism: int = 1) -> list[dict]:
-    """Run manifest entries (concurrently if asked) and return records in
-    manifest order."""
-    if parallelism <= 1:
-        return [run_case(c, tol_override) for c in cases]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(run_case, c, tol_override) for c in cases]
-        return [f.result() for f in futures]
+def run_cases(cases, tol_override: float | None = None) -> list[dict]:
+    """Run manifest entries and return records in manifest order."""
+    return [run_case(c, tol_override) for c in cases]

@@ -72,15 +72,6 @@ def test_verify_csv_format(tmp_path):
     assert len(lines) == 4
 
 
-def test_verify_parallel_matches_serial(tmp_path):
-    man = write_manifest(tmp_path / "m.json", list(SMALL_CASES))
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", "--manifest", man, "--out", str(a)]) == EXIT_OK
-    assert main(["verify", "--manifest", man, "--out", str(b),
-                 "--parallelism", "2"]) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_verify_empty_manifest(tmp_path, capsys):
     man = write_manifest(tmp_path / "m.json", [])
     assert main(["verify", "--manifest", man]) == EXIT_OK
@@ -494,21 +485,34 @@ def test_radial_overflow_is_one_line_stiffness_error(argv):
 
 def test_quadrature_and_ode_modules_load_on_use():
     # scipy.integrate serves QUADPACK and the DOP853 coefficients only, so
-    # neither the import nor phi2 and figure1 load it
+    # neither the import nor phi2, figure1 and norm_integral (Gauss rule,
+    # also at l = l' = 1000) load it, and none of them writes to stderr
     code = (
         "import sys, io, contextlib\n"
         "import stringhorizon\n"
         "loaded = ['scipy.integrate' in sys.modules]\n"
         "from stringhorizon.cli import main\n"
+        "from stringhorizon.identities import run_case\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['phi2', '--theta', '1.2', '--alpha', '0.75']),\n"
         "             main(['figure1', '--points', '5'])]\n"
         "loaded.append('scipy.integrate' in sys.modules)\n"
-        "print(codes, loaded)\n")
+        "passed = [run_case({'check': 'norm_integral', 'params': {'alpha': 0.75,\n"
+        "                    'm': 2, 'l': l, 'l_p': l}})['passed'] for l in (3, 1000)]\n"
+        "loaded.append('scipy.integrate' in sys.modules)\n"
+        "print(codes, loaded, passed)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC),
                           timeout=120)
-    assert proc.stdout == "[0, 0] [False, False]\n", proc.stderr
+    assert proc.stdout == "[0, 0] [False, False, False] [True, True]\n", proc.stderr
+    assert proc.stderr == ""
+
+
+def test_verify_has_no_parallelism_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--parallelism", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --parallelism" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ behavior, determinism, and the runner."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -280,10 +281,9 @@ def test_norm_integral_cases():
 
 
 def test_norm_integral_matches_two_point_values_per_node():
-    # reference: the same quadrature with two ferrers_P climbs per node,
-    # on every norm_integral case of the default manifest
-    from scipy.integrate import quad
-
+    # reference: the same Gauss nodes and weights with two ferrers_P climbs
+    # per node, on every norm_integral case of the default manifest
+    from stringhorizon.identities import _gauss_gegenbauer
     from stringhorizon.specfun import ferrers_P
     cases = [c["params"] for c in _load_manifest(None)
              if c["check"] == "norm_integral"]
@@ -291,13 +291,29 @@ def test_norm_integral_matches_two_point_values_per_node():
     for p in cases:
         mu = abs(p["m"]) / p["alpha"]
         lam, lam_p = (l - abs(p["m"]) + mu for l in (p["l"], p["l_p"]))
-
-        def f(t):
-            x = math.cos(t)
-            return ferrers_P(lam, mu, x) * ferrers_P(lam_p, mu, x) * math.sin(t)
-
-        ref, _ = quad(f, 0.0, PI, epsabs=1e-12, epsrel=1e-11, limit=200)
+        x, w = _gauss_gegenbauer(mu, max(p["l"], p["l_p"]) - abs(p["m"]) + 1)
+        ref = math.fsum(wj * ferrers_P(lam, mu, xj) * ferrers_P(lam_p, mu, xj)
+                        / (1.0 - xj * xj) ** mu for xj, wj in zip(x, w))
         assert abs(check_norm_integral(**p).lhs - ref) <= 1e-16
+
+
+@pytest.mark.parametrize("alpha,m,l,l_p", [
+    (1.0, 0, 100, 100), (1.0, 0, 1000, 1000), (0.75, 2, 100, 100),
+    (0.75, 2, 1000, 1000), (0.75, 2, 99, 101),
+    # where the log-offset term of K dominates: n = 0 at mu = 8/3 and 40
+    (0.75, 2, 2, 2), (0.1, 4, 4, 4)])
+def test_norm_integral_within_its_rounding_bound_of_mpmath(alpha, m, l, l_p):
+    # the rule is exact, so its tail bounds rounding only; the reference is
+    # the closed form at 40 digits, not the record's gammaln rhs
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(abs(m) / alpha)     # the float order the check uses
+        lam = l - abs(m) + mu
+        exact = (2 / (2 * lam + 1) * mpmath.gamma(lam - mu + 1)
+                 / mpmath.gamma(lam + mu + 1)) if l == l_p else mpmath.mpf(0)
+        c = check_norm_integral(alpha, m, l, l_p)
+        err = float(abs(mpmath.mpf(c.lhs) - exact))
+    assert c.passed
+    assert err <= c.certified_tail * max(1.0, abs(c.rhs))
 
 
 @pytest.mark.parametrize("params", [{"m": 0.5, "l": 2, "l_p": 2},
@@ -306,6 +322,14 @@ def test_norm_integral_non_integer_mode_is_a_domain_error(params):
     rec = run_case({"check": "norm_integral",
                     "params": {"alpha": 0.75, **params}})
     assert rec["error"].startswith("DomainError: l and m must be integers")
+
+
+def test_norm_integral_degree_cap_is_a_domain_error():
+    # the Gauss rule's dense Jacobi matrix grows as the square of the degree
+    rec = run_case({"check": "norm_integral",
+                    "params": {"alpha": 1.0, "m": 0, "l": 4096, "l_p": 2}})
+    assert rec["error"] == ("DomainError: max(l, l') - |m| must be below 4096, "
+                            "got 4096")
 
 
 # ----------------------------------------------------------------------
@@ -363,20 +387,6 @@ def test_run_case_records_overflow():
                                "dphi": 0.3, "chi": 1.0}})
     assert not rec["passed"]
     assert rec["error"].startswith("OverflowError")
-
-
-def test_run_cases_parallel_matches_serial():
-    cases = [
-        {"check": "heine_classic", "params": {"zeta": 2.0, "psi": 0.3}},
-        {"check": "norm_integral",
-         "params": {"alpha": 0.75, "m": 1, "l": 2, "l_p": 2}},
-        {"check": "heine_classic", "params": {"zeta": 1.5, "psi": -0.5}},
-    ]
-    serial = run_cases(cases)
-    parallel = run_cases(cases, parallelism=2)
-    assert serial == parallel
-    assert [r["name"] for r in serial] == ["heine_classic", "norm_integral",
-                                           "heine_classic"]
 
 
 def test_tolerance_override():
