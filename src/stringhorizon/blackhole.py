@@ -20,8 +20,7 @@ import numpy as np
 
 from . import specfun
 from .conespace import check_alpha, generalized_heine_rhs, heine_double_sum
-from .errors import (DomainError, QuadratureError, SeriesRadiusError,
-                     StiffnessError)
+from .errors import DomainError, SeriesRadiusError, StiffnessError
 from .specfun import arccosh1p
 
 __all__ = [
@@ -441,20 +440,12 @@ def _check_eps(epsilon: float, geometry: DeficitGeometry):
 
 
 def geodesic_distance(epsilon: float, geometry: DeficitGeometry) -> float:
-    """Radial geodesic distance from the horizon to r = 2M + epsilon,
-    s = int_2M^{2M+eps} dr / sqrt(1 - 2M/r), by quadrature (substitution
-    x = u^2 removes the integrable endpoint singularity)."""
+    """Radial geodesic distance int_2M^{2M+eps} dr / sqrt(1 - 2M/r) from the
+    horizon, in closed form: sqrt(eps (2M + eps)) + 2M asinh(sqrt(eps/2M))."""
     _check_eps(epsilon, geometry)
-    from scipy.integrate import quad
     M = geometry.M
-
-    def f(u):
-        return 2.0 * math.sqrt(2.0 * M + u * u)
-
-    val, err = quad(f, 0.0, math.sqrt(epsilon), epsabs=1e-14, epsrel=1e-12)
-    if err > max(1e-13, 1e-12 * val):
-        raise QuadratureError(f"geodesic quadrature error {err:.2e}")
-    return val
+    return (math.sqrt(epsilon * (2.0 * M + epsilon))
+            + 2.0 * M * math.asinh(math.sqrt(epsilon / (2.0 * M))))
 
 
 def geodesic_distance_expansion(epsilon: float, geometry: DeficitGeometry) -> float:

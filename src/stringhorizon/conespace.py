@@ -4,8 +4,9 @@ The 4D Euclidean and 3D Laplace Green's functions are provided in every
 representation used by the identity harness: closed form, spherical mode
 sum, cylindrical Q-sum, Bessel k-integral, axisymmetric potential integral,
 Linet's image-plus-integral form (alpha > 1/2), and the toroidal and
-prolate-spheroidal mode sums.  Pairwise agreement of these representations
-is the content of the summation identities checked in `identities`.
+prolate-spheroidal mode sums; the three integrals call `summation.quadpack`.
+Pairwise agreement of these representations is the content of the
+summation identities checked in `identities`.
 
 Azimuthal convention: phi has period 2*pi and the metric carries
 alpha^2 rho^2 dphi^2, so the cone angle deficit is encoded in alpha alone.
@@ -20,10 +21,9 @@ import numpy as np
 from scipy.special import gammaln, ive, kve
 
 from . import specfun
-from .errors import (CoincidenceError, DomainError, QuadratureError,
-                     SlowConvergenceError)
+from .errors import CoincidenceError, DomainError, SlowConvergenceError
 from .specfun import arccosh1p
-from .summation import MAX_BANDS, sum_l, sum_m_bands
+from .summation import MAX_BANDS, quadpack, sum_l, sum_m_bands
 
 __all__ = [
     "check_alpha",
@@ -157,12 +157,14 @@ def _pair_cyl(x: ConePoint, xp: ConePoint):
 
 
 def _guard_separation(x: ConePoint, xp: ConePoint, alpha: float, with_tau: bool):
+    """`_pair_cyl(x, xp)` of a pair at least COINCIDENCE_TOL apart on the cone."""
     check_alpha(alpha)
-    rho1, z1, rho2, z2, dphi, dtau = _pair_cyl(x, xp)
+    pair = rho1, z1, rho2, z2, dphi, dtau = _pair_cyl(x, xp)
     d2 = (z1 - z2) ** 2 + (rho1 - rho2) ** 2 \
         + 2.0 * rho1 * rho2 * alpha * alpha * (1.0 - math.cos(dphi))
     if d2 + (dtau * dtau if with_tau else 0.0) < COINCIDENCE_TOL ** 2:
         raise CoincidenceError("point pair closer than the coincidence guard")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -286,8 +288,7 @@ def generalized_heine_rhs(alpha: float, theta: float, theta_p: float,
 def g4_closed(x: ConePoint, xp: ConePoint, alpha: float) -> float:
     """Closed form of the 4D Euclidean Green's function on the cone:
     `heine_kernel` with scale 8 pi^2 alpha rho rho'."""
-    _guard_separation(x, xp, alpha, with_tau=True)
-    rho1, _, rho2, _, dphi, _ = _pair_cyl(x, xp)
+    rho1, _, rho2, _, dphi, _ = _guard_separation(x, xp, alpha, with_tau=True)
     chi = SeparationInvariants.from_points(x, xp).chi
     return heine_kernel(alpha, chi, dphi, 8.0 * math.pi ** 2 * alpha * rho1 * rho2)
 
@@ -296,11 +297,10 @@ def g4_modesum_spherical(x: ConePoint, xp: ConePoint, alpha: float,
                          tol: float = 1e-8) -> float:
     """Spherical-polar mode sum of the 4D Green's function (omega integral
     already performed, leaving Q_lambda(zeta))."""
-    _guard_separation(x, xp, alpha, with_tau=True)
+    dphi = _guard_separation(x, xp, alpha, with_tau=True)[4]
     s1, s2 = x.to_spherical(), xp.to_spherical()
     r1, th1, _ = s1.coords
     r2, th2, _ = s2.coords
-    dphi = _pair_cyl(x, xp)[4]
     inv = SeparationInvariants.from_points(x, xp)
     value = heine_double_sum(alpha, th1, th2, dphi, inv.zeta, tol=tol)[0]
     return value / (8.0 * math.pi ** 2 * alpha * r1 * r2)
@@ -317,7 +317,6 @@ def bessel_integral_lhs(lam: float, r_lt: float, r_gt: float, dtau: float,
         raise DomainError(f"integral diverges as lambda -> -1; got {lam}")
     if not 0.0 < r_lt <= r_gt:
         raise DomainError(f"need 0 < r< <= r>, got {r_lt}, {r_gt}")
-    from scipy.integrate import quad
     order = lam + 0.5
     gap = r_gt - r_lt
 
@@ -328,15 +327,10 @@ def bessel_integral_lhs(lam: float, r_lt: float, r_gt: float, dtau: float,
         return float(ive(order, w * r_lt) * kve(order, w * r_gt)
                      * math.exp(-w * gap))
 
-    if dtau == 0.0:
-        val, err = quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    else:
-        val, err = quad(f, 0.0, np.inf, weight="cos", wvar=abs(dtau),
-                        epsabs=1e-13, limit=400, limlst=300)
-    if err > tol * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"omega-integral error {err:.2e} exceeds tolerance {tol}")
-    return val
+    options = (dict(epsrel=1e-12) if dtau == 0.0
+               else dict(weight="cos", wvar=abs(dtau), limlst=300))
+    return quadpack(f, 0.0, np.inf, "omega-integral", tol, tol, epsabs=1e-13,
+                    limit=400, **options)[0]
 
 
 # ----------------------------------------------------------------------
@@ -348,11 +342,10 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
     """3D mode sum in spherical polars: terms (r</r>)^lam decay geometrically,
     so nearly equal radii are rejected (the identity harness handles the
     r -> r' limit by Wynn's epsilon-algorithm instead)."""
-    _guard_separation(x, xp, alpha, with_tau=False)
+    dphi = _guard_separation(x, xp, alpha, with_tau=False)[4]
     s1, s2 = x.to_spherical(), xp.to_spherical()
     r1, th1, _ = s1.coords
     r2, th2, _ = s2.coords
-    dphi = _pair_cyl(x, xp)[4]
     r_lt, r_gt = min(r1, r2), max(r1, r2)
     rate = math.log(r_gt / r_lt)
     if rate < 1e-3:
@@ -376,8 +369,7 @@ def g3_cylindrical_Qsum(x: ConePoint, xp: ConePoint, alpha: float,
                         tol: float = 1e-8) -> float:
     """3D Green's function as the azimuthal sum of Q_{|m|/alpha - 1/2}(u),
     u = ((z-z')^2 + rho^2 + rho'^2) / (2 rho rho')."""
-    _guard_separation(x, xp, alpha, with_tau=False)
-    rho1, z1, rho2, z2, dphi, _ = _pair_cyl(x, xp)
+    rho1, z1, rho2, z2, dphi, _ = _guard_separation(x, xp, alpha, with_tau=False)
     u = 1.0 + ((z1 - z2) ** 2 + (rho1 - rho2) ** 2) / (2.0 * rho1 * rho2)
     if u <= 1.0 + 1e-12:
         raise CoincidenceError("u = 1: pair on the same azimuthal circle")
@@ -392,9 +384,7 @@ def g3_axisym_integral(x: ConePoint, xp: ConePoint, alpha: float,
                        tol: float = 1e-8) -> float:
     """3D Green's function from general axisymmetric potential theory:
     per-m integrals of sin^{2 mu} Psi over the half-period."""
-    from scipy.integrate import quad
-    _guard_separation(x, xp, alpha, with_tau=False)
-    rho1, z1, rho2, z2, dphi, _ = _pair_cyl(x, xp)
+    rho1, z1, rho2, z2, dphi, _ = _guard_separation(x, xp, alpha, with_tau=False)
     base = (z1 - z2) ** 2 + rho1 * rho1 + rho2 * rho2
     lr = math.log(rho1 * rho2)
 
@@ -407,11 +397,9 @@ def g3_axisym_integral(x: ConePoint, xp: ConePoint, alpha: float,
             return math.exp(mu * (lr + 2.0 * math.log(s)) - (mu + 0.5) * math.log(D)) \
                 if s > 0.0 else 0.0
 
-        val, err = quad(integrand, 0.0, math.pi, epsabs=1e-13, epsrel=1e-11,
-                        limit=200)
-        if err > max(1e-12, tol * abs(val)) * 10.0:
-            raise QuadratureError(f"axisymmetric integral m={m}: error {err:.2e}")
-        return val, 0.0
+        return quadpack(integrand, 0.0, math.pi, f"axisymmetric integral m={m}",
+                        1e-11, 10.0 * tol, epsabs=1e-13, epsrel=1e-11,
+                        limit=200)[0], 0.0
 
     value, _, _ = sum_m_bands(band, tol, dphi)
     return value / (4.0 * math.pi ** 2 * alpha)
@@ -434,17 +422,17 @@ def linet_kernel(u: float, psi: float, alpha: float) -> float:
     return num / den
 
 
-def _linet_integral(c: float, dphi: float, alpha: float) -> tuple[float, float]:
+def _linet_integral(c: float, dphi: float, alpha: float, abs_bound: float,
+                    rel_bound: float = 0.0) -> tuple[float, float]:
     """(value, error) of int_0^oo F_alpha(u, dphi) / sqrt(c + cosh u) du by
-    QUADPACK; the u-integral of both Linet forms (c > -1)."""
-    from scipy.integrate import quad
-
+    `quadpack` with these bounds; the u-integral of both Linet forms (c > -1)."""
     def integrand(u):
         if u > 600.0:   # kernel ~ e^{-u/alpha}, denominator ~ e^{u/2}: far below eps
             return 0.0
         return linet_kernel(u, dphi, alpha) / math.sqrt(c + math.cosh(u))
 
-    return quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
+    return quadpack(integrand, 0.0, np.inf, "Linet u-integral", abs_bound,
+                    rel_bound, epsabs=1e-13, epsrel=1e-11, limit=400)
 
 
 def _linet_images(dphi: float, alpha: float) -> list[float]:
@@ -467,8 +455,7 @@ def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
     F_alpha integral."""
     if not 0.5 < alpha <= 1.0:
         raise DomainError(f"g3_linet requires alpha in (1/2, 1], got {alpha}")
-    _guard_separation(x, xp, alpha, with_tau=False)
-    rho1, z1, rho2, z2, dphi, _ = _pair_cyl(x, xp)
+    rho1, z1, rho2, z2, dphi, _ = _guard_separation(x, xp, alpha, with_tau=False)
     base = (z1 - z2) ** 2 + rho1 * rho1 + rho2 * rho2
     total = 0.0
     for ang in _linet_images(dphi, alpha):
@@ -479,11 +466,8 @@ def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
 
     # base + 2 rho rho' cosh u = 2 rho rho' (c + cosh u)
     rr = 2.0 * rho1 * rho2
-    val, err = _linet_integral(base / rr, dphi, alpha)
-    val, err = val / math.sqrt(rr), err / math.sqrt(rr)
-    if err > max(1e-12, tol * abs(val)) * 10.0:
-        raise QuadratureError(f"Linet u-integral error {err:.2e}")
-    return total + val / (8.0 * math.pi ** 2 * alpha)
+    val = _linet_integral(base / rr, dphi, alpha, 1e-11 * math.sqrt(rr), 10.0 * tol)[0]
+    return total + val / math.sqrt(rr) / (8.0 * math.pi ** 2 * alpha)
 
 
 # -- toroidal ----------------------------------------------------------
@@ -514,11 +498,10 @@ def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol):
 def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
                     tol: float = 1e-8) -> float:
     """3D Green's function as the toroidal-harmonic double sum."""
-    _guard_separation(x, xp, alpha, with_tau=False)
+    dphi = _guard_separation(x, xp, alpha, with_tau=False)[4]
     t1, t2 = x.to_toroidal(), xp.to_toroidal()
     w1, eta1, _ = t1.coords
     w2, eta2, _ = t2.coords
-    dphi = _pair_cyl(x, xp)[4]
     deta = math.remainder(eta1 - eta2, 2.0 * math.pi)
     w_lt, w_gt = min(w1, w2), max(w1, w2)
     if w_gt - w_lt <= 1e-3 and abs(deta) < 1e-6:
@@ -560,11 +543,10 @@ def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
                       tol: float = 1e-8) -> float:
     """3D Green's function as the prolate-spheroidal mode sum (the
     four-Legendre-product series)."""
-    _guard_separation(x, xp, alpha, with_tau=False)
+    dphi = _guard_separation(x, xp, alpha, with_tau=False)[4]
     p1, p2 = x.to_spheroidal(), xp.to_spheroidal()
     s1, th1, _ = p1.coords
     s2, th2, _ = p2.coords
-    dphi = _pair_cyl(x, xp)[4]
     s_lt, s_gt = min(s1, s2), max(s1, s2)
     rate = s_gt - s_lt
     if rate < 1e-3:

@@ -22,7 +22,7 @@ class SlowConvergenceError(ConvergenceError):
 
 
 class QuadratureError(StringHorizonError, ArithmeticError):
-    """Adaptive quadrature reported an error estimate above tolerance."""
+    """QUADPACK reported a failure or an error estimate above its bound."""
 
 
 class CoincidenceError(DomainError):

@@ -8,15 +8,18 @@ sum over l (or n) and estimates its tail.  Degree sums come in two regimes:
 * conditionally convergent 1/lambda-type oscillatory sums (mode sums at
   coincident radii) -- handed to `wynn_limit`, Wynn's epsilon-algorithm on
   the partial sums, which settles such series within a few hundred terms.
+
+`quadpack` is the one call into QUADPACK, with its failure code and bound.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
-from .errors import DomainError, SlowConvergenceError
+from .errors import DomainError, QuadratureError, SlowConvergenceError
 
 __all__ = [
     "MAX_BANDS",
@@ -24,6 +27,7 @@ __all__ = [
     "sum_m_bands",
     "wynn_limit",
     "richardson_table",
+    "quadpack",
 ]
 
 MAX_BANDS = 400           # the most m-bands any azimuthal sum takes
@@ -127,3 +131,20 @@ def richardson_table(vals) -> list[np.ndarray]:
         fac = 2.0 ** k
         cols.append((fac * prev[1:] - prev[:-1]) / (fac - 1.0))
     return cols
+
+
+def quadpack(f, a: float, b: float, what: str, abs_bound: float,
+             rel_bound: float = 0.0, **options) -> tuple[float, float]:
+    """(value, error) of scipy's `quad(f, a, b, **options)`, loaded on first
+    use; a one-line QuadratureError naming `what` when QUADPACK reports a
+    failure (its message's first sentence) or unless error <= max(abs_bound,
+    rel_bound |value|), which a NaN estimate fails."""
+    from scipy.integrate import quad
+    value, error, _, *failure = quad(f, a, b, full_output=1, **options)
+    if failure:
+        reason = re.split(r"(?<=\.) (?=[A-Z])", " ".join(failure[0].split()))[0]
+        raise QuadratureError(f"{what}: {reason}")
+    bound = max(abs_bound, rel_bound * abs(value))
+    if not error <= bound:
+        raise QuadratureError(f"{what}: error estimate {error:.2e} exceeds {bound:.2e}")
+    return value, error

@@ -3,6 +3,7 @@ function, and the geometric subtraction terms."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -341,6 +342,18 @@ def test_geodesic_distance_expansion_error():
     e1 = abs(geodesic_distance(0.02, g) - geodesic_distance_expansion(0.02, g))
     e2 = abs(geodesic_distance(0.01, g) - geodesic_distance_expansion(0.01, g))
     assert e1 / e2 == pytest.approx(2.0 ** 2.5, rel=0.05)
+
+
+@pytest.mark.parametrize("M", [1e-3, 1.0, 7.0])
+def test_geodesic_distance_against_mpmath_quadrature(M):
+    # the defining integral with r = 2M + u^2, int_0^sqrt(eps) 2 sqrt(2M + u^2) du,
+    # whose integrand is smooth, by tanh-sinh at 30 digits
+    g = DeficitGeometry(alpha=1.0, M=M)
+    with mpmath.workdps(30):
+        for eps in (np.geomspace(1e-9, 0.099, 12) * M).tolist():
+            ref = mpmath.quad(lambda u: 2 * mpmath.sqrt(2 * mpmath.mpf(M) + u * u),
+                              [0, mpmath.sqrt(eps)])
+            assert abs(geodesic_distance(eps, g) - ref) <= 4e-16 * ref, eps
 
 
 def test_geodesic_distance_scaling():

@@ -174,6 +174,30 @@ def test_verify_pole_angle_is_an_error_record(tmp_path):
     assert [r["error"].split(":")[0] for r in records] == ["DomainError"] * 3
 
 
+@pytest.mark.parametrize("warning_filter", ["error::RuntimeWarning",
+                                            "error::UserWarning"])
+def test_verify_quadpack_failure_is_an_error_record(tmp_path, warning_filter):
+    # 1e-6 inside the single-image window the Linet u-integrand barely
+    # decays: QUADPACK reports "probably divergent", which is one ERROR
+    # record under either warning filter, never a warning or a traceback
+    dphi = 2.0 * PI - PI / 0.6 - 1e-6
+    man = write_manifest(tmp_path / "m.json", [
+        {"check": "linet", "params": {"alpha": 0.6, "theta": 1.0,
+                                      "theta_p": 2.0, "dphi": dphi}}])
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", warning_filter, "-m", "stringhorizon.cli",
+         "verify", "--manifest", man, "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120)
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert proc.stderr == ""
+    [record] = json.loads(out.read_text())
+    assert record["error"].startswith("QuadratureError: Linet u-integral: ")
+    assert "\n" not in record["error"]
+    assert proc.stdout.startswith("ERROR linet: QuadratureError: ")
+
+
 def test_verify_domain_error_case_distinct_exit(tmp_path, capsys):
     cases = list(SMALL_CASES) + [
         {"check": "linet", "params": {"alpha": 0.4, "theta": PI / 3,

@@ -2,9 +2,11 @@
 it reports, and its two stopping rules.  The degree sum `sum_l`: its
 cutoff, its geometric tail and its Wynn branch.  The Wynn limit
 `wynn_limit`: closed sums, its length rule, and the Abel/Richardson limit
-it replaced."""
+it replaced.  The QUADPACK gate `quadpack`: its failure code and its
+error bound."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,10 +16,10 @@ from hypothesis import strategies as st
 
 from stringhorizon import specfun
 from stringhorizon.conespace import _toroidal_coefficients, _toroidal_nsum
-from stringhorizon.errors import SlowConvergenceError
+from stringhorizon.errors import QuadratureError, SlowConvergenceError
 from stringhorizon.identities import check_app5, check_linet_sum
-from stringhorizon.summation import (richardson_table, sum_l, sum_m_bands,
-                                     wynn_limit)
+from stringhorizon.summation import (quadpack, richardson_table, sum_l,
+                                     sum_m_bands, wynn_limit)
 
 
 def test_fold_of_constant_bands():
@@ -240,3 +242,45 @@ def test_linet_high_order_bands_stay_finite(alpha, theta, theta_p, dphi):
     # gave lhs of order -1e306 against rhs of about 1
     c = check_linet_sum(alpha, theta, theta_p, dphi)
     assert math.isfinite(c.lhs) and c.residual < 1e-6
+
+
+# ----------------------------------------------------------------------
+# the QUADPACK gate
+# ----------------------------------------------------------------------
+
+def test_quadpack_failure_code_is_one_line_error(capfd):
+    # five subintervals cannot resolve 1600 periods: QUADPACK's ier = 1,
+    # which scipy reports as a multi-line warning without full_output
+    with warnings.catch_warnings(), pytest.raises(QuadratureError) as exc:
+        warnings.simplefilter("error")
+        quadpack(lambda x: math.sin(1e4 * x), 0.0, 1.0, "test integral", 1.0,
+                 limit=5)
+    # the first sentence of QUADPACK's message
+    assert str(exc.value) == ("test integral: The maximum number of "
+                              "subdivisions (5) has been achieved.")
+    assert capfd.readouterr() == ("", "")
+
+
+def test_quadpack_estimate_above_bound_raises():
+    value, error = quadpack(math.exp, 0.0, 1.0, "exp", 1.0)
+    assert 0.0 < error
+    with pytest.raises(QuadratureError, match="^exp: error estimate"):
+        quadpack(math.exp, 0.0, 1.0, "exp", 0.5 * error, 0.5 * error / value)
+
+
+def test_quadpack_nan_estimate_raises(monkeypatch):
+    import scipy.integrate
+    monkeypatch.setattr(scipy.integrate, "quad",
+                        lambda *args, **kwargs: (1.0, math.nan, {}))
+    with pytest.raises(QuadratureError, match="error estimate nan"):
+        quadpack(math.exp, 0.0, 1.0, "exp", 1.0, 1.0)
+
+
+@pytest.mark.parametrize("f, a, b, options", [
+    (math.exp, 0.0, 1.0, {}),
+    (lambda x: math.exp(-x * x), 0.0, math.inf, {"epsabs": 1e-13, "limit": 400}),
+    (lambda x: math.exp(-x), 0.0, math.inf, {"weight": "cos", "wvar": 2.0}),
+])
+def test_quadpack_returns_scipy_value_and_error(f, a, b, options):
+    from scipy.integrate import quad
+    assert quadpack(f, a, b, "f", 1e-6, **options) == quad(f, a, b, **options)
