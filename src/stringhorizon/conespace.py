@@ -422,51 +422,43 @@ def linet_kernel(u: float, psi: float, alpha: float) -> float:
     return num / den
 
 
-def _linet_integral(c: float, dphi: float, alpha: float, abs_bound: float,
-                    rel_bound: float = 0.0) -> tuple[float, float]:
-    """(value, error) of int_0^oo F_alpha(u, dphi) / sqrt(c + cosh u) du by
-    `quadpack` with these bounds; the u-integral of both Linet forms (c > -1)."""
-    def integrand(u):
-        if u > 600.0:   # kernel ~ e^{-u/alpha}, denominator ~ e^{u/2}: far below eps
-            return 0.0
-        return linet_kernel(u, dphi, alpha) / math.sqrt(c + math.cosh(u))
-
-    return quadpack(integrand, 0.0, np.inf, "Linet u-integral", abs_bound,
-                    rel_bound, epsabs=1e-13, epsrel=1e-11, limit=400)
-
-
-def _linet_images(dphi: float, alpha: float) -> list[float]:
-    """Image angles alpha*(dphi + 2 pi n) with |dphi + 2 pi n| < pi/alpha."""
-    out = []
-    for n in (-1, 0, 1):
-        ang = dphi + 2.0 * math.pi * n
-        margin = math.pi / alpha - abs(ang)
-        if abs(margin) < 1e-9:
-            raise DomainError(
-                "pair sits on a null image (|dphi + 2 pi n| = pi/alpha)")
-        if margin > 0.0:
-            out.append(alpha * ang)
-    return out
-
-
 def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
              tol: float = 1e-8) -> float:
-    """Linet's representation (alpha > 1/2): direct image(s) plus the
-    F_alpha integral."""
+    """Linet's representation (B. Linet, Phys. Rev. D 35, 536 (1987)), valid
+    for alpha in (1/2, 1]: the direct images alpha (dphi + 2 pi n) with
+    |dphi + 2 pi n| < pi/alpha, plus int_0^oo F_alpha(u, dphi) / sqrt(base +
+    2 rho rho' cosh u) du by `quadpack`.  A pair within 1e-2 of a null image
+    (|dphi + 2 pi n| = pi/alpha) is a DomainError: there the u-integrand
+    barely decays, QUADPACK fails from 2e-3 to 2e-4 in (by alpha), and at
+    the null image F_alpha has a pole."""
     if not 0.5 < alpha <= 1.0:
         raise DomainError(f"g3_linet requires alpha in (1/2, 1], got {alpha}")
     rho1, z1, rho2, z2, dphi, _ = _guard_separation(x, xp, alpha, with_tau=False)
     base = (z1 - z2) ** 2 + rho1 * rho1 + rho2 * rho2
     total = 0.0
-    for ang in _linet_images(dphi, alpha):
-        sigma = math.sqrt(base - 2.0 * rho1 * rho2 * math.cos(ang))
-        total += 1.0 / (4.0 * math.pi * sigma)
+    for n in (-1, 0, 1):
+        ang = dphi + 2.0 * math.pi * n
+        margin = math.pi / alpha - abs(ang)
+        if abs(margin) < 1e-2:
+            raise DomainError("pair within 1e-2 of a null image "
+                              f"(|dphi + 2 pi n| = pi/alpha, margin {margin:.1e})")
+        if margin > 0.0:
+            sigma = math.sqrt(base - 2.0 * rho1 * rho2 * math.cos(alpha * ang))
+            total += 1.0 / (4.0 * math.pi * sigma)
     if alpha == 1.0:
         return total  # F_1 vanishes identically
 
     # base + 2 rho rho' cosh u = 2 rho rho' (c + cosh u)
     rr = 2.0 * rho1 * rho2
-    val = _linet_integral(base / rr, dphi, alpha, 1e-11 * math.sqrt(rr), 10.0 * tol)[0]
+    c = base / rr
+
+    def integrand(u):
+        if u > 600.0:   # kernel ~ e^{-u/alpha}, denominator ~ e^{u/2}: far below eps
+            return 0.0
+        return linet_kernel(u, dphi, alpha) / math.sqrt(c + math.cosh(u))
+
+    val = quadpack(integrand, 0.0, np.inf, "Linet u-integral", 1e-11 * math.sqrt(rr),
+                   10.0 * tol, epsabs=1e-13, epsrel=1e-11, limit=400)[0]
     return total + val / math.sqrt(rr) / (8.0 * math.pi ** 2 * alpha)
 
 

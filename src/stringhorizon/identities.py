@@ -4,8 +4,10 @@ rule, files its rounding bound).  A case passes iff residual <= tol +
 certified_tail, both relative when |RHS| > 1 and absolute otherwise.
 Reports are deterministic: the same case list with the same tolerances
 produces bit-identical records: tol is the only truncation setting, and
-every cutoff follows from it.  A check that raises (a QuadratureError of
-`summation.quadpack` among them) is a record with an `error` field."""
+every cutoff follows from it.  A right-hand side that `conespace` already
+represents (Linet's form, `g3_linet`) is that function, not a copy.  A
+check that raises (a QuadratureError of `summation.quadpack` among them)
+is a record with an `error` field."""
 
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from scipy.special import eval_legendre, gammaln
 
 from . import specfun
 from .blackhole import lambda_of
-from .conespace import (_linet_integral, _spheroidal_lsum, _toroidal_nsum,
-                        check_alpha, generalized_heine_rhs, heine_double_sum)
+from .conespace import (ConePoint, _spheroidal_lsum, _toroidal_nsum, check_alpha,
+                        g3_linet, generalized_heine_rhs, heine_double_sum)
 from .errors import DomainError, StringHorizonError
 from .summation import quadpack, sum_l, sum_m_bands
 
@@ -148,19 +150,6 @@ def check_app5(alpha: float, m: int, theta: float, theta_p: float,
     return _make_case("app5", params, tol, lhs, rhs, err + 1e-12, lmax=lmax)
 
 
-def _linet_rhs(alpha, theta, theta_p, dphi):
-    """Image term + F_alpha integral of the r -> r' Linet identity."""
-    cc = math.cos(theta) * math.cos(theta_p)
-    ss = math.sin(theta) * math.sin(theta_p)
-    cos_ag = cc + ss * math.cos(alpha * dphi)
-    coshxi = (1.0 - cc) / ss
-    first = 1.0 / math.sqrt(2.0 * (1.0 - cos_ag))
-    if alpha == 1.0:
-        return first
-    val = _linet_integral(coshxi, dphi, alpha, 1e-9)[0]
-    return first + val / (2.0 * math.pi * alpha * math.sqrt(2.0 * ss))
-
-
 def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
     """(1/alpha) sum_m e^{i m dphi} [Wynn limit of the l-sum], theta != theta'."""
     x1, x2 = math.cos(theta), math.cos(theta_p)
@@ -198,22 +187,21 @@ def _linet_lhs_diag(alpha, theta, dphi, tol):
 
 def check_linet_sum(alpha: float, theta: float, theta_p: float, dphi: float,
                     tol: float = 1e-6) -> IdentityCase:
-    """(1/alpha) double mode sum at r = r' against Linet's image +
-    F_alpha-integral form; valid for alpha > 1/2 and the pair inside the
-    single-image window |dphi| < 2 pi - pi/alpha."""
-    if not 0.5 < alpha <= 1.0:
-        raise DomainError(f"Linet identity requires alpha in (1/2, 1], got {alpha}")
+    """(1/alpha) double mode sum at r = r' = 1 against Linet's image +
+    F_alpha-integral form, 4 pi `g3_linet` of the same pair, every image
+    included.  It runs first, so its domain rule (alpha in (1/2, 1], no
+    null image within 1e-2) refuses a case before any band is summed."""
     dphi = math.remainder(dphi, 2.0 * math.pi)
-    if not abs(dphi) < 2.0 * math.pi - math.pi / alpha - 1e-9:
-        raise DomainError(
-            "pair outside the single-image window |dphi| < 2 pi - pi/alpha")
+    # g3_linet is even in dphi; |dphi| lies in the chart's [0, 2 pi) exactly
+    rhs = 4.0 * math.pi * g3_linet(ConePoint("spherical", (1.0, theta, 0.0)),
+                                   ConePoint("spherical", (1.0, theta_p, abs(dphi))),
+                                   alpha, tol)
     note = ""
     if abs(theta - theta_p) < 1e-3:
         lhs, tail, bands = _linet_lhs_diag(alpha, theta, dphi, tol)
         note = "theta=theta' diagonal: m-sum resummed by the Heine integral"
     else:
         lhs, tail, bands = _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol)
-    rhs = _linet_rhs(alpha, theta, theta_p, dphi)
     params = {"alpha": alpha, "theta": theta, "theta_p": theta_p, "dphi": dphi}
     return _make_case("linet", params, tol, lhs, rhs, tail + 1e-12,
                       mmax=bands, note=note)

@@ -177,12 +177,35 @@ def test_verify_pole_angle_is_an_error_record(tmp_path):
 @pytest.mark.parametrize("warning_filter", ["error::RuntimeWarning",
                                             "error::UserWarning"])
 def test_verify_quadpack_failure_is_an_error_record(tmp_path, warning_filter):
-    # 1e-6 inside the single-image window the Linet u-integrand barely
-    # decays: QUADPACK reports "probably divergent", which is one ERROR
-    # record under either warning filter, never a warning or a traceback
-    dphi = 2.0 * PI - PI / 0.6 - 1e-6
+    # at dphi = 1e-4 the diagonal Linet resummation meets QUADPACK's
+    # roundoff failure, which is one ERROR record under either warning
+    # filter, never a warning or a traceback
     man = write_manifest(tmp_path / "m.json", [
-        {"check": "linet", "params": {"alpha": 0.6, "theta": 1.0,
+        {"check": "linet", "params": {"alpha": 0.75, "theta": PI / 2,
+                                      "theta_p": PI / 2, "dphi": 1e-4}}])
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", warning_filter, "-m", "stringhorizon.cli",
+         "verify", "--manifest", man, "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120)
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert proc.stderr == ""
+    [record] = json.loads(out.read_text())
+    assert record["error"].startswith("QuadratureError: diagonal resummation: ")
+    assert "\n" not in record["error"]
+    assert proc.stdout.startswith("ERROR linet: QuadratureError: ")
+
+
+@pytest.mark.parametrize("warning_filter", ["error::RuntimeWarning",
+                                            "error::UserWarning"])
+@pytest.mark.parametrize("alpha", [0.75, 0.9])
+def test_verify_null_image_is_one_domain_error(tmp_path, warning_filter, alpha):
+    # 1e-8 from a null image the Linet kernel divided by zero, a traceback;
+    # a pair within 1e-2 of one is refused in one line
+    dphi = 2.0 * PI - PI / alpha - 1e-8
+    man = write_manifest(tmp_path / "m.json", [
+        {"check": "linet", "params": {"alpha": alpha, "theta": 1.0,
                                       "theta_p": 2.0, "dphi": dphi}}])
     out = tmp_path / "r.json"
     proc = subprocess.run(
@@ -193,9 +216,10 @@ def test_verify_quadpack_failure_is_an_error_record(tmp_path, warning_filter):
     assert proc.returncode == EXIT_NUMERIC, proc.stderr
     assert proc.stderr == ""
     [record] = json.loads(out.read_text())
-    assert record["error"].startswith("QuadratureError: Linet u-integral: ")
+    assert record["error"].startswith("DomainError: pair within 1e-2 of a null image")
     assert "\n" not in record["error"]
-    assert proc.stdout.startswith("ERROR linet: QuadratureError: ")
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith("ERROR")] == [f"ERROR linet: {record['error']}"]
 
 
 def test_verify_domain_error_case_distinct_exit(tmp_path, capsys):

@@ -304,6 +304,20 @@ def test_g3_linet_second_image_window():
     assert g3_linet(a, b, 0.75, tol=1e-9) == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.51, 0.75, 0.99])
+def test_g3_linet_near_null_image(alpha):
+    # r' = 1.3; the n = -1 image at |dphi - 2 pi| = pi/alpha - margin
+    a = ConePoint("spherical", (1.0, 1.0, 0.0))
+    for margin in (0.03, 0.011, -0.011, -0.03):
+        b = ConePoint("spherical", (1.3, 2.0, 2.0 * math.pi - math.pi / alpha + margin))
+        ref = g3_cylindrical_Qsum(a, b, alpha, tol=1e-12)
+        assert g3_linet(a, b, alpha, tol=1e-10) == pytest.approx(ref, rel=1e-10)
+    for margin in (0.009, 1e-8, 0.0, -1e-8, -0.009):
+        b = ConePoint("spherical", (1.3, 2.0, 2.0 * math.pi - math.pi / alpha + margin))
+        with pytest.raises(DomainError, match="null image"):
+            g3_linet(a, b, alpha)
+
+
 def test_g3_toroidal_equal_w_abel_path():
     t1 = ConePoint("toroidal", (0.9, 0.5, 0.3))
     t2 = ConePoint("toroidal", (0.9, 1.9, 1.0))

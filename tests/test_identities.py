@@ -6,9 +6,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringhorizon.cli import _load_manifest
-from stringhorizon.conespace import _toroidal_coefficients
+from stringhorizon.conespace import (ConePoint, _toroidal_coefficients,
+                                     g3_cylindrical_Qsum)
 from stringhorizon.errors import (ConvergenceError, DomainError,
                                   SlowConvergenceError)
 from stringhorizon.identities import (CHECKS, check_app5,
@@ -197,9 +200,50 @@ def test_linet_domain():
         check_linet_sum(0.5, PI / 3, 2 * PI / 3, 1.0)
     with pytest.raises(DomainError):
         check_linet_sum(0.4, PI / 3, 2 * PI / 3, 1.0)
-    with pytest.raises(DomainError):
-        # outside the single-image window
-        check_linet_sum(0.55, PI / 2, PI / 2, 3.0)
+
+
+@pytest.mark.parametrize("alpha, theta, theta_p, dphi", [
+    (0.55, PI / 2, PI / 2, 3.0), (0.6, 1.0, 2.0, 2.5), (0.75, 1.0, 2.0, 3.0),
+    (0.9, 0.7, 1.1, 3.1), (0.55, 1.2, 1.5, -2.9), (0.6, PI / 2, PI / 2, 2.5)])
+def test_linet_second_image_cases(alpha, theta, theta_p, dphi):
+    # |dphi| > 2 pi - pi/alpha: the rhs takes the n = -1 image as well
+    c = check_linet_sum(alpha, theta, theta_p, dphi, tol=1e-6)
+    assert c.passed and c.residual < 1e-6
+    if theta != theta_p:
+        x = ConePoint("spherical", (1.0, theta, 0.0))
+        xp = ConePoint("spherical", (1.0, theta_p, abs(dphi)))
+        ref = 4.0 * PI * g3_cylindrical_Qsum(x, xp, alpha, tol=1e-13)
+        assert c.rhs == pytest.approx(ref, rel=1e-12)
+
+
+def _assert_sane_record(rec):
+    assert "error" in rec or (math.isfinite(rec["lhs"])
+                              and math.isfinite(rec["rhs"])), rec
+
+
+def _linet_record(alpha, theta, theta_p, dphi):
+    return run_case({"check": "linet", "params": {
+        "alpha": alpha, "theta": theta, "theta_p": theta_p, "dphi": dphi}})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.5, 1.0, exclude_min=True),
+       theta=st.floats(0.05, PI - 0.05), theta_p=st.floats(0.05, PI - 0.05),
+       dphi=st.floats(-PI, PI, exclude_min=True))
+def test_linet_any_input_is_a_record(alpha, theta, theta_p, dphi):
+    # a refusal or a failed quadrature is an error record, never a traceback
+    # and never a non-finite value
+    _assert_sane_record(_linet_record(alpha, theta, theta_p, dphi))
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_linet_near_null_image_is_a_record(alpha, k):
+    # 10^-k on either side of the null images at dphi = +-(2 pi - pi/alpha)
+    edge = 2.0 * PI - PI / alpha
+    for dphi in (edge - 10.0 ** -k, edge + 10.0 ** -k,
+                 -edge - 10.0 ** -k, -edge + 10.0 ** -k):
+        _assert_sane_record(_linet_record(alpha, 1.0, 2.0, dphi))
 
 
 def test_toroidal_addition_classical():
