@@ -3,18 +3,17 @@ function, horizon-limited Green's function, and geometric subtraction terms.
 
 Radial variable: eta = r/M - 1, horizon at eta = 1.  The n = 0 radial
 solutions are Legendre P_lambda / Q_lambda of eta; for n != 0 the equation
-is integrated numerically between a Frobenius start at the horizon
-(indicial exponents +-|n|/2) and a decaying start at an outer boundary,
-by a DOP853 stepper on Python floats.
+is integrated between a Frobenius start at the horizon (indicial exponents
++-|n|/2) and a decaying start at an outer boundary, by Taylor series of the
+equation itself: its coefficients are polynomials in eta - 1, so each step's
+series follows from one short recurrence.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 
@@ -112,154 +111,98 @@ def frobenius_coefficients(n: int, lam: float, exponent: float,
     return np.asarray(a)
 
 
-def _radial_rhs(n, lam):
-    """(u', u'') of the radial equation in s = ln(eta - 1), u(s) = chi(1 + e^s):
-    (1 + 2 e^{-s}) u'' + u' = V(s) u."""
-    ll = lam * (lam + 1.0)
-    n2 = n * n
-
-    def rhs(sv, u, up):
-        t = math.exp(sv)
-        V = ll + n2 * (2.0 + t) ** 4 / (16.0 * t * (t + 2.0))
-        return up, (V * u - up) / (1.0 + 2.0 / t)
-    return rhs
-
-
 # ----------------------------------------------------------------------
-# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) on floats
+# Taylor steps of the radial equation (Corliss & Chang, ACM TOMS 8, 114 (1982))
 # ----------------------------------------------------------------------
 
-_RTOL, _ATOL = 1e-11, 1e-300
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / 8.0     # the error estimator has order 7
+_TERMS = 28     # Taylor coefficients per step
+_TAIL = 1e-16   # weight of a step's last two terms against |c_0| + |c_1|
+_REACH = 0.4    # longest step over t_c, the distance to the singular point t = 0
 
 
-@functools.cache
-def _dop853_tableau():
-    """scipy's DOP853 coefficients as floats: C, the rows A[s, :s] of all 16
-    stages, B, E3, E5 and the interpolant's D."""
-    from scipy.integrate._ivp import dop853_coefficients as c
-    rows = tuple(tuple(c.A[s, :s].tolist()) for s in range(c.N_STAGES_EXTENDED))
-    return (tuple(c.C.tolist()), rows, tuple(c.B.tolist()), tuple(c.E3.tolist()),
-            tuple(c.E5.tolist()), tuple(tuple(r) for r in c.D.tolist()))
+def _shifted(poly, tc, s):
+    """Coefficients in x of poly(tc + s x), by repeated synthetic division."""
+    c = list(poly)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += tc * c[k + 1]
+    return [ck * s ** k for k, ck in enumerate(c)]
 
 
-def _rms(a, b):
-    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+def _taylor_series(polys, tc, s, c0, c1):
+    """The _TERMS coefficients of chi = sum c_k x^k, x = (t - tc)/s, from
+    c_0 = chi(tc) and c_1 = s chi'(tc).  The three polynomials moved to
+    tc + s x and times 1, s, s^2 have x^i coefficients a_i, b_(i+1) and
+    g_(i+2); the x^(m-2) coefficient of the equation is then the recurrence
+    sum_d [a_d k (k-1) + b_d k + g_d] c_k = 0 over k = m - d, d = 0..5."""
+    a0, a1, a2, a3 = _shifted(polys[0], tc, s)
+    b1, b2, b3 = (s * b for b in _shifted(polys[1], tc, s))
+    g2, g3, g4, g5 = (s * s * g for g in _shifted(polys[2], tc, s))
+    # c_k, k c_k and k (k-1) c_k from k = -3 on, zero below k = 0
+    c, v, u = [0.0, 0.0, 0.0, c0, c1], [0.0, 0.0, 0.0, 0.0, c1], [0.0] * 5
+    for m in range(2, _TERMS):
+        cm = -(a1 * u[-1] + a2 * u[-2] + a3 * u[-3] + b1 * v[-1] + b2 * v[-2]
+               + b3 * v[-3] + g2 * c[-2] + g3 * c[-3] + g4 * c[-4] + g5 * c[-5]
+               ) / (a0 * (m * (m - 1)))
+        c.append(cm)
+        v.append(m * cm)
+        u.append((m * (m - 1)) * cm)
+    return c[3:]
 
 
-class _Dop853:
-    """(u, u') from s0 to s1 by the steps of scipy's DOP853 integrator at
-    rtol 1e-11, atol 1e-300, on two Python floats: the same initial step,
-    RMS error norm with its E3/E5 correction, and step control.  Calling it
-    at s in [s0, s1] evaluates the 7th-order interpolant of the step holding
-    s (at a step boundary, the step that ends there), built on first use.
-    A non-finite state or error norm, or a step below 10 ulp, raises
-    StiffnessError."""
+def _horner(c, x):
+    """(sum c_k x^k, sum k c_k x^(k-1))."""
+    v = dv = 0.0
+    for k in range(len(c) - 1, 0, -1):
+        v = v * x + c[k]
+        dv = dv * x + k * c[k]
+    return v * x + c[0], dv
 
-    def __init__(self, rhs, s0, s1, y0, label):
-        _, _, B, E3, E5, _ = self._tableau = _dop853_tableau()
-        self._rhs = rhs
-        self._dir = d = 1.0 if s1 >= s0 else -1.0
-        t, (u, up) = s0, y0
-        fu, fp = rhs(t, u, up)
-        h_abs = self._initial_step(t, u, up, fu, fp, s1)
-        self.ts, self._ys, self._k, self._dense = [t], [(u, up)], [], {}
-        while d * (t - s1) < 0.0:
-            min_step = 10.0 * abs(math.nextafter(t, d * math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise StiffnessError(
-                        f"{label} integration failed: the step fell below 10 ulp "
-                        f"at eta - 1 = {math.exp(t):.6g}")
-                t_new = t + h_abs * d
-                if d * (t_new - s1) > 0.0:
-                    t_new = s1
-                h = t_new - t
-                h_abs = abs(h)
-                ku, kp = self._stages_to(12, t, h, u, up, [fu], [fp])
-                u1 = u + h * sum(map(mul, B, ku))
-                up1 = up + h * sum(map(mul, B, kp))
-                fu1, fp1 = rhs(t + h, u1, up1)
-                ku.append(fu1)
-                kp.append(fp1)
-                su = _ATOL + max(abs(u), abs(u1)) * _RTOL
-                sp = _ATOL + max(abs(up), abs(up1)) * _RTOL
-                e5u, e5p = sum(map(mul, E5, ku)) / su, sum(map(mul, E5, kp)) / sp
-                e3u, e3p = sum(map(mul, E3, ku)) / su, sum(map(mul, E3, kp)) / sp
-                e5, e3 = e5u * e5u + e5p * e5p, e3u * e3u + e3p * e3p
-                err = 0.0 if e5 == 0.0 and e3 == 0.0 else (
-                    h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0))
-                if not all(map(math.isfinite, (u1, up1, fu1, fp1, err))):
-                    raise StiffnessError(
-                        f"{label} integration overflowed near eta - 1 = "
-                        f"{math.exp(t):.6g}")
-                if err < 1.0:
-                    factor = _MAX_FACTOR if err == 0.0 else min(
-                        _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                    h_abs *= min(1.0, factor) if rejected else factor
-                    break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                rejected = True
-            self._k.append((ku, kp))
-            t, u, up, fu, fp = t_new, u1, up1, fu1, fp1
-            self.ts.append(t)
-            self._ys.append((u, up))
-        self._keys = [d * x for x in self.ts]
 
-    def _initial_step(self, t, u, up, fu, fp, s1):
-        """scipy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4)."""
-        length = abs(s1 - t)
-        su, sp = _ATOL + abs(u) * _RTOL, _ATOL + abs(up) * _RTOL
-        d0, d1 = _rms(u / su, up / sp), _rms(fu / su, fp / sp)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-        hd = h0 * self._dir
-        gu, gp = self._rhs(t + hd, u + hd * fu, up + hd * fp)
-        d2 = _rms((gu - fu) / su, (gp - fp) / sp) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-        return min(100.0 * h0, h1, length)
+def _taylor_solve(n, lam, t0, t1, chi, dchi, label):
+    """(chi, chi') as a function of t in [t0, t1], from (chi, dchi) at t0,
+    for the radial equation in t = eta - 1 with its common factor t + 2
+    removed:
+        16 t^2 (t+2) chi'' + 32 t (t+1) chi' - [16 lam(lam+1) t + n^2 (t+2)^3] chi = 0.
+    A step at tc is scaled by the length s of the previous step (the first
+    by _REACH t0), covers at most _REACH tc and is short enough that its last
+    two terms weigh under _TAIL of |c_0| + |c_1|.  A point is evaluated from
+    the start of its step in the direction of integration.  A non-finite
+    series or a step below 10 ulp raises StiffnessError."""
+    n2, ll = float(n * n), lam * (lam + 1.0)
+    polys = ((0.0, 0.0, 32.0, 16.0), (0.0, 32.0, 32.0),
+             (-8.0 * n2, -12.0 * n2 - 16.0 * ll, -6.0 * n2, -n2))
+    d = 1.0 if t1 >= t0 else -1.0
+    keys, steps = [], []
+    tc, s = t0, d * _REACH * t0
+    c0, c1 = chi, s * dchi
+    while True:
+        c = _taylor_series(polys, tc, s, c0, c1)
+        if not math.isfinite(sum(map(abs, c))):
+            raise StiffnessError(
+                f"{label} integration overflowed near eta - 1 = {tc:.6g}")
+        keys.append(d * tc)
+        steps.append((tc, s, c))
+        if tc == t1:
+            break
+        norm = _TAIL * (abs(c0) + abs(c1))
+        r = min([(norm / abs(ck)) ** (1.0 / k) for k, ck in
+                 ((_TERMS - 2, c[-2]), (_TERMS - 1, c[-1])) if ck], default=math.inf)
+        h = min(r * abs(s), _REACH * tc, abs(t1 - tc))
+        if h < 10.0 * math.ulp(tc):
+            raise StiffnessError(
+                f"{label} integration failed: the step fell below 10 ulp "
+                f"at eta - 1 = {tc:.6g}")
+        tn = t1 if h == abs(t1 - tc) else tc + d * h
+        x = (tn - tc) / s
+        c0, dv = _horner(c, x)
+        tc, s, c1 = tn, tn - tc, x * dv
 
-    def _stages_to(self, stop, t, h, u, up, ku, kp):
-        """Append the stages len(ku) .. stop - 1 of the step (t, h) from
-        (u, up) to the stage lists ku, kp and return them."""
-        C, A = self._tableau[:2]
-        for s in range(len(ku), stop):
-            a = A[s]
-            gu, gp = self._rhs(t + C[s] * h, u + sum(map(mul, a, ku)) * h,
-                               up + sum(map(mul, a, kp)) * h)
-            ku.append(gu)
-            kp.append(gp)
-        return ku, kp
-
-    def _interpolant(self, i):
-        """(y, F[0..6]) of step i per component, F[3..6] from the three
-        extra stages of the extended tableau."""
-        if i not in self._dense:
-            t, h = self.ts[i], self.ts[i + 1] - self.ts[i]
-            (u, up), (u1, up1) = self._ys[i], self._ys[i + 1]
-            ku, kp = self._stages_to(16, t, h, u, up, *self._k[i])
-            self._dense[i] = tuple(
-                (y, dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
-                 *(h * sum(map(mul, row, k)) for row in self._tableau[5]))
-                for y, dy, k in ((u, u1 - u, ku), (up, up1 - up, kp)))
-        return self._dense[i]
-
-    def __call__(self, s):
-        i = max(bisect.bisect_left(self._keys, self._dir * s) - 1, 0)
-        h = self.ts[i + 1] - self.ts[i]
-        x = (s - self.ts[i]) / h
-        out = []
-        for y0, *F in self._interpolant(i):
-            y = 0.0
-            for j in range(6, -1, -1):      # odd j multiply by 1 - x
-                y = (y + F[j]) * (x if j % 2 == 0 else 1.0 - x)
-            out.append(y + y0)
-        return out
+    def solution(t):
+        tc, s, c = steps[bisect.bisect_right(keys, d * t) - 1]
+        v, dv = _horner(c, (t - tc) / s)
+        return v, dv / s
+    return solution
 
 
 @dataclass
@@ -294,7 +237,7 @@ class RadialSolutionPair:
         if t < _FROBENIUS_T:
             ks = np.arange(self._series.size)
             return float(np.sum(self._series * t ** (abs(self.n) / 2.0 + ks)))
-        return self._p_sol(math.log(t))[0]
+        return self._p_sol(t)[0]
 
     def dp(self, eta: float) -> float:
         self._check(eta)
@@ -303,16 +246,15 @@ class RadialSolutionPair:
             ks = np.arange(self._series.size)
             e = abs(self.n) / 2.0 + ks
             return float(np.sum(self._series * e * t ** (e - 1.0)))
-        return self._p_sol(math.log(t))[1] / t
+        return self._p_sol(t)[1]
 
     def q(self, eta: float) -> float:
         self._check_q(eta)
-        return self._q_sol(math.log(eta - 1.0))[0] / self._q_norm
+        return self._q_sol(eta - 1.0)[0] / self._q_norm
 
     def dq(self, eta: float) -> float:
         self._check_q(eta)
-        t = eta - 1.0
-        return self._q_sol(math.log(t))[1] / t / self._q_norm
+        return self._q_sol(eta - 1.0)[1] / self._q_norm
 
 
 def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None,
@@ -323,8 +265,8 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     outward; q starts from the decaying large-eta behavior e^{-|n| eta/4}/eta
     at eta_max and integrates inward to eta = 1 + 1e-6, then is rescaled so
     its fitted (eta-1)^{-|n|/2} coefficient is 1; q and dq are defined for
-    eta - 1 >= 1e-6 only.  The equation is integrated in s = ln(eta - 1),
-    where the horizon endpoint is regular, by DOP853 at rtol 1e-11.
+    eta - 1 >= 1e-6 only.  Both are integrated by Taylor steps of the
+    equation in t = eta - 1 (see _taylor_solve).
 
     In the eta variable the equation is mass-free (kappa M = 1/4), so
     `geometry` only fixes the normalization used downstream.
@@ -342,19 +284,14 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     ks = np.arange(a.size)
     v0 = float(np.sum(a * t0 ** (nn / 2.0 + ks)))
     dv0 = float(np.sum(a * (nn / 2.0 + ks) * t0 ** (nn / 2.0 + ks - 1.0)))
-    s0, s1 = math.log(t0), math.log(eta_max - 1.0)
-    rhs = _radial_rhs(n, lam)
-    p_sol = _Dop853(rhs, s0, s1, (v0, t0 * dv0), "outward")
-
-    q0 = 1.0
-    dq0 = -(nn / 4.0 + 1.0 / eta_max) * q0
-    q_sol = _Dop853(rhs, s1, math.log(_Q_T_MIN), (q0, (eta_max - 1.0) * dq0),
-                    "inward")
+    p_sol = _taylor_solve(n, lam, t0, eta_max - 1.0, v0, dv0, "outward")
+    q_sol = _taylor_solve(n, lam, eta_max - 1.0, _Q_T_MIN, 1.0,
+                          -(nn / 4.0 + 1.0 / eta_max), "inward")
 
     # leading coefficient of q ~ c t^{-|n|/2}: 3-point fit with basis
     # {1, t ln t, t} removes the subleading (and possible log) terms
     ts = np.array([_Q_T_MIN, 2.0 * _Q_T_MIN, 4.0 * _Q_T_MIN])
-    vals = np.array([q_sol(math.log(t))[0] * t ** (nn / 2.0) for t in ts])
+    vals = np.array([q_sol(t)[0] * t ** (nn / 2.0) for t in ts])
     design = np.stack([np.ones(3), ts * np.log(ts), ts], axis=1)
     q_norm = float(np.linalg.solve(design, vals)[0])
     if q_norm == 0.0 or not math.isfinite(q_norm):

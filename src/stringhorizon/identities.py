@@ -191,6 +191,8 @@ def check_linet_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     F_alpha-integral form, 4 pi `g3_linet` of the same pair, every image
     included.  It runs first, so its domain rule (alpha in (1/2, 1], no
     null image within 1e-2) refuses a case before any band is summed."""
+    if not math.isfinite(dphi):
+        raise DomainError(f"linet needs a finite dphi, got {dphi}")
     dphi = math.remainder(dphi, 2.0 * math.pi)
     # g3_linet is even in dphi; |dphi| lies in the chart's [0, 2 pi) exactly
     rhs = 4.0 * math.pi * g3_linet(ConePoint("spherical", (1.0, theta, 0.0)),
@@ -221,8 +223,9 @@ def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
     from the addition theorem.
     """
     check_alpha(alpha)
-    if not (w > 0.0 and w_p > 0.0):
-        raise DomainError("toroidal coordinates must be positive")
+    if not (w > 0.0 and w_p > 0.0 and math.isfinite(eta - eta_p)):
+        raise DomainError(f"toroidal coordinates need w, w' > 0 and a finite "
+                          f"eta - eta', got {w}, {w_p}, {eta}, {eta_p}")
     mu = abs(m) / alpha
     deta = math.remainder(eta - eta_p, 2.0 * math.pi)
     w_lt, w_gt = min(w, w_p), max(w, w_p)

@@ -7,9 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from stringhorizon.blackhole import (DeficitGeometry, _radial_rhs,
-                                     chi_radial_green,
-                                     exponent_fit, g_sing, geodesic_distance,
+from stringhorizon.blackhole import (DeficitGeometry, chi_radial_green,
+                                     exponent_fit, frobenius_coefficients,
+                                     g_sing, geodesic_distance,
                                      geodesic_distance_expansion,
                                      horizon_green, horizon_green_closed,
                                      lambda_of, radial_solutions)
@@ -79,7 +79,7 @@ def test_radial_wronskian_constancy(n, lam):
     pair = radial_solutions(n, lam, GEO_S)
     target = -2.0 * abs(n)
     assert pair.wronskian_scale == pytest.approx(target, rel=1e-8)
-    assert pair.wronskian_spread < 1e-6
+    assert pair.wronskian_spread < 1e-12
     # explicit spot checks across [1.01, 5]
     for eta in (1.01, 1.5, 2.0, 5.0):
         w = (eta * eta - 1.0) * (pair.p(eta) * pair.dq(eta)
@@ -131,24 +131,43 @@ def test_radial_domain_errors():
         pair.q(25.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("lam", [0.0, 1.0, 2.5, 5.0])
-def test_stepper_matches_solve_ivp(n, lam):
-    # both solves of the pair against scipy's DOP853 at the same tolerances:
-    # the same accepted steps, and u, u' within 1e-12 at 50 points each
-    from scipy.integrate import solve_ivp
-    pair = radial_solutions(n, lam, GEO)
-    rhs = _radial_rhs(n, lam)
-    for sol in (pair._p_sol, pair._q_sol):
-        s0, s1 = sol.ts[0], sol.ts[-1]
-        ref = solve_ivp(lambda s, y: rhs(s, *y), (s0, s1), sol._ys[0],
-                        method="DOP853", rtol=1e-11, atol=1e-300,
-                        dense_output=True)
-        assert ref.success
-        assert len(sol.ts) == len(ref.t)
-        for s in np.linspace(s0, s1, 50):
-            np.testing.assert_allclose(sol(float(s)), ref.sol(s), rtol=1e-12,
-                                       atol=0.0)
+def _radial_reference(n, lam, t_start, sign, y0):
+    """mpmath's Taylor solution of the radial equation
+    16 t^2 (t+2)^2 chi'' + 32 t (t+1)(t+2) chi' - [16 lam(lam+1) t (t+2)
+    + n^2 (t+2)^4] chi = 0 in u = sign (t - t_start), from (chi, dchi/du)."""
+    ll = mpmath.mpf(lam) * (lam + 1)
+
+    def f(u, y):
+        t = t_start + sign * u
+        p2 = 16 * t ** 2 * (t + 2) ** 2
+        p1 = 32 * t * (t + 1) * (t + 2)
+        p0 = 16 * ll * t * (t + 2) + n * n * (t + 2) ** 4
+        return [y[1], (p0 * y[0] - sign * p1 * y[1]) / p2]
+    return mpmath.odefun(f, 0, y0, tol=mpmath.mpf(1e-20))
+
+
+@pytest.mark.parametrize("n,lam", [(1, 0.0), (2, 1.0), (3, 5.0)])
+def test_radial_pair_matches_mpmath_odefun(n, lam):
+    # p from its Frobenius start at eta - 1 = 1e-4 and q inward from eta_max,
+    # against 25-digit Taylor solutions of the same equation in mpmath
+    eta_max = 3.0
+    pair = radial_solutions(n, lam, GEO, eta_max=eta_max)
+    with mpmath.workdps(25):
+        t0 = mpmath.mpf(1e-4)
+        a = [mpmath.mpf(float(c)) for c in frobenius_coefficients(n, lam, n / 2.0, 8)]
+        y0 = [sum(c * t0 ** (n / 2 + k) for k, c in enumerate(a)),
+              sum(c * (n / 2 + k) * t0 ** (n / 2 + k - 1) for k, c in enumerate(a))]
+        p_ref = _radial_reference(n, lam, t0, 1, y0)
+        for eta in (1.0002, 1.001, 1.01, 1.1, 1.5, eta_max):
+            ref = p_ref(mpmath.mpf(eta) - 1 - t0)[0]
+            assert abs(pair.p(eta) / ref - 1) < 2e-12, eta
+        # q(eta_max) = 1 before the normalization fit rescales it
+        t_max = mpmath.mpf(eta_max) - 1
+        q_ref = _radial_reference(n, lam, t_max, -1,
+                                  [mpmath.mpf(1), n / 4 + 1 / mpmath.mpf(eta_max)])
+        for eta in (2.5, 2.0, 1.3, 1.1, 1.01, 1.001):
+            ref = q_ref(t_max - (mpmath.mpf(eta) - 1))[0]
+            assert abs(pair.q(eta) / pair.q(eta_max) / ref - 1) < 1e-11, eta
 
 
 @pytest.mark.parametrize("n,lam", [(1, 0.0), (2, 1.0)])

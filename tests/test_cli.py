@@ -531,16 +531,34 @@ def test_radial_overflow_is_one_line_stiffness_error(argv):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,top", [
+    (["--n", "2", "--l", "640", "--m", "0", "--eta-max", "1.6"], 2e284),
+    (["--n", "85", "--l", "1", "--m", "0", "--eta-max", "3"], 1e30),
+])
+def test_radial_near_the_float_range_edge(argv, top):
+    # solutions that come within a few decades of overflow still tabulate
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "stringhorizon.cli", "radial"] + argv,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = [list(map(float, line.split(","))) for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) > 1 and all(map(math.isfinite, sum(rows, [])))
+    assert max(abs(r[1]) for r in rows) > top
+
+
 def test_quadrature_and_ode_modules_load_on_use():
-    # scipy.integrate serves QUADPACK and the DOP853 coefficients only, so
-    # neither the import nor phi2, figure1 and norm_integral (Gauss rule,
-    # also at l = l' = 1000) load it, and none of them writes to stderr
+    # scipy.integrate serves QUADPACK only, so neither the import nor phi2,
+    # figure1, norm_integral (Gauss rule, also at l = l' = 1000) and the
+    # radial pair (Taylor steps) load it, and none of them writes to stderr
     code = (
         "import sys, io, contextlib\n"
         "import stringhorizon\n"
         "loaded = ['scipy.integrate' in sys.modules]\n"
         "from stringhorizon.cli import main\n"
         "from stringhorizon.identities import run_case\n"
+        "from stringhorizon.blackhole import radial_solutions\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['phi2', '--theta', '1.2', '--alpha', '0.75']),\n"
         "             main(['figure1', '--points', '5'])]\n"
@@ -548,11 +566,18 @@ def test_quadrature_and_ode_modules_load_on_use():
         "passed = [run_case({'check': 'norm_integral', 'params': {'alpha': 0.75,\n"
         "                    'm': 2, 'l': l, 'l_p': l}})['passed'] for l in (3, 1000)]\n"
         "loaded.append('scipy.integrate' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes.append(main(['radial', '--n', '2', '--l', '1', '--m', '0',\n"
+        "                       '--format', 'json']))\n"
+        "spread = radial_solutions(1, 1.0).wronskian_spread\n"
+        "passed.append(spread < 1e-12)\n"
+        "loaded.append('scipy.integrate' in sys.modules)\n"
         "print(codes, loaded, passed)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC),
                           timeout=120)
-    assert proc.stdout == "[0, 0] [False, False, False] [True, True]\n", proc.stderr
+    assert proc.stdout == ("[0, 0, 0] [False, False, False, False] "
+                           "[True, True, True]\n"), proc.stderr
     assert proc.stderr == ""
 
 

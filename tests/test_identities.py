@@ -424,6 +424,25 @@ def test_run_case_records_nan_parameters_as_domain_errors():
             assert rec.get("error", "").startswith("DomainError"), (name, key, rec)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("linet", {"alpha": 0.75, "theta": 1.0, "theta_p": 2.0, "dphi": math.inf}),
+    ("linet", {"alpha": 0.75, "theta": 1.0, "theta_p": 2.0, "dphi": -math.inf}),
+    ("toroidal_addition", {"alpha": 0.75, "m": 1, "w": 0.5, "w_p": 0.9,
+                           "eta": math.inf, "eta_p": 2.0}),
+    ("toroidal_addition", {"alpha": 0.75, "m": 1, "w": 0.5, "w_p": 0.9,
+                           "eta": 1.0, "eta_p": -math.inf}),
+    ("toroidal_addition", {"alpha": 0.75, "m": 1, "w": 0.5, "w_p": 0.9,
+                           "eta": math.inf, "eta_p": math.inf}),
+])
+def test_run_case_records_infinite_angles_as_domain_errors(name, params):
+    # math.remainder rejects an infinite angle with a bare ValueError; the
+    # checks refuse it first, with one line
+    rec = run_case({"check": name, "params": params})
+    assert not rec["passed"]
+    assert rec["error"].startswith("DomainError: "), rec
+    assert "finite" in rec["error"] and "\n" not in rec["error"]
+
+
 def test_run_case_records_overflow():
     # sinh(chi/alpha) of the closed kernel leaves float range at alpha = 1e-3
     rec = run_case({"check": "heine_generalized",
