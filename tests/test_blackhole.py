@@ -170,6 +170,31 @@ def test_radial_pair_matches_mpmath_odefun(n, lam):
             assert abs(pair.q(eta) / pair.q(eta_max) / ref - 1) < 1e-11, eta
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.5, 5.0])
+def test_stepper_matches_solve_ivp(n, lam):
+    # both Taylor solves of the pair against scipy's DOP853 at rtol 1e-13,
+    # restarted from the same (chi, chi'): within 1e-10 at 50 points each
+    # (DOP853's own global error reaches about 1e-11 here)
+    from scipy.integrate import solve_ivp
+    ll = lam * (lam + 1.0)
+
+    def rhs(t, y):
+        p2 = 16.0 * t * t * (t + 2.0) ** 2
+        p1 = 32.0 * t * (t + 1.0) * (t + 2.0)
+        p0 = 16.0 * ll * t * (t + 2.0) + n * n * (t + 2.0) ** 4
+        return [y[1], (p0 * y[0] - p1 * y[1]) / p2]
+    pair = radial_solutions(n, lam, GEO)
+    t_max = pair.eta_max - 1.0
+    for sol, t0, t1 in ((pair._p_sol, 1e-4, t_max), (pair._q_sol, t_max, 1e-6)):
+        ref = solve_ivp(rhs, (t0, t1), list(sol(t0)), method="DOP853",
+                        rtol=1e-13, atol=0.0, dense_output=True)
+        assert ref.success
+        for t in np.geomspace(t0, t1, 50):
+            np.testing.assert_allclose(sol(float(t)), ref.sol(t), rtol=1e-10,
+                                       atol=0.0)
+
+
 @pytest.mark.parametrize("n,lam", [(1, 0.0), (2, 1.0)])
 def test_q_domain_ends_with_the_inward_solve(n, lam):
     # q is integrated down to eta - 1 = 1e-6; below that it raises instead
