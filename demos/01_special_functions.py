@@ -44,8 +44,10 @@ print(f"\nP_{lam}({zeta}) = {p:.12f},  Q_{lam}({zeta}) = {q:.12f}")
 print(f"Wronskian P Q' - P' Q = {p*dq - dp*q:.12e} "
       f"(target {-1/(zeta**2-1):.12e})")
 
-# the phase-absorbed second kind at fractional order is real
-pp = legendre_P_axis_sequence(0.5, 0.8, 1.5, 1)[0]
+# the phase-absorbed second kind at fractional order is real; the axis
+# chains return a mantissa and a log offset per degree, value m e^L
+pm, pL = legendre_P_axis_sequence(0.5, 0.8, 1.5, 1)
+pp = pm[0] * math.exp(pL[0])
 qq = legendre_Qhat_axis(0.5, 0.8, 1.5)
 print(f"\naxis pair at (nu, mu) = (0.5, 0.8): P = {pp:.12f}, Qhat = {qq:.12f}")
 

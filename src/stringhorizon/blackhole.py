@@ -111,6 +111,17 @@ def frobenius_coefficients(n: int, lam: float, exponent: float,
     return np.asarray(a)
 
 
+def _frobenius(a: np.ndarray, n: int, t: float) -> tuple[float, float]:
+    """(chi, chi') of the series chi = sum_j a_j t^(|n|/2 + j) at t; a value
+    beyond float range (at astronomically large n) raises StiffnessError."""
+    e = abs(n) / 2.0 + np.arange(a.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, dv = float(np.sum(a * t ** e)), float(np.sum(a * e * t ** (e - 1.0)))
+    if not (math.isfinite(v) and math.isfinite(dv)):
+        raise StiffnessError(f"Frobenius start overflowed at eta - 1 = {t:.6g}")
+    return v, dv
+
+
 # ----------------------------------------------------------------------
 # Taylor steps of the radial equation (Corliss & Chang, ACM TOMS 8, 114 (1982))
 # ----------------------------------------------------------------------
@@ -219,7 +230,6 @@ class RadialSolutionPair:
     _p_sol: object = field(repr=False)
     _q_sol: object = field(repr=False)
     _q_norm: float = field(repr=False)
-    _series: np.ndarray = field(repr=False)
 
     def _check(self, eta):
         if not 1.0 < eta <= self.eta_max:
@@ -233,20 +243,11 @@ class RadialSolutionPair:
 
     def p(self, eta: float) -> float:
         self._check(eta)
-        t = eta - 1.0
-        if t < _FROBENIUS_T:
-            ks = np.arange(self._series.size)
-            return float(np.sum(self._series * t ** (abs(self.n) / 2.0 + ks)))
-        return self._p_sol(t)[0]
+        return self._p_sol(eta - 1.0)[0]
 
     def dp(self, eta: float) -> float:
         self._check(eta)
-        t = eta - 1.0
-        if t < _FROBENIUS_T:
-            ks = np.arange(self._series.size)
-            e = abs(self.n) / 2.0 + ks
-            return float(np.sum(self._series * e * t ** (e - 1.0)))
-        return self._p_sol(t)[1]
+        return self._p_sol(eta - 1.0)[1]
 
     def q(self, eta: float) -> float:
         self._check_q(eta)
@@ -281,10 +282,12 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     nn = abs(n)
     t0 = _FROBENIUS_T
     a = frobenius_coefficients(n, lam, nn / 2.0, 8)
-    ks = np.arange(a.size)
-    v0 = float(np.sum(a * t0 ** (nn / 2.0 + ks)))
-    dv0 = float(np.sum(a * (nn / 2.0 + ks) * t0 ** (nn / 2.0 + ks - 1.0)))
-    p_sol = _taylor_solve(n, lam, t0, eta_max - 1.0, v0, dv0, "outward")
+    outward = _taylor_solve(n, lam, t0, eta_max - 1.0, *_frobenius(a, n, t0),
+                            "outward")
+
+    def p_sol(t):                       # the Frobenius series below t0
+        return _frobenius(a, n, t) if t < t0 else outward(t)
+
     q_sol = _taylor_solve(n, lam, eta_max - 1.0, _Q_T_MIN, 1.0,
                           -(nn / 4.0 + 1.0 / eta_max), "inward")
 
@@ -299,8 +302,7 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
 
     pair = RadialSolutionPair(n=n, lam=lam, eta_max=eta_max,
                               wronskian_scale=0.0, wronskian_spread=0.0,
-                              _p_sol=p_sol, _q_sol=q_sol, _q_norm=q_norm,
-                              _series=a)
+                              _p_sol=p_sol, _q_sol=q_sol, _q_norm=q_norm)
     etas = np.geomspace(1.01, min(5.0, eta_max), 9)
     w = np.array([(e * e - 1.0) * (pair.p(e) * pair.dq(e) - pair.dp(e) * pair.q(e))
                   for e in etas])

@@ -229,8 +229,9 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
         chain = chains.setdefault(mu0, np.empty(0))
         if j + count > chain.size:
             n = max(2 * chain.size, j + count)
-            chain = chains[mu0] = np.log(specfun.legendre_Qbar_axis_sequence(
-                mu0, 0.0, zeta, n, log_scale=-xi)) - xi * np.arange(n)
+            # Qbar > 0 at order 0: its chain is its log offset
+            chain = chains[mu0] = specfun.legendre_Qbar_axis_sequence(
+                mu0, 0.0, zeta, n)[1]
         return chain[j:j + count]
 
     def terms(stop, count):             # the next bands' terms, a row each

@@ -11,13 +11,15 @@ Conventions
   e^{mu*pi*i} * Q_nu^{-mu}, real for x > 1 and degree nu > -1.  The phase
   factor matches the one multiplying Q in the toroidal and spheroidal mode
   sums, so every interface in this package stays real-valued.
-* A Ferrers chain is a mantissa and a log offset per degree, so it never
-  underflows; ``ferrers_band``, the gamma-ratio x P x P band of every mode
-  sum over the angular functions, adds them in logs and builds one chain
-  when theta = theta'.  Given an array of orders it returns a band per row
-  from one vectorized degree loop, bit for bit the scalar chains' bands;
-  one band keeps the scalar chain, the faster one for a single row (the
-  point values of ``ferrers_P`` and the long Wynn-limit bands).
+* Every chain over the degree, Ferrers, axis P and Qbar, is a pair (m, L)
+  of arrays whose value is m e^L: a mantissa and a log offset, so no value
+  leaves float range.  ``ferrers_band``, the gamma-ratio x P x P band of
+  every mode sum over the angular functions, adds them in logs and builds
+  one chain when theta = theta'.  Given an array of orders it returns a
+  band per row from one vectorized degree loop, bit for bit the scalar
+  chains' bands; one band keeps the scalar chain, the faster one for a
+  single row (the point values of ``ferrers_P`` and the long Wynn-limit
+  bands).
 * ``axis_band`` is its counterpart on the axis, the gamma-ratio x P x Qbar
   band of the toroidal and spheroidal mode sums, returned as signs and
   logs; it is the one reader of the axis chains at nonzero order.
@@ -155,13 +157,24 @@ def _ferrers_chain(nu0: float, mu: float, x: float,
         raise DomainError(f"sequence seeds need a finite mu and -1/2 <= nu0 < "
                           f"mu + 2 (P_nu = P_(-nu-1)), got nu0 = {nu0}, mu = {mu}")
     off = float(_ferrers_offset(mu, x, count))
-    m, L, w = [], [off] * count, 0.5 * (1.0 - x)
+    m, w = [], 0.5 * (1.0 - x)
     for k in range(min(count, 2)):      # the seeds F(a, b; c; w), a = mu - nu
         a, b, c = (mu - nu0) - k, mu + (nu0 + k) + 1.0, 1.0 + mu
         a = float(round(a)) if abs(a - round(a)) < 5e-13 and a < 0.5 else a
         # at a = 0 or -1 the series ends after its first or second term
         m.append(1.0 if a == 0.0 else 1.0 - b / c * w if a == -1.0
                  else _hyp_series(a, b, c, w)[0])
+    return _upward(m, off, nu0, mu, x, count)
+
+
+def _upward(m: list, off: float, nu0: float, mu: float, x: float,
+            count: int) -> tuple[list, list]:
+    """Extend the seed mantissas m at nu0 (and nu0 + 1), both over the log
+    offset off, to lists (m, L) of count degrees by the upward recurrence
+        (nu+mu+1) P_{nu+1}^{-mu} = (2nu+1) x P_nu^{-mu} - (nu-mu) P_{nu-1}^{-mu}
+    that the Ferrers and the axis functions share; it moves an exact power
+    of two into the offset when the mantissas leave [_TINY, _BIG]."""
+    L = [off] * count
     a, b = m[0], m[-1]
     push, big, tiny = m.append, _BIG, _TINY
     for k in range(2, count):
@@ -188,11 +201,9 @@ def ferrers_P_sequence(nu0: float, mu: float, x: float,
     one-signed there, with F as the mantissa and the log of the prefactor as
     the offset (degree offsets within 5e-13 of the regular family snap onto
     it); below nu0 = -1/2 the series cancels, and P_nu = P_{-nu-1} applies.
-    The upward degree recurrence runs on the mantissas and moves an exact
-    power of two into the offset when they leave [_TINY, _BIG].  It is
-    stable where (nu + 1/2) sin(theta) > mu; in the evanescent region its
-    relative error grows with the dominant/minimal ratio, but there P itself
-    is exponentially small by the same factor.
+    `_upward` climbs from them, stable where (nu + 1/2) sin(theta) > mu; in
+    the evanescent region its relative error grows with the dominant/minimal
+    ratio, but there P itself is exponentially small by the same factor.
     """
     m, L = _ferrers_chain(nu0, mu, x, count)
     return np.array(m, dtype=float), np.array(L, dtype=float)
@@ -333,90 +344,75 @@ def legendre_Q_sequence(lam0: float, zeta: float, count: int) -> np.ndarray:
 
     Every lam0 + k + 1 must stay off the gamma poles.
     """
-    qb = legendre_Qbar_axis_sequence(lam0, 0.0, zeta, count)
+    m, L = legendre_Qbar_axis_sequence(lam0, 0.0, zeta, count)
     lam = lam0 + np.arange(count, dtype=float)
     a = lam + 1.0
     if np.any((a < 0.5) & (np.abs(a - np.round(a)) < 1e-12)):
         raise PoleError("Q chain crosses a gamma pole; use the Qbar chain")
-    return qb * gammasgn(a) * np.exp(gammaln(a) - gammaln(lam + 1.5))
+    return m * gammasgn(a) * np.exp(L + gammaln(a) - gammaln(lam + 1.5))
 
 
-def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float, count: int,
-                                log_scale: float = 0.0) -> np.ndarray:
-    """[Qbar_{nu0+k}^{-mu}(x) * e^{-k*log_scale} for k = 0..count-1],
+def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float,
+                                count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, L) with Qbar_{nu0+k}^{-mu}(x) = m[k] e^{L[k]}, k = 0..count-1,
     Qbar = Qhat * Gamma(nu+3/2) / Gamma(nu-mu+1) (gamma-free normalization).
 
     Qbar is the minimal solution of
         (nu+mu+1)(nu-mu+1)/(nu+3/2) Qbar_{nu+1}
             = (2nu+1) x Qbar_nu - (nu+1/2) Qbar_{nu-1},
     computed by Miller's algorithm in ratio form (Gautschi, SIAM Rev. 9, 24
-    (1967)): the ratios r_k = e^{-log_scale} Qbar_{nu0+k} / Qbar_{nu0+k-1}
-    stay bounded and run downward from r = 0 well above the chain, and one
-    series value at the bottom times their running product gives the chain,
-    with nothing to rescale.  The recurrence separates its minimal solution
-    only above nu ~ mu, hence the mu - nu0 in the start; where (2nu+1) x
-    overflows, the ratio is exactly 0.  The bottom value comes first, so a
-    chain too close to x = 1 raises ConvergenceError before the loop runs;
-    a chain that comes out non-finite raises it too.
+    (1967)): the ratios r_k = Qbar_{nu0+k} / Qbar_{nu0+k-1} run downward
+    from r = 0 well above the chain.  L is the log of one series value at
+    the bottom plus the running sum of log|r_k|, and m the running sign.
+    The recurrence separates its minimal solution only above nu ~ mu, hence
+    the mu - nu0 in the start; where (2nu+1) x overflows, the ratio is
+    exactly 0 (m = 0, L = -inf).  The bottom value comes first, so a chain
+    too close to x = 1 raises ConvergenceError before the loop runs.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     log_abs, sign = _axis_Qbar_log(nu0, mu, x)
-    e1, e2 = math.exp(log_scale), math.exp(2.0 * log_scale)
     r = 0.0
     ratios = np.ones(count)
     # the start r = 0 errs by about e^{-2 xi} per step: 17/xi steps give e^{-34}
     top = count + math.ceil(max(0.0, mu - nu0) + 17.0 / math.acosh(x)) + 20
     for k in range(top - 1, 0, -1):
         nu = nu0 + k
-        r = (nu + 0.5) / ((2.0 * nu + 1.0) * x * e1 - (nu + mu + 1.0)
-                          * (nu - mu + 1.0) / (nu + 1.5) * e2 * r)
+        r = (nu + 0.5) / ((2.0 * nu + 1.0) * x - (nu + mu + 1.0)
+                          * (nu - mu + 1.0) / (nu + 1.5) * r)
         if k < count:
             ratios[k] = r
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = sign * math.exp(log_abs) * np.cumprod(ratios)
-    if not np.isfinite(out).all():
-        raise ConvergenceError("Qbar chain not finite")
-    return out
+    log_r = np.log(np.abs(ratios), out=np.full(count, -np.inf), where=ratios != 0.0)
+    return sign * np.cumprod(np.sign(ratios)), log_abs + np.cumsum(log_r)
 
 
-def legendre_P_axis_sequence(nu0: float, mu: float, x: float, count: int,
-                             log_scale: float = 0.0) -> np.ndarray:
-    """[P_{nu0+k}^{-mu}(x) * e^{-k*log_scale} for k = 0..count-1] on the axis.
-
-    Upward recurrence (stable: P is the dominant solution).  A positive
-    log_scale (typically arccosh(x)) keeps long chains from overflowing.
-    """
+def legendre_P_axis_sequence(nu0: float, mu: float, x: float,
+                             count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, L) with P_{nu0+k}^{-mu}(x) = m[k] e^{L[k]} on the axis, k < count:
+    the seeds' logs from `_axis_P_log`, then `_upward`, stable here because
+    P is the dominant solution."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    out = np.empty(count)
-    out[0] = math.exp(_axis_P_log(nu0, mu, x))
-    if count == 1:
-        return out
-    out[1] = math.exp(_axis_P_log(nu0 + 1.0, mu, x) - log_scale)
-    e1, e2 = math.exp(-log_scale), math.exp(-2.0 * log_scale)
-    for k in range(2, count):
-        nu = nu0 + (k - 1)
-        out[k] = ((2.0 * nu + 1.0) * x * out[k - 1] * e1
-                  - (nu - mu) * out[k - 2] * e2) / (nu + mu + 1.0)
-    return out
+    off = _axis_P_log(nu0, mu, x)
+    seeds = [1.0] if count == 1 else [1.0, math.exp(_axis_P_log(nu0 + 1.0, mu, x) - off)]
+    m, L = _upward(seeds, off, nu0, mu, x, count)
+    return np.array(m, dtype=float), np.array(L, dtype=float)
 
 
 def axis_band(nu0: float, mu: float, s_lt: float, s_gt: float,
               count: int) -> tuple[np.ndarray, np.ndarray]:
     """(sign, log|band|) of [G(nu+mu+1)/G(nu+3/2) P_nu^{-mu}(cosh s<)
     Qbar_nu^{-mu}(cosh s>), nu = nu0 + k, k < count], the axis counterpart
-    of `ferrers_band`: chains scaled by e^{-k s<} and e^{k s>}, unscaled in
-    logs.  A 0 in either chain (an underflow) raises ConvergenceError."""
-    p = legendre_P_axis_sequence(nu0, mu, math.cosh(s_lt), count, log_scale=s_lt)
-    qb = legendre_Qbar_axis_sequence(nu0, mu, math.cosh(s_gt), count,
-                                     log_scale=-s_gt)
-    if not (p.all() and qb.all()):
+    of `ferrers_band`, added in logs from both chains."""
+    mp, Lp = legendre_P_axis_sequence(nu0, mu, math.cosh(s_lt), count)
+    mq, Lq = legendre_Qbar_axis_sequence(nu0, mu, math.cosh(s_gt), count)
+    log_p = np.log(mp) + Lp                # P > 0 on the axis
+    # a stand-in for a residual scale that resolves values this small
+    # (ROADMAP item 1): a P value below the smallest subnormal is not summed
+    if log_p.min() < -1074.0 * math.log(2.0):
         raise ConvergenceError("axis chain underflowed; order too large")
-    k = np.arange(count, dtype=float)
-    nu = nu0 + k
-    return np.sign(qb), (gammaln(nu + mu + 1.0) - gammaln(nu + 1.5) + np.log(p)
-                         + np.log(np.abs(qb)) - k * (s_gt - s_lt))
+    nu = nu0 + np.arange(count, dtype=float)
+    return mq, gammaln(nu + mu + 1.0) - gammaln(nu + 1.5) + log_p + Lq
 
 
 # ----------------------------------------------------------------------

@@ -517,6 +517,8 @@ def test_radial_exponent_diagnostics(n, l, m, alpha, capsys):
     ["--n", "400", "--l", "1", "--m", "0"],
     ["--n", "2", "--l", "3000", "--m", "0"],
     ["--n", "2", "--l", "1", "--m", "0", "--eta-max", "1e6"],
+    # the Frobenius start itself leaves float range
+    ["--n", str(10 ** 150), "--l", "1", "--m", "0"],
 ])
 def test_radial_overflow_is_one_line_stiffness_error(argv):
     # the radial solutions leave float range before the solve ends

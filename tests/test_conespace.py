@@ -347,9 +347,9 @@ def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
     starts = []
     chain = specfun.legendre_Qbar_axis_sequence
 
-    def counted(nu0, mu, x, count, log_scale=0.0):
+    def counted(nu0, mu, x, count):
         starts.append(nu0)
-        return chain(nu0, mu, x, count, log_scale)
+        return chain(nu0, mu, x, count)
     monkeypatch.setattr(specfun, "legendre_Qbar_axis_sequence", counted)
     zeta = math.cosh(0.05)
     value, _, lmax, mmax = heine_double_sum(alpha, math.pi / 2, math.pi / 2,
@@ -375,7 +375,7 @@ def _heine_per_band(alpha, theta, theta_p, dphi, zeta, tol):
     at double length as the bands climb."""
     x1, x2 = math.cos(theta), math.cos(theta_p)
     xi = math.acosh(zeta)
-    chains = {}
+    chains = {}                         # Qbar > 0 at order 0: its log offsets
 
     def terms(mu, count):
         mu0 = next((c for c in chains if abs(mu - c - round(mu - c))
@@ -384,8 +384,8 @@ def _heine_per_band(alpha, theta, theta_p, dphi, zeta, tol):
         log_qbar = chains.setdefault(mu0, np.empty(0))
         if j + count > log_qbar.size:
             n = max(2 * log_qbar.size, j + count)
-            log_qbar = chains[mu0] = np.log(specfun.legendre_Qbar_axis_sequence(
-                mu0, 0.0, zeta, n, log_scale=-xi)) - xi * np.arange(n)
+            log_qbar = chains[mu0] = specfun.legendre_Qbar_axis_sequence(
+                mu0, 0.0, zeta, n)[1]
         lam = mu + np.arange(count)
         log_q = log_qbar[j:j + count] + gammaln(lam + 1.0) - gammaln(lam + 1.5)
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)

@@ -363,10 +363,16 @@ def test_legendre_Q_unreachable_tolerance_errors_loudly():
         legendre_Q(0.0, 1.0 + 2e-12)
 
 
+def chain_log(chain):
+    """log|value| of each degree of an (m, L) chain."""
+    m, L = chain
+    return np.log(np.abs(m)) + L
+
+
 def test_legendre_PQ_axis_trivial():
-    p = legendre_P_axis_sequence(0.0, 0.0, 2.0, 1)[0]
+    log_p = chain_log(legendre_P_axis_sequence(0.0, 0.0, 2.0, 1))[0]
     q = legendre_Qhat_axis(0.0, 0.0, 2.0)
-    assert p == pytest.approx(1.0, abs=1e-15)
+    assert log_p == pytest.approx(0.0, abs=1e-15)
     assert q == pytest.approx(0.5 * math.log(3.0), rel=1e-13)
 
 
@@ -384,19 +390,19 @@ def heine_integral_oracle(zeta):
 
 
 def test_legendre_Q_minus_half_integral_oracle():
-    p = legendre_P_axis_sequence(-0.5, 0.0, 1.2, 1)[0]
+    log_p = chain_log(legendre_P_axis_sequence(-0.5, 0.0, 1.2, 1))[0]
     q = legendre_Qhat_axis(-0.5, 0.0, 1.2)
     assert q > 0.0
     assert q == pytest.approx(heine_integral_oracle(1.2), rel=1e-10)
-    assert p == pytest.approx(legendre_P_axis(-0.5, 1.2), rel=1e-14)
+    assert log_p == pytest.approx(math.log(legendre_P_axis(-0.5, 1.2)), abs=1e-14)
 
 
 def test_legendre_PQ_axis_fractional_order_frozen_oracle():
     # frozen from the arbitrary-precision oracle (mpmath legenp/legenq type 3,
     # with the e^{mu pi i} phase absorbed into Qhat)
-    p = legendre_P_axis_sequence(0.5, 0.8, 1.5, 1)[0]
+    log_p = chain_log(legendre_P_axis_sequence(0.5, 0.8, 1.5, 1))[0]
     q = legendre_Qhat_axis(0.5, 0.8, 1.5)
-    assert p == pytest.approx(0.61980752818223876838, rel=1e-12)
+    assert log_p == pytest.approx(math.log(0.61980752818223876838), abs=1e-12)
     assert q == pytest.approx(0.60643677741722520573, rel=1e-12)
 
 
@@ -460,9 +466,13 @@ def assert_log_close(value, ref_log):
 
 
 def assert_chain_matches(nu0, mu, x, count):
-    seq = legendre_Qbar_axis_sequence(nu0, mu, x, count)
+    """A positive Qbar chain's logs match mpmath's at its ends and middle,
+    also where its values lie below float range."""
+    m, L = legendre_Qbar_axis_sequence(nu0, mu, x, count)
     for k in sorted({0, count // 2, count - 1}):
-        assert_log_close(seq[k], mp_log_Qbar(nu0 + k, mu, x))
+        ref = mp_log_Qbar(nu0 + k, mu, x)
+        assert m[k] == 1.0
+        assert abs(L[k] - ref) <= 1e-12 + 1e-15 * abs(ref)
 
 
 # x from 1 + 1e-4 to 10, log-uniform in x - 1
@@ -527,9 +537,9 @@ def test_Qbar_chain_positive_order(nu0, mu, x, count):
 def assert_abs_chain_matches(nu0, mu, x, count):
     """log|Qbar| along an order-mu chain, whose sign changes below nu = mu,
     against mpmath; degrees on a gamma pole (where mp_log_Qbar is undefined)
-    and references outside float range are skipped."""
+    and references above float range are skipped."""
     try:
-        seq = legendre_Qbar_axis_sequence(nu0, mu, x, count)
+        log_abs = chain_log(legendre_Qbar_axis_sequence(nu0, mu, x, count))
     except OverflowError:
         # only a bottom value beyond float range may overflow
         assert mp_log_Qbar(nu0, mu, x) > 709.0
@@ -539,8 +549,8 @@ def assert_abs_chain_matches(nu0, mu, x, count):
         if a <= 0.0 and abs(a - round(a)) < 1e-9:
             continue
         ref = mp_log_Qbar(nu0 + k, mu, x)
-        if LOG_NORMAL_MIN < ref < 700.0:
-            assert abs(math.log(abs(seq[k])) - ref) <= 1e-12 + 1e-15 * abs(ref)
+        if ref < 700.0:
+            assert abs(log_abs[k] - ref) <= 1e-12 + 1e-15 * abs(ref)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -557,22 +567,28 @@ def test_Qbar_chain_starts_above_the_order():
     assert_abs_chain_matches(-0.5, 200.0, 1.438, 3)
 
 
-@pytest.mark.filterwarnings("error")
-def test_Qbar_chain_where_the_scaled_step_overflows():
-    # (2 nu + 1) x e^{log_scale} leaves float range, so every ratio is 0:
-    # the chain is its bottom value Qbar_0 = sqrt(pi)/2 atanh(1/x), then zeros
-    x = 1e307
-    seq = legendre_Qbar_axis_sequence(0.0, 0.0, x, 12, log_scale=-1.0)
-    assert seq[0] == pytest.approx(0.5 * math.sqrt(math.pi) * math.atanh(1.0 / x),
-                                   rel=1e-12)
-    assert not seq[1:].any()
+def test_Qbar_chain_logs_where_its_values_underflow():
+    # Qbar_k(cosh 2) ~ e^{-2k} lies below float range from k = 355 on; its
+    # logs still match mpmath's up to k = 2000
+    assert_chain_matches(0.0, 0.0, math.cosh(2.0), 2001)
 
 
-@pytest.mark.filterwarnings("error")
-def test_Qbar_chain_beyond_float_range_raises():
-    # e^{300 k} Qbar_k(2) ~ e^{(300 - 1.32) k} overflows from k = 3
-    with pytest.raises(ConvergenceError):
-        legendre_Qbar_axis_sequence(0.0, 0.0, 2.0, 10, log_scale=-300.0)
+def mp_log_P(nu, mu, x):
+    """ln P_nu^{-mu}(x) on the axis from mpmath.legenp (type 3) at 30 digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.log(mpmath.legenp(nu, -mu, mpmath.mpf(x), type=3)))
+
+
+@pytest.mark.parametrize("nu0,mu", [(0.0, 0.0), (-0.5, 2.5)])
+def test_P_axis_chain_logs_where_its_values_overflow(nu0, mu):
+    # P_nu(cosh 1.5) ~ e^{1.5 nu} lies above float range from nu ~ 480 on:
+    # the mantissas move exact powers of two into the offsets
+    x = math.cosh(1.5)
+    log_p = chain_log(legendre_P_axis_sequence(nu0, mu, x, 1001))
+    assert log_p[-1] > 1400.0
+    for k in (0, 300, 480, 500, 750, 1000):
+        ref = mp_log_P(nu0 + k, mu, x)
+        assert abs(log_p[k] - ref) <= 1e-12 + 1e-15 * abs(ref)
 
 
 @pytest.mark.parametrize("mu", [0.0, 2.5])
@@ -590,15 +606,14 @@ def test_Qbar_chain_near_singular_point_raises(mu):
                                     (1.0, 1.0), (2.0, 2.0)])
 def test_axis_band_is_the_term_by_term_product(nu0, mu):
     # G(nu+mu+1)/G(nu-mu+1) P_nu^{-mu}(cosh s<) Qhat_nu^{-mu}(cosh s>), each
-    # factor a point value: the chains' scales e^{-k s<}, e^{k s>} cancel
+    # factor a point value
     s_lt, s_gt, count = 0.7, 1.3, 12
     sign, log_abs = specfun.axis_band(nu0, mu, s_lt, s_gt, count)
     for k in range(count):
         nu = nu0 + k
         lg, sg = gamma_ratio_signed(nu + mu + 1.0, nu - mu + 1.0)
-        ref = (sg * math.exp(lg)
-               * legendre_P_axis_sequence(nu, mu, math.cosh(s_lt), 1)[0]
-               * legendre_Qhat_axis(nu, mu, math.cosh(s_gt)))
+        log_p = chain_log(legendre_P_axis_sequence(nu, mu, math.cosh(s_lt), 1))[0]
+        ref = sg * math.exp(lg + log_p) * legendre_Qhat_axis(nu, mu, math.cosh(s_gt))
         assert sign[k] * math.exp(log_abs[k]) == pytest.approx(ref, rel=1e-12)
 
 
@@ -617,7 +632,7 @@ def test_axis_band_regular_at_half_odd_order():
 @pytest.mark.filterwarnings("error")
 def test_axis_band_raises_where_a_chain_underflows():
     # P_nu^{-300}(cosh 0.1) is about sinh(0.1)^300 / (2^300 300!): below
-    # the smallest subnormal, so the chain holds a 0
+    # the smallest subnormal
     with pytest.raises(ConvergenceError, match="underflowed"):
         specfun.axis_band(-0.5, 300.0, 0.1, 0.5, 4)
 
