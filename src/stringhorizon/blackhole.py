@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +94,8 @@ def frobenius_coefficients(n: int, lam: float, exponent: float,
     s = exponent
     a = [1.0]
     for j in range(1, nterms):
-        A = 4.0 * (s + j) ** 2 - n2
-        if abs(A) < 1e-10:
+        A = 4.0 * j * (j + 2.0 * s)     # 4 (s + j)^2 - n^2 at s^2 = n^2 / 4
+        if A == 0.0:
             raise SeriesRadiusError(
                 f"second-exponent resonance at j={j} for n={n}")
         B = (4.0 * (s + j - 1) * (s + j - 2) + 6.0 * (s + j - 1)
@@ -274,6 +275,8 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     """
     if n == 0:
         raise DomainError("radial_solutions handles n != 0; use the analytic branch")
+    if not n * n <= sys.float_info.max:
+        raise DomainError(f"|n| = 2^{math.log2(abs(n)):.1f}: n^2 leaves float range")
     if not (lam >= 0.0 and lam * (lam + 1.0) < math.inf):
         raise DomainError(
             f"lambda must be >= 0 with lambda (lambda + 1) finite, got {lam}")

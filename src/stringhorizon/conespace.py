@@ -23,7 +23,7 @@ from scipy.special import gammaln, ive, kve
 from . import specfun
 from .errors import CoincidenceError, DomainError, SlowConvergenceError
 from .specfun import arccosh1p
-from .summation import MAX_BANDS, quadpack, sum_l, sum_m_bands
+from .summation import quadpack, sum_l, sum_m_bands
 
 __all__ = [
     "check_alpha",
@@ -202,24 +202,27 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     P_lam^{-mu}(cos th) P_lam^{-mu}(cos th') Q_lam(zeta),
     lam = l - |m| + |m|/alpha, mu = |m|/alpha.
 
-    Returns (value, certified_tail, lmax_used, mmax_used).  Band m falls as
-    e^{-m chi/alpha}, cosh chi = (zeta - cos th cos th') / (sin th sin th'):
-    blocks of 1.25 alpha ln(10/tol)/chi + 2 bands (at most MAX_BANDS), then
-    each half the last (at least 4), are built at most 2^15 terms at a time
-    ahead of the m-sum, which drops the bands past its stop.  Bands whose
-    mu differ by integers read one log-Q chain, started at the first one's
-    mu and rebuilt at double length when a later band needs more degrees.
+    Returns (value, certified_tail, lmax_used, mmax_used).  Band m is
+    e^{-m chi/alpha} / (sin th sin th' sinh chi), cosh chi = (zeta - cos th
+    cos th') / (sin th sin th'): `sum_m_bands` over these floats counts the
+    bands, or refuses, before any Legendre chain is built.  Bands are built
+    ahead of the m-sum to that count (past it, a batch as asked), 2^15 terms
+    at a time.  Bands whose mu differ by integers read one log-Q chain,
+    started at the first one's mu and doubled when a later band needs more.
     """
     check_alpha(alpha)
     if not zeta > 1.0 + 1e-6:
         raise DomainError(
             f"heine_double_sum needs zeta > 1 + 1e-6, got zeta = {zeta}")
-    if not (math.isfinite(dphi) and 0.0 < tol < 1.0):
-        raise DomainError(f"need a finite dphi and 0 < tol < 1, got {dphi}, {tol}")
+    if not math.isfinite(dphi):         # sum_m_bands checks tol
+        raise DomainError(f"heine_double_sum needs a finite dphi, got {dphi}")
     x1, x2 = math.cos(theta), math.cos(theta_p)
     xi = math.acosh(zeta)               # Q_lam(zeta) ~ e^{-lam xi}
     ss = math.sin(theta) * math.sin(theta_p)
     chi = math.acosh(max(zeta, (zeta - x1 * x2) / ss)) if ss > 0.0 else xi
+    top = 1.0 / (ss * math.sinh(chi)) if ss > 0.0 else 0.0  # 0 at a pole
+    stop = sum_m_bands(lambda m: (top * math.exp(-m * chi / alpha), 0.0),
+                       tol, dphi)[2] + 1
     chains = {}                         # lattice start mu0: log Qbar_{mu0+j}(zeta)
 
     def log_qbar(mu, count):
@@ -228,30 +231,26 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
         j = round(mu - mu0)
         chain = chains.setdefault(mu0, np.empty(0))
         if j + count > chain.size:
-            n = max(2 * chain.size, j + count)
             # Qbar > 0 at order 0: its chain is its log offset
             chain = chains[mu0] = specfun.legendre_Qbar_axis_sequence(
-                mu0, 0.0, zeta, n)[1]
+                mu0, 0.0, zeta, max(2 * chain.size, j + count))[1]
         return chain[j:j + count]
 
-    def terms(stop, count):             # the next bands' terms, a row each
-        step = max(1, 2 ** 15 // count)     # bands per batch: bounded memory
-        mu = np.arange(len(bands), min(stop, len(bands) + step)) / alpha
+    def terms(count):                   # the next bands' terms, a row each
+        m0, step = len(bands), max(1, 2 ** 15 // count)     # bounded memory
+        mu = np.arange(m0, min(stop, m0 + step) if m0 < stop else m0 + step) / alpha
         lam = mu[:, None] + np.arange(count)
         # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2)
         log_q = (np.array([log_qbar(v, count) for v in mu.tolist()])
                  + gammaln(lam + 1.0) - gammaln(lam + 1.5))
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
-    bands, lmax, stop = [], None, 0     # (value, tail) per band built; block end
-    size = min(MAX_BANDS, math.ceil(1.25 * alpha * math.log(10.0 / tol) / chi) + 2)
+    bands, lmax = [], None              # (value, tail) per band built
 
     def band(m: int):
-        nonlocal lmax, stop, size
+        nonlocal lmax
         while len(bands) <= m:
-            if len(bands) == stop:      # the next block
-                stop, size = min(stop + size, MAX_BANDS), max(4, size // 2)
-            values, tails, lmax = sum_l(lambda n: terms(stop, n), tol, xi)
+            values, tails, lmax = sum_l(terms, tol, xi)
             bands.extend(zip(values, tails))
         return bands[m]
 

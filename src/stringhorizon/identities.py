@@ -142,16 +142,24 @@ def check_app5(alpha: float, m: int, theta: float, theta_p: float,
     mu = abs(m) / alpha
     x1, x2 = math.cos(theta), math.cos(theta_p)
     lhs, err, lmax = sum_l(lambda n: specfun.ferrers_band(mu, x1, x2, n), tol)
-    ss = math.sin(theta) * math.sin(theta_p)
-    coshxi = (1.0 - x1 * x2) / ss
-    q = specfun.legendre_Qhat_axis(mu - 0.5, 0.0, coshxi)
-    rhs = q / (math.pi * math.sqrt(ss))
+    rhs = _app5_rhs(mu, theta, theta_p)
     params = {"alpha": alpha, "m": m, "theta": theta, "theta_p": theta_p}
     return _make_case("app5", params, tol, lhs, rhs, err + 1e-12, lmax=lmax)
 
 
+def _app5_rhs(mu, theta, theta_p):
+    """app5's right-hand side at order mu, theta != theta'."""
+    ss = math.sin(theta) * math.sin(theta_p)
+    coshxi = (1.0 - math.cos(theta) * math.cos(theta_p)) / ss
+    q = specfun.legendre_Qhat_axis(mu - 0.5, 0.0, coshxi)
+    return q / (math.pi * math.sqrt(ss))
+
+
 def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
-    """(1/alpha) sum_m e^{i m dphi} [Wynn limit of the l-sum], theta != theta'."""
+    """(1/alpha) sum_m e^{i m dphi} [Wynn limit of the l-sum], theta != theta'.
+    Band m is app5's at mu = m/alpha: `sum_m_bands` over their closed forms
+    refuses a sum past its cap before any Wynn limit."""
+    sum_m_bands(lambda m: (_app5_rhs(m / alpha, theta, theta_p), 0.0), tol, dphi)
     x1, x2 = math.cos(theta), math.cos(theta_p)
     value, tail, bands = sum_m_bands(
         lambda m: sum_l(

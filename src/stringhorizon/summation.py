@@ -44,7 +44,10 @@ def sum_m_bands(band_fn, tol: float,
     SlowConvergenceError if MAX_BANDS bands do not settle.
 
     Returns (value, sum of band tails + 10 |last weighted band|, last m).
+    DomainError unless 0 < tol < 1.
     """
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     total = tails = 0.0
     small = 0
     for m in range(MAX_BANDS):
@@ -82,10 +85,17 @@ def wynn_limit(terms_fn, tol: float) -> tuple[float, float, int]:
     terms terms_fn(n) and on S_1, S_3, ... (pairs, for when every other term
     vanishes).  A run's error is the change of its estimate from half of its
     sums to all; the smaller error wins.  n = 160, 320, ... until the error
-    is at most tol/10 or n = 20,480 (no raise there)."""
+    is at most tol/10 or n = 20,480 (no raise there).  While the largest
+    |term| lies past the first quarter, the terms still rise (a band before
+    its turning point, where every partial sum is near 0): n doubles before
+    any estimate is formed."""
     n = 160
     while True:
-        sums = np.cumsum(terms_fn(n))
+        terms = terms_fn(n)
+        if n < 20_480 and np.argmax(np.abs(terms)) >= n / 4:    # still rising
+            n *= 2
+            continue
+        sums = np.cumsum(terms)
         runs = []
         for s in (sums, sums[1::2]):
             est = _wynn(s)

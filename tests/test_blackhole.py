@@ -13,7 +13,8 @@ from stringhorizon.blackhole import (DeficitGeometry, chi_radial_green,
                                      geodesic_distance_expansion,
                                      horizon_green, horizon_green_closed,
                                      lambda_of, radial_solutions)
-from stringhorizon.errors import DomainError, SlowConvergenceError
+from stringhorizon.errors import (DomainError, SeriesRadiusError,
+                                  SlowConvergenceError)
 from stringhorizon.specfun import legendre_P_axis, legendre_Q
 
 GEO = DeficitGeometry(alpha=1.0, M=1.0)
@@ -92,6 +93,15 @@ def test_frobenius_exponent_fits(n, lam):
     pair = radial_solutions(n, lam, GEO_S)
     assert exponent_fit(pair.p) == pytest.approx(n / 2.0, abs=1e-3)
     assert exponent_fit(pair.q) == pytest.approx(-n / 2.0, abs=1e-3)
+
+
+def test_frobenius_resonance_only_at_j_equal_n():
+    # 4 (s + j)^2 - n^2 is formed as 4 j (j + 2 s): 0 only at j = |n| of the
+    # second exponent, also where 8 s + 4 lies below the ulp of n^2
+    with pytest.raises(SeriesRadiusError, match="j=3"):
+        frobenius_coefficients(3, 1.0, -1.5, 5)
+    for n in (10 ** 40, 10 ** 100):
+        assert frobenius_coefficients(n, 1.0, n / 2.0, 8).size == 8
 
 
 def test_p_leading_coefficient_normalized():

@@ -518,6 +518,8 @@ def test_radial_exponent_diagnostics(n, l, m, alpha, capsys):
     ["--n", "2", "--l", "3000", "--m", "0"],
     ["--n", "2", "--l", "1", "--m", "0", "--eta-max", "1e6"],
     # the Frobenius start itself leaves float range
+    ["--n", str(10 ** 40), "--l", "1", "--m", "0"],
+    ["--n", str(10 ** 100), "--l", "1", "--m", "0"],
     ["--n", str(10 ** 150), "--l", "1", "--m", "0"],
 ])
 def test_radial_overflow_is_one_line_stiffness_error(argv):
@@ -530,6 +532,19 @@ def test_radial_overflow_is_one_line_stiffness_error(argv):
     assert proc.returncode == EXIT_NUMERIC
     assert proc.stderr.startswith("StiffnessError: ")
     assert "overflowed" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def test_radial_degree_past_float_range_is_one_line_config_error():
+    # n^2 = 1e310 has no float: a bad argument, not a numerical failure
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stringhorizon.cli",
+         "radial", "--n", str(10 ** 155), "--l", "1", "--m", "0"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: ")
+    assert "n^2 leaves float range" in proc.stderr
     assert proc.stderr.count("\n") == 1
 
 

@@ -23,7 +23,7 @@ from stringhorizon.errors import (CoincidenceError, DomainError,
                                   SlowConvergenceError)
 from stringhorizon.identities import check_heine_generalized
 from stringhorizon.specfun import legendre_Q
-from stringhorizon.summation import MAX_BANDS, sum_l, sum_m_bands
+from stringhorizon.summation import sum_l, sum_m_bands
 
 P1 = ConePoint("spherical", (1.0, 1.1, 0.3), tau=0.2)
 P2 = ConePoint("spherical", (1.6, 0.8, 1.1), tau=-0.1)
@@ -343,7 +343,7 @@ def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
     # Q_lam(zeta) depends on lam alone: bands whose mu differ by integers
     # read one chain, rebuilt at double length as the bands climb; at an
     # irrational alpha every band computed starts its own, and bands are
-    # computed ahead, at most to the end of the last block begun
+    # computed ahead to the closed bands' count, past it a batch at a time
     starts = []
     chain = specfun.legendre_Qbar_axis_sequence
 
@@ -357,12 +357,11 @@ def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
     rhs = generalized_heine_rhs(alpha, math.pi / 2, math.pi / 2, 0.3, 0.05)
     assert value == pytest.approx(rhs, rel=1e-6)
     if lattices is None:
-        built = 0
-        size = min(MAX_BANDS, math.ceil(1.25 * alpha * math.log(1e7) / 0.05) + 2)
-        while built <= mmax:
-            built, size = min(built + size, MAX_BANDS), max(4, size // 2)
+        count = 1 + sum_m_bands(
+            lambda m: (math.exp(-m * 0.05 / alpha) / math.sinh(0.05), 0.0),
+            1e-6, 0.3)[2]
         assert starts == [m / alpha for m in range(len(starts))]
-        assert mmax < len(starts) <= built
+        assert mmax < len(starts) <= count + 2 ** 15 // (lmax + 1)
     else:
         assert len(set(starts)) == lattices
         rebuilds = math.log2((mmax / alpha + lmax + 1) / (lmax + 1))
@@ -407,18 +406,54 @@ def _heine_per_band(alpha, theta, theta_p, dphi, zeta, tol):
                                            (1.0, 1.02)])
 @pytest.mark.parametrize("tol", [1e-6, 1e-3])
 def test_heine_double_sum_equals_per_band_sum(alpha, chi, theta, theta_p, tol):
-    # the blocks of bands, their row sums and the shared Q chains must leave
-    # every number as the band-by-band sum gives it; at chi = 0.05 and
-    # tol = 1e-3 the sum runs past its first block
+    # the batches of bands, their row sums and the shared Q chains must leave
+    # every number as the band-by-band sum gives it
     zeta = (math.cos(theta) * math.cos(theta_p)
             + math.sin(theta) * math.sin(theta_p) * math.cosh(chi))
     args = (alpha, theta, theta_p, 0.3, zeta, tol)
     assert heine_double_sum(*args) == _heine_per_band(*args)
 
 
+def test_heine_double_sum_builds_bands_past_the_closed_count():
+    # the real sum stops at m = 31, five bands past the closed bands' count:
+    # those five are built as the m-sum asks, the numbers of the band-by-band
+    # sum, and no refusal
+    alpha, theta, theta_p = 1.0 / math.sqrt(2.0), 0.653460627064304, 1.1288247817191799
+    dphi, chi, tol = 0.5845967719020324, 0.6264108415597511, 1e-8
+    ss = math.sin(theta) * math.sin(theta_p)
+    zeta = math.cos(theta) * math.cos(theta_p) + ss * math.cosh(chi)
+    count = 1 + sum_m_bands(
+        lambda m: (math.exp(-m * chi / alpha) / (ss * math.sinh(chi)), 0.0),
+        tol, dphi)[2]
+    args = (alpha, theta, theta_p, dphi, zeta, tol)
+    result = heine_double_sum(*args)
+    assert result[3] >= count
+    assert result == _heine_per_band(*args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: heine_double_sum(1.0 / math.sqrt(2.0), math.pi / 2, math.pi / 2, 0.3,
+                             math.cosh(0.02), tol=1e-6),
+    lambda: check_heine_generalized(1.0, math.pi / 2, math.pi / 2, 0.3, 0.02),
+    lambda: check_heine_generalized(0.5, math.pi / 2, math.pi / 2, 0.3, 0.02),
+], ids=["irrational-alpha", "alpha-1", "alpha-0.5"])
+def test_heine_double_sum_refuses_before_any_band(monkeypatch, call):
+    # the closed bands need more than 400: the refusal comes from them, before
+    # any Ferrers band or Q chain is built
+    built = []
+    for name in ("ferrers_band", "legendre_Qbar_axis_sequence"):
+        def counted(*args, _name=name, _f=getattr(specfun, name)):
+            built.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(specfun, name, counted)
+    with pytest.raises(SlowConvergenceError, match="within 400 bands"):
+        call()
+    assert built == []
+
+
 def test_heine_double_sum_memory_is_bounded():
-    # a block of 254 bands x 702 degrees is built 2^15 terms at a time; built
-    # at once it held 12.8 MB
+    # 248 bands x 702 degrees are built 2^15 terms at a time; built at once
+    # they held 12.8 MB
     tracemalloc.start()
     try:
         heine_double_sum(0.25, math.pi / 2, math.pi / 2, 0.3, math.cosh(0.02),
@@ -435,10 +470,12 @@ def test_heine_double_sum_memory_is_bounded():
     lambda: heine_double_sum(1.0, 1.0, 1.0, 0.0, 1.5, tol=0.0),
     lambda: heine_double_sum(1.0, 1.0, 1.0, 0.0, 1.5, tol=math.nan),
     lambda: heine_double_sum(1.0, 1.0, 1.0, 0.0, 1.5, tol=2.0),
+    # sin(theta) = 0: no closed band, and the Ferrers chains refuse the pole
+    lambda: heine_double_sum(1.0, 0.0, 1.0, 0.0, 1.5),
     lambda: horizon_green(1.0, 1.0, 0.0, math.nan, DeficitGeometry(1.0)),
     lambda: check_heine_generalized(1.0, 1.0, 1.0, 0.0, chi=math.nan),
-], ids=["zeta-nan", "dphi-nan", "tol-0", "tol-nan", "tol-2", "eta-nan",
-        "chi-nan"])
+], ids=["zeta-nan", "dphi-nan", "tol-0", "tol-nan", "tol-2", "theta-pole",
+        "eta-nan", "chi-nan"])
 def test_heine_entry_points_reject_bad_input(call):
     # a DomainError is a StringHorizonError, which a verify case records
     with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 behavior, determinism, and the runner."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringhorizon import specfun
 from stringhorizon.cli import _load_manifest
 from stringhorizon.conespace import (ConePoint, _toroidal_coefficients,
                                      g3_cylindrical_Qsum)
@@ -234,6 +236,26 @@ def test_linet_any_input_is_a_record(alpha, theta, theta_p, dphi):
     # a refusal or a failed quadrature is an error record, never a traceback
     # and never a non-finite value
     _assert_sane_record(_linet_record(alpha, theta, theta_p, dphi))
+
+
+def test_linet_past_the_band_cap_is_refused_at_once(monkeypatch):
+    # theta and theta' 0.0147 apart: the closed bands (app5's rhs) need about
+    # 700 m-bands, so the sum refuses before any Wynn band; it took 40 s to
+    # a wrong FAIL, its bands read on their rise
+    wynn_bands = []
+    ferrers_band = specfun.ferrers_band
+
+    def counted(*args):
+        wynn_bands.append(args[0])
+        return ferrers_band(*args)
+    monkeypatch.setattr(specfun, "ferrers_band", counted)
+    start = time.perf_counter()
+    rec = _linet_record(0.8547274150120507, 0.9100934970669989,
+                        0.9248082021804244, 1.5)
+    assert time.perf_counter() - start < 5.0
+    assert rec["error"] == ("SlowConvergenceError: m-band sum did not settle "
+                            "within 400 bands (tol=1e-06)")
+    assert wynn_bands == []
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])

@@ -176,6 +176,38 @@ def test_wynn_doubles_the_length():
     assert value == pytest.approx(-math.log(2.0 * math.sin(0.15)), abs=1e-10)
 
 
+def test_wynn_doubles_while_the_terms_rise():
+    # e^{k - 400} up to k = 399, then sum (-1)^j / j from j = 1: the first
+    # 160 partial sums are all near 0 and agree, so an estimate formed there
+    # is 0; n doubles until the largest term, at k = 400, lies in the first
+    # quarter
+    def terms(n):
+        k = _k(n)
+        t = np.exp(np.minimum(k, 400.0) - 400.0)
+        t[400:] = (-1.0) ** k[400:] / (k[400:] - 399.0)
+        return t
+    value, err, n = wynn_limit(terms, 1e-10)
+    assert n == 2560 and err <= 1e-11
+    e = math.exp(-1.0)
+    assert value == pytest.approx(e * (1.0 - e ** 400) / (1.0 - e) + math.log(2.0),
+                                  abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha, m, theta, theta_p", [
+    (1.0, 100, 0.5, 0.6),
+    (0.8547274150120507, 600, 0.9100934970669989, 0.9248082021804244),
+    (1.0, 400, 1.0, 1.02),
+])
+def test_app5_band_is_summed_past_its_turning_point(alpha, m, theta, theta_p):
+    # the terms peak near (lam + 1/2) sin(theta) = mu, past the first 160:
+    # on the rise the first two cases passed with lhs of about 0 and the
+    # third failed
+    c = check_app5(alpha, m, theta, theta_p)
+    miss = abs(c.lhs - c.rhs)
+    assert c.passed and miss <= c.certified_tail * max(1.0, abs(c.rhs))
+    assert miss <= 1e-4 * abs(c.rhs)
+
+
 def test_wynn_divergent_series_returns_at_cap():
     value, err, n = wynn_limit(lambda n: 1.0 / (_k(n) + 1.0), 1e-6)
     assert n == 20_480 and err > 1e-6 and math.isfinite(value)
