@@ -206,9 +206,9 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     e^{-m chi/alpha} / (sin th sin th' sinh chi), cosh chi = (zeta - cos th
     cos th') / (sin th sin th'): `sum_m_bands` over these floats counts the
     bands, or refuses, before any Legendre chain is built.  Bands are built
-    ahead of the m-sum to that count (past it, a batch as asked), 2^15 terms
-    at a time.  Bands whose mu differ by integers read one log-Q chain,
-    started at the first one's mu and doubled when a later band needs more.
+    ahead of the m-sum to that count, 2^15 terms at a time, past it one at
+    a time.  Bands whose mu differ by integers read one log-Q chain, started
+    at the first one's mu and doubled when a later band needs more.
     """
     check_alpha(alpha)
     if not zeta > 1.0 + 1e-6:
@@ -238,7 +238,7 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
 
     def terms(count):                   # the next bands' terms, a row each
         m0, step = len(bands), max(1, 2 ** 15 // count)     # bounded memory
-        mu = np.arange(m0, min(stop, m0 + step) if m0 < stop else m0 + step) / alpha
+        mu = np.arange(m0, min(max(stop, m0 + 1), m0 + step)) / alpha
         lam = mu[:, None] + np.arange(count)
         # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2)
         log_q = (np.array([log_qbar(v, count) for v in mu.tolist()])

@@ -85,14 +85,18 @@ def wynn_limit(terms_fn, tol: float) -> tuple[float, float, int]:
     terms terms_fn(n) and on S_1, S_3, ... (pairs, for when every other term
     vanishes).  A run's error is the change of its estimate from half of its
     sums to all; the smaller error wins.  n = 160, 320, ... until the error
-    is at most tol/10 or n = 20,480 (no raise there).  While the largest
-    |term| lies past the first quarter, the terms still rise (a band before
-    its turning point, where every partial sum is near 0): n doubles before
-    any estimate is formed."""
+    is at most tol/10 or n = 20,480 (the estimate there, however rough).
+    While the largest |term| lies past the first quarter, the terms still
+    rise (a band before its turning point, where every partial sum is near
+    0): n doubles before any estimate is formed, and at n = 20,480 it is
+    SlowConvergenceError."""
     n = 160
     while True:
         terms = terms_fn(n)
-        if n < 20_480 and np.argmax(np.abs(terms)) >= n / 4:    # still rising
+        if np.argmax(np.abs(terms)) >= n / 4:   # still rising
+            if n >= 20_480:
+                raise SlowConvergenceError(
+                    f"terms still rising at the Wynn cap of {n} terms")
             n *= 2
             continue
         sums = np.cumsum(terms)

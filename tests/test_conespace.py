@@ -343,7 +343,7 @@ def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
     # Q_lam(zeta) depends on lam alone: bands whose mu differ by integers
     # read one chain, rebuilt at double length as the bands climb; at an
     # irrational alpha every band computed starts its own, and bands are
-    # computed ahead to the closed bands' count, past it a batch at a time
+    # computed ahead to the closed bands' count, past it one at a time
     starts = []
     chain = specfun.legendre_Qbar_axis_sequence
 
@@ -361,7 +361,7 @@ def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
             lambda m: (math.exp(-m * 0.05 / alpha) / math.sinh(0.05), 0.0),
             1e-6, 0.3)[2]
         assert starts == [m / alpha for m in range(len(starts))]
-        assert mmax < len(starts) <= count + 2 ** 15 // (lmax + 1)
+        assert mmax < len(starts) <= max(count, mmax + 1)
     else:
         assert len(set(starts)) == lattices
         rebuilds = math.log2((mmax / alpha + lmax + 1) / (lmax + 1))
@@ -414,10 +414,18 @@ def test_heine_double_sum_equals_per_band_sum(alpha, chi, theta, theta_p, tol):
     assert heine_double_sum(*args) == _heine_per_band(*args)
 
 
-def test_heine_double_sum_builds_bands_past_the_closed_count():
+def test_heine_double_sum_builds_bands_past_the_closed_count(monkeypatch):
     # the real sum stops at m = 31, five bands past the closed bands' count:
-    # those five are built as the m-sum asks, the numbers of the band-by-band
-    # sum, and no refusal
+    # those five are built one at a time as the m-sum asks (at an irrational
+    # alpha one Q chain each, none past m = 31), the numbers of the
+    # band-by-band sum, and no refusal
+    starts = []
+    chain = specfun.legendre_Qbar_axis_sequence
+
+    def counted(nu0, mu, x, count):
+        starts.append(nu0)
+        return chain(nu0, mu, x, count)
+    monkeypatch.setattr(specfun, "legendre_Qbar_axis_sequence", counted)
     alpha, theta, theta_p = 1.0 / math.sqrt(2.0), 0.653460627064304, 1.1288247817191799
     dphi, chi, tol = 0.5845967719020324, 0.6264108415597511, 1e-8
     ss = math.sin(theta) * math.sin(theta_p)
@@ -428,6 +436,7 @@ def test_heine_double_sum_builds_bands_past_the_closed_count():
     args = (alpha, theta, theta_p, dphi, zeta, tol)
     result = heine_double_sum(*args)
     assert result[3] >= count
+    assert len(starts) == result[3] + 1
     assert result == _heine_per_band(*args)
 
 

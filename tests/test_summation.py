@@ -193,6 +193,16 @@ def test_wynn_doubles_while_the_terms_rise():
                                   abs=1e-12)
 
 
+def test_wynn_refuses_terms_still_rising_at_its_cap():
+    # the largest term at k = 6,000 lies past the first quarter of the
+    # 20,480 terms at the cap: no estimate is certified there
+    def terms(n):
+        k = _k(n)
+        return np.exp((np.minimum(k, 6000.0) - 6000.0) / 100.0) * (-1.0) ** k
+    with pytest.raises(SlowConvergenceError, match="still rising"):
+        wynn_limit(terms, 1e-10)
+
+
 @pytest.mark.parametrize("alpha, m, theta, theta_p", [
     (1.0, 100, 0.5, 0.6),
     (0.8547274150120507, 600, 0.9100934970669989, 0.9248082021804244),
