@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ive, kve
 
 from . import specfun
 from .errors import CoincidenceError, DomainError, SlowConvergenceError
@@ -237,6 +236,7 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
         return chain[j:j + count]
 
     def terms(count):                   # the next bands' terms, a row each
+        from scipy.special import gammaln
         m0, step = len(bands), max(1, 2 ** 15 // count)     # bounded memory
         mu = np.arange(m0, min(max(stop, m0 + 1), m0 + step)) / alpha
         lam = mu[:, None] + np.arange(count)
@@ -317,6 +317,7 @@ def bessel_integral_lhs(lam: float, r_lt: float, r_gt: float, dtau: float,
         raise DomainError(f"integral diverges as lambda -> -1; got {lam}")
     if not 0.0 < r_lt <= r_gt:
         raise DomainError(f"need 0 < r< <= r>, got {r_lt}, {r_gt}")
+    from scipy.special import ive, kve
     order = lam + 0.5
     gap = r_gt - r_lt
 

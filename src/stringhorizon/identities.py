@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre, gammaln
 
 from . import specfun
 from .blackhole import lambda_of
@@ -91,6 +90,7 @@ def check_heine_classic(zeta: float, psi: float,
         raise DomainError(f"validity needs |psi| < min(1, zeta), got {psi}")
 
     def terms(count):
+        from scipy.special import eval_legendre
         ls = np.arange(count)
         return ((2.0 * ls + 1.0) * eval_legendre(ls, psi)
                 * specfun.legendre_Q_sequence(0.0, zeta, count))
@@ -157,10 +157,14 @@ def _app5_rhs(mu, theta, theta_p):
 
 def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
     """(1/alpha) sum_m e^{i m dphi} [Wynn limit of the l-sum], theta != theta'.
-    Band m is app5's at mu = m/alpha: `sum_m_bands` over their closed forms
-    refuses a sum past its cap before any Wynn limit."""
-    sum_m_bands(lambda m: (_app5_rhs(m / alpha, theta, theta_p), 0.0), tol, dphi)
+    Band m is app5's at mu = m/alpha, at most e^{-mu xi} times band 0, as
+    Q_{mu-1/2}(cosh xi) = 2^{-1/2} int_xi^oo e^{-mu t} (cosh t - cosh xi)^{-1/2} dt
+    (DLMF 14.12): `sum_m_bands` over these bounds refuses a sum past its
+    cap before any Wynn limit."""
     x1, x2 = math.cos(theta), math.cos(theta_p)
+    top = _app5_rhs(0.0, theta, theta_p)
+    xi = math.acosh((1.0 - x1 * x2) / (math.sin(theta) * math.sin(theta_p)))
+    sum_m_bands(lambda m: (top * math.exp(-m / alpha * xi), 0.0), tol, dphi)
     value, tail, bands = sum_m_bands(
         lambda m: sum_l(
             lambda n: specfun.ferrers_band(m / alpha, x1, x2, n), tol)[:2],
@@ -329,6 +333,7 @@ def spheroidal_ratio_audit(alpha: float, tol: float = 1e-8) -> IdentityCase:
 def _gauss_gegenbauer(mu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """count-point Gauss rule of the weight (1 - x^2)^mu on [-1, 1] (Golub and
     Welsch 1969); weights 1/sum p_k^2, p_k orthonormal: eigenvectors lose small ones."""
+    from scipy.special import gammaln
     k = np.arange(1.0, count)
     b = np.sqrt(k * (k + 2.0 * mu) / ((2.0 * (k + mu)) ** 2 - 1.0))
     x = np.linalg.eigvalsh(np.diag(b, -1))
@@ -348,6 +353,7 @@ def check_norm_integral(alpha: float, m: int, l: int, l_p: int,
     n + n' (DLMF 14.3, 18.3), and max(n, n') + 1 nodes of that weight take both
     squares too, so the tail bounds rounding: 2 eps K sqrt(int P^2 int P'^2),
     K = nodes + chain steps + mu ln 2 + |ln G(mu+1)| + |ln G(mu+3/2)|."""
+    from scipy.special import gammaln
     lam = lambda_of(l, m, alpha)
     lambda_of(l_p, m, alpha)            # checks l' as it checks l
     mu, n, n_p = abs(m) / alpha, int(l) - abs(int(m)), int(l_p) - abs(int(m))

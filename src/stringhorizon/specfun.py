@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, iv, ive, kv, kve
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -72,6 +71,7 @@ def _near_nonpositive_integer(a: float) -> bool:
 
 def gamma_ratio_signed(a: float, b: float) -> tuple[float, float]:
     """(log|Gamma(a)/Gamma(b)|, sign); arguments may be negative non-integers."""
+    from scipy.special import gammaln, gammasgn
     if _near_nonpositive_integer(a) or _near_nonpositive_integer(b):
         raise PoleError(f"gamma pole within tolerance: a={a}, b={b}")
     return gammaln(a) - gammaln(b), gammasgn(a) * gammasgn(b)
@@ -141,6 +141,7 @@ _TINY = 1.0 / _BIG         # two to stay within [_TINY, _BIG], exactly
 
 def _ferrers_offset(mu, x: float, count: int):
     """Check x and count; log of the seeds' (sin(theta)/2)^mu / Gamma(1+mu)."""
+    from scipy.special import gammaln
     if not -1.0 + SING_TOL < x < 1.0 - SING_TOL:
         raise DomainError(
             f"Ferrers functions require |x| < 1 - {SING_TOL}, got {x}")
@@ -250,6 +251,7 @@ def ferrers_band(mu, x1: float, x2: float, count: int,
     stays small; `log_factor` (a scalar or one value per degree) enters the
     same exponential.  With x2 == x1 the one chain serves both factors.
     """
+    from scipy.special import gammaln
     mu = np.asarray(mu, dtype=float)
     m1, L1 = _ferrers_chains(mu, x1, count)
     m2, L2 = (m1, L1) if x2 == x1 else _ferrers_chains(mu, x2, count)
@@ -283,6 +285,7 @@ def legendre_P_axis(lam: float, x: float) -> float:
 
 def _axis_P_log(nu: float, mu: float, x: float) -> float:
     """log of P_nu^{-mu}(x) on (1, oo); the function is strictly positive."""
+    from scipy.special import gammaln
     _check_axis(x)
     nu = max(nu, -nu - 1.0)
     w = (x - 1.0) / (x + 1.0)
@@ -344,6 +347,7 @@ def legendre_Q_sequence(lam0: float, zeta: float, count: int) -> np.ndarray:
 
     Every lam0 + k + 1 must stay off the gamma poles.
     """
+    from scipy.special import gammaln, gammasgn
     m, L = legendre_Qbar_axis_sequence(lam0, 0.0, zeta, count)
     lam = lam0 + np.arange(count, dtype=float)
     a = lam + 1.0
@@ -404,6 +408,7 @@ def axis_band(nu0: float, mu: float, s_lt: float, s_gt: float,
     """(sign, log|band|) of [G(nu+mu+1)/G(nu+3/2) P_nu^{-mu}(cosh s<)
     Qbar_nu^{-mu}(cosh s>), nu = nu0 + k, k < count], the axis counterpart
     of `ferrers_band`, added in logs from both chains."""
+    from scipy.special import gammaln
     mp, Lp = legendre_P_axis_sequence(nu0, mu, math.cosh(s_lt), count)
     mq, Lq = legendre_Qbar_axis_sequence(nu0, mu, math.cosh(s_gt), count)
     log_p = np.log(mp) + Lp                # P > 0 on the axis
@@ -429,6 +434,7 @@ def bessel_IK(order: float, z: float, scaled: bool = False) -> tuple[float, floa
     finite for large z; otherwise z beyond the exponential range raises
     OverflowError.
     """
+    from scipy.special import iv, ive, kv, kve
     if z <= 0.0:
         raise DomainError(f"bessel_IK requires z > 0, got {z}")
     if order < 0.0:

@@ -565,36 +565,40 @@ def test_radial_near_the_float_range_edge(argv, top):
     assert max(abs(r[1]) for r in rows) > top
 
 
-def test_quadrature_and_ode_modules_load_on_use():
-    # scipy.integrate serves QUADPACK only, so neither the import nor phi2,
-    # figure1, norm_integral (Gauss rule, also at l = l' = 1000) and the
-    # radial pair (Taylor steps) load it, and none of them writes to stderr
+def test_scipy_modules_load_on_use():
+    # scipy.special and scipy.integrate load where they are first called:
+    # neither the import nor phi2, figure1 and the radial pair (Taylor
+    # steps) load either; norm_integral (Gauss rule, also at l = l' = 1000)
+    # loads scipy.special for gammaln and still no QUADPACK; none of them
+    # writes to stderr
     code = (
         "import sys, io, contextlib\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in ('scipy.integrate', 'scipy.special')]\n"
         "import stringhorizon\n"
-        "loaded = ['scipy.integrate' in sys.modules]\n"
+        "seen = [loaded()]\n"
         "from stringhorizon.cli import main\n"
         "from stringhorizon.identities import run_case\n"
         "from stringhorizon.blackhole import radial_solutions\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['phi2', '--theta', '1.2', '--alpha', '0.75']),\n"
-        "             main(['figure1', '--points', '5'])]\n"
-        "loaded.append('scipy.integrate' in sys.modules)\n"
-        "passed = [run_case({'check': 'norm_integral', 'params': {'alpha': 0.75,\n"
-        "                    'm': 2, 'l': l, 'l_p': l}})['passed'] for l in (3, 1000)]\n"
-        "loaded.append('scipy.integrate' in sys.modules)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes.append(main(['radial', '--n', '2', '--l', '1', '--m', '0',\n"
-        "                       '--format', 'json']))\n"
-        "spread = radial_solutions(1, 1.0).wronskian_spread\n"
-        "passed.append(spread < 1e-12)\n"
-        "loaded.append('scipy.integrate' in sys.modules)\n"
-        "print(codes, loaded, passed)\n")
+        "codes = []\n"
+        "for argv in (['phi2', '--theta', '1.2', '--alpha', '0.75'],\n"
+        "             ['figure1', '--points', '5'],\n"
+        "             ['radial', '--n', '2', '--l', '1', '--m', '0',\n"
+        "              '--format', 'json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "    seen.append(loaded())\n"
+        "passed = [radial_solutions(1, 1.0).wronskian_spread < 1e-12]\n"
+        "seen.append(loaded())\n"
+        "passed += [run_case({'check': 'norm_integral', 'params': {'alpha': 0.75,\n"
+        "                     'm': 2, 'l': l, 'l_p': l}})['passed'] for l in (3, 1000)]\n"
+        "seen.append(loaded())\n"
+        "print(codes, seen, passed)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC),
                           timeout=120)
-    assert proc.stdout == ("[0, 0, 0] [False, False, False, False] "
-                           "[True, True, True]\n"), proc.stderr
+    assert proc.stdout == ("[0, 0, 0] " + str([[False, False]] * 5 + [[False, True]])
+                           + " [True, True, True]\n"), proc.stderr
     assert proc.stderr == ""
 
 

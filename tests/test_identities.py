@@ -7,7 +7,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stringhorizon import specfun
@@ -16,7 +16,7 @@ from stringhorizon.conespace import (ConePoint, _toroidal_coefficients,
                                      g3_cylindrical_Qsum)
 from stringhorizon.errors import (ConvergenceError, DomainError,
                                   SlowConvergenceError)
-from stringhorizon.identities import (CHECKS, check_app5,
+from stringhorizon.identities import (CHECKS, _app5_rhs, check_app5,
                                       check_heine_classic,
                                       check_heine_generalized,
                                       check_linet_sum, check_norm_integral,
@@ -256,6 +256,36 @@ def test_linet_past_the_band_cap_is_refused_at_once(monkeypatch):
     assert rec["error"] == ("SlowConvergenceError: m-band sum did not settle "
                             "within 400 bands (tol=1e-06)")
     assert wynn_bands == []
+
+
+def test_linet_refusal_near_the_diagonal_reads_one_Q(monkeypatch):
+    # theta and theta' 1.1e-3 apart: the bands' bound top e^{-mu xi} counts
+    # them from one Q value; a series per closed band took 3.5 s to refuse
+    q_calls = []
+    legendre_Qhat_axis = specfun.legendre_Qhat_axis
+
+    def counted(*args):
+        q_calls.append(args)
+        return legendre_Qhat_axis(*args)
+    monkeypatch.setattr(specfun, "legendre_Qhat_axis", counted)
+    rec = _linet_record(0.75, 1.0, 1.0011, 1.0)
+    assert rec["error"] == ("SlowConvergenceError: m-band sum did not settle "
+                            "within 400 bands (tol=1e-06)")
+    assert len(q_calls) <= 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mu=st.floats(0.0, 100.0), theta=st.floats(0.2, PI - 0.2),
+       theta_p=st.floats(0.2, PI - 0.2))
+def test_app5_band_below_its_envelope(mu, theta, theta_p):
+    # Q_{mu-1/2}(cosh xi) <= e^{-mu xi} Q_{-1/2}(cosh xi) (DLMF 14.12's
+    # integral), the bound the Linet pre-pass counts bands by; equal at
+    # mu = 0, hence the rounding slack
+    assume(abs(theta - theta_p) >= 1e-3)
+    xi = math.acosh((1.0 - math.cos(theta) * math.cos(theta_p))
+                    / (math.sin(theta) * math.sin(theta_p)))
+    bound = math.exp(-mu * xi) * _app5_rhs(0.0, theta, theta_p)
+    assert _app5_rhs(mu, theta, theta_p) <= bound * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
