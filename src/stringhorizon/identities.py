@@ -21,7 +21,7 @@ from .blackhole import lambda_of
 from .conespace import (ConePoint, _spheroidal_lsum, _toroidal_nsum, check_alpha,
                         g3_linet, generalized_heine_rhs, heine_double_sum)
 from .errors import DomainError, StringHorizonError
-from .summation import quadpack, sum_l, sum_m_bands
+from .summation import MAX_BANDS, quadpack, sum_l, sum_m_bands
 
 __all__ = [
     "IdentityCase",
@@ -157,14 +157,14 @@ def _app5_rhs(mu, theta, theta_p):
 
 def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
     """(1/alpha) sum_m e^{i m dphi} [Wynn limit of the l-sum], theta != theta'.
-    Band m is app5's at mu = m/alpha, at most e^{-mu xi} times band 0, as
-    Q_{mu-1/2}(cosh xi) = 2^{-1/2} int_xi^oo e^{-mu t} (cosh t - cosh xi)^{-1/2} dt
-    (DLMF 14.12): `sum_m_bands` over these bounds refuses a sum past its
-    cap before any Wynn limit."""
+    Band m is app5's at mu = m/alpha, which falls with mu (DLMF 14.12's
+    integral), so no band lies below the last: if those do not settle in
+    `sum_m_bands`, the sum is refused at one Q value, else the closed bands
+    decide it, all before any Wynn limit."""
+    low = (1.0 - 1e-9) * _app5_rhs((MAX_BANDS - 1) / alpha, theta, theta_p)
+    sum_m_bands(lambda m: (low, 0.0), tol, dphi)
+    sum_m_bands(lambda m: (_app5_rhs(m / alpha, theta, theta_p), 0.0), tol, dphi)
     x1, x2 = math.cos(theta), math.cos(theta_p)
-    top = _app5_rhs(0.0, theta, theta_p)
-    xi = math.acosh((1.0 - x1 * x2) / (math.sin(theta) * math.sin(theta_p)))
-    sum_m_bands(lambda m: (top * math.exp(-m / alpha * xi), 0.0), tol, dphi)
     value, tail, bands = sum_m_bands(
         lambda m: sum_l(
             lambda n: specfun.ferrers_band(m / alpha, x1, x2, n), tol)[:2],
@@ -357,16 +357,16 @@ def check_norm_integral(alpha: float, m: int, l: int, l_p: int,
     lam = lambda_of(l, m, alpha)
     lambda_of(l_p, m, alpha)            # checks l' as it checks l
     mu, n, n_p = abs(m) / alpha, int(l) - abs(int(m)), int(l_p) - abs(int(m))
-    count, rows = max(n, n_p) + 1, []
+    count, rows, g1 = max(n, n_p) + 1, [], gammaln(mu + 1.0)    # g1 = ln G(mu+1)
     if count > 4096:        # the rule's dense Jacobi matrix holds count^2 floats
         raise DomainError(f"max(l, l') - |m| must be below 4096, got {count - 1}")
     for x, w in zip(*(a.tolist() for a in _gauss_gegenbauer(mu, count))):
-        p, L = specfun._ferrers_chain(mu, mu, x, count)     # both degrees
+        p, L = specfun._ferrers_chain(mu, mu, x, count, g1)     # both degrees
         half = 0.5 * mu * (math.log1p(-x) + math.log1p(x))  # ln (1-x^2)^(mu/2)
         u, v = p[n] * math.exp(L[n] - half), p[n_p] * math.exp(L[n_p] - half)
         rows.append((w * u * v, w * u * u, w * v * v))
     lhs, norm, norm_p = (math.fsum(c) for c in zip(*rows))
-    k = 2 * count + mu * math.log(2.0) + abs(gammaln(mu + 1.0)) + abs(gammaln(mu + 1.5))
+    k = 2 * count + mu * math.log(2.0) + abs(g1) + abs(gammaln(mu + 1.5))
     tail = 2.0 * k * np.finfo(float).eps * math.sqrt(norm) * math.sqrt(norm_p)
     rhs = 0.0 if l != l_p else (2.0 / (2.0 * lam + 1.0)) * math.exp(
         gammaln(lam - mu + 1.0) - gammaln(lam + mu + 1.0))

@@ -139,25 +139,27 @@ _BIG = 2.0 ** 500          # Ferrers mantissas are rescaled by this power of
 _TINY = 1.0 / _BIG         # two to stay within [_TINY, _BIG], exactly
 
 
-def _ferrers_offset(mu, x: float, count: int):
+def _ferrers_offset(mu, x: float, count: int, log_gamma=None):
     """Check x and count; log of the seeds' (sin(theta)/2)^mu / Gamma(1+mu)."""
-    from scipy.special import gammaln
+    if log_gamma is None:               # ln Gamma(1+mu), unless the caller has it
+        from scipy.special import gammaln
+        log_gamma = gammaln(1.0 + mu)
     if not -1.0 + SING_TOL < x < 1.0 - SING_TOL:
         raise DomainError(
             f"Ferrers functions require |x| < 1 - {SING_TOL}, got {x}")
     if count < 1:
         raise DomainError("count must be >= 1")
     return (0.5 * mu * (math.log1p(-x) + math.log1p(x))
-            - mu * math.log(2.0) - gammaln(1.0 + mu))
+            - mu * math.log(2.0) - log_gamma)
 
 
-def _ferrers_chain(nu0: float, mu: float, x: float,
-                   count: int) -> tuple[list, list]:
+def _ferrers_chain(nu0: float, mu: float, x: float, count: int,
+                   log_gamma=None) -> tuple[list, list]:
     """`ferrers_P_sequence` on Python floats: lists (m, L)."""
     if not (-0.5 <= nu0 and nu0 - mu < 2.0 and math.isfinite(mu)):
         raise DomainError(f"sequence seeds need a finite mu and -1/2 <= nu0 < "
                           f"mu + 2 (P_nu = P_(-nu-1)), got nu0 = {nu0}, mu = {mu}")
-    off = float(_ferrers_offset(mu, x, count))
+    off = float(_ferrers_offset(mu, x, count, log_gamma))
     m, w = [], 0.5 * (1.0 - x)
     for k in range(min(count, 2)):      # the seeds F(a, b; c; w), a = mu - nu
         a, b, c = (mu - nu0) - k, mu + (nu0 + k) + 1.0, 1.0 + mu

@@ -23,6 +23,7 @@ from stringhorizon.identities import (CHECKS, _app5_rhs, check_app5,
                                       check_spheroidal_sum,
                                       check_toroidal_addition, run_case,
                                       run_cases, spheroidal_ratio_audit)
+from stringhorizon.summation import sum_m_bands
 
 PI = math.pi
 
@@ -259,8 +260,9 @@ def test_linet_past_the_band_cap_is_refused_at_once(monkeypatch):
 
 
 def test_linet_refusal_near_the_diagonal_reads_one_Q(monkeypatch):
-    # theta and theta' 1.1e-3 apart: the bands' bound top e^{-mu xi} counts
-    # them from one Q value; a series per closed band took 3.5 s to refuse
+    # theta and theta' 1.1e-3 apart: the last band, below which no band
+    # falls, refuses the sum from one Q value; a series per closed band
+    # took 3.5 s to refuse
     q_calls = []
     legendre_Qhat_axis = specfun.legendre_Qhat_axis
 
@@ -274,18 +276,32 @@ def test_linet_refusal_near_the_diagonal_reads_one_Q(monkeypatch):
     assert len(q_calls) <= 1
 
 
+def test_linet_sum_settling_near_the_cap_reaches_its_wynn_bands(monkeypatch):
+    # the closed bands at theta' - theta = 0.02 settle at band 374 of 400, so
+    # the pre-pass must let the sum through to its Wynn bands; their bound
+    # e^{-mu xi} band 0 settles only at band 449, and refused it
+    class Reached(Exception):
+        pass
+
+    def first_wynn_band(*args):
+        raise Reached
+    closed = sum_m_bands(lambda m: (_app5_rhs(m / 0.6, 1.0, 1.02), 0.0), 1e-6, 1.0)
+    assert 350 < closed[2] < 400
+    monkeypatch.setattr(specfun, "ferrers_band", first_wynn_band)
+    with pytest.raises(Reached):
+        check_linet_sum(0.6, 1.0, 1.02, 1.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(mu=st.floats(0.0, 100.0), theta=st.floats(0.2, PI - 0.2),
-       theta_p=st.floats(0.2, PI - 0.2))
-def test_app5_band_below_its_envelope(mu, theta, theta_p):
-    # Q_{mu-1/2}(cosh xi) <= e^{-mu xi} Q_{-1/2}(cosh xi) (DLMF 14.12's
-    # integral), the bound the Linet pre-pass counts bands by; equal at
-    # mu = 0, hence the rounding slack
+@given(mu=st.floats(0.0, 600.0), step=st.floats(0.0, 600.0),
+       theta=st.floats(0.2, PI - 0.2), theta_p=st.floats(0.2, PI - 0.2))
+def test_app5_band_falls_with_its_order(mu, step, theta, theta_p):
+    # Q_{mu-1/2}(cosh xi) = 2^{-1/2} int_xi^oo e^{-mu t} (cosh t - cosh xi)^{-1/2} dt
+    # (DLMF 14.12) falls with mu: the Linet pre-pass takes the last band as
+    # a floor under every band; equal at step = 0, hence the rounding slack
     assume(abs(theta - theta_p) >= 1e-3)
-    xi = math.acosh((1.0 - math.cos(theta) * math.cos(theta_p))
-                    / (math.sin(theta) * math.sin(theta_p)))
-    bound = math.exp(-mu * xi) * _app5_rhs(0.0, theta, theta_p)
-    assert _app5_rhs(mu, theta, theta_p) <= bound * (1.0 + 1e-12)
+    assert (_app5_rhs(mu + step, theta, theta_p)
+            <= _app5_rhs(mu, theta, theta_p) * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
