@@ -261,8 +261,8 @@ def test_linet_past_the_band_cap_is_refused_at_once(monkeypatch):
 
 def test_linet_refusal_near_the_diagonal_reads_one_Q(monkeypatch):
     # theta and theta' 1.1e-3 apart: the last band, below which no band
-    # falls, refuses the sum from one Q value; a series per closed band
-    # took 3.5 s to refuse
+    # falls, refuses the sum from one Q value, where a series per closed
+    # band takes seconds
     q_calls = []
     legendre_Qhat_axis = specfun.legendre_Qhat_axis
 
@@ -279,7 +279,7 @@ def test_linet_refusal_near_the_diagonal_reads_one_Q(monkeypatch):
 def test_linet_sum_settling_near_the_cap_reaches_its_wynn_bands(monkeypatch):
     # the closed bands at theta' - theta = 0.02 settle at band 374 of 400, so
     # the pre-pass must let the sum through to its Wynn bands; their bound
-    # e^{-mu xi} band 0 settles only at band 449, and refused it
+    # e^{-mu xi} band 0 settles only at band 449, so no count from it serves
     class Reached(Exception):
         pass
 
