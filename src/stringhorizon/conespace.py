@@ -1,12 +1,12 @@
 """Green's functions on flat space threaded by a cosmic string.
 
-The 4D Euclidean and 3D Laplace Green's functions are provided in every
-representation used by the identity harness: closed form, spherical mode
-sum, cylindrical Q-sum, Bessel k-integral, axisymmetric potential integral,
-Linet's image-plus-integral form (alpha > 1/2), and the toroidal and
-prolate-spheroidal mode sums; the three integrals call `summation.quadpack`.
-Pairwise agreement of these representations is the content of the
-summation identities checked in `identities`.
+The 4D Euclidean and 3D Laplace Green's functions in several representations:
+closed form, spherical mode sum, cylindrical Q-sum, Bessel k-integral,
+axisymmetric potential integral, Linet's image-plus-integral form (alpha >
+1/2), and the toroidal and prolate-spheroidal mode sums; the three integrals
+call `summation.quadpack`.  Their pairwise agreement is the content of the
+summation identities; the harness in `identities` reads `g3_linet`,
+`heine_double_sum`, `_toroidal_nsum` and `_spheroidal_lsum`.
 
 Azimuthal convention: phi has period 2*pi and the metric carries
 alpha^2 rho^2 dphi^2, so the cone angle deficit is encoded in alpha alone.
@@ -22,7 +22,7 @@ import numpy as np
 from . import specfun
 from .errors import CoincidenceError, DomainError, SlowConvergenceError
 from .specfun import arccosh1p
-from .summation import quadpack, sum_l, sum_m_bands
+from .summation import MIN_RATE, count_bands, quadpack, sum_l, sum_m_bands
 
 __all__ = [
     "check_alpha",
@@ -203,7 +203,7 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
 
     Returns (value, certified_tail, lmax_used, mmax_used).  Band m is
     e^{-m chi/alpha} / (sin th sin th' sinh chi), cosh chi = (zeta - cos th
-    cos th') / (sin th sin th'): `sum_m_bands` over these floats counts the
+    cos th') / (sin th sin th'): `count_bands` over these floats counts the
     bands, or refuses, before any Legendre chain is built.  Bands are built
     ahead of the m-sum to that count, 2^15 terms at a time, past it one at
     a time.  Bands whose mu differ by integers read one log-Q chain, started
@@ -213,15 +213,12 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     if not zeta > 1.0 + 1e-6:
         raise DomainError(
             f"heine_double_sum needs zeta > 1 + 1e-6, got zeta = {zeta}")
-    if not math.isfinite(dphi):         # sum_m_bands checks tol
-        raise DomainError(f"heine_double_sum needs a finite dphi, got {dphi}")
     x1, x2 = math.cos(theta), math.cos(theta_p)
     xi = math.acosh(zeta)               # Q_lam(zeta) ~ e^{-lam xi}
     ss = math.sin(theta) * math.sin(theta_p)
     chi = math.acosh(max(zeta, (zeta - x1 * x2) / ss)) if ss > 0.0 else xi
     top = 1.0 / (ss * math.sinh(chi)) if ss > 0.0 else 0.0  # 0 at a pole
-    stop = sum_m_bands(lambda m: (top * math.exp(-m * chi / alpha), 0.0),
-                       tol, dphi)[2] + 1
+    stop = count_bands(lambda m: top * math.exp(-m * chi / alpha), tol, dphi)
     chains = {}                         # lattice start mu0: log Qbar_{mu0+j}(zeta)
 
     def log_qbar(mu, count):
@@ -349,15 +346,11 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
     r2, th2, _ = s2.coords
     r_lt, r_gt = min(r1, r2), max(r1, r2)
     rate = math.log(r_gt / r_lt)
-    if rate < 1e-3:
-        raise SlowConvergenceError(
-            "radii too close for the spherical mode sum; no geometric decay")
-    logratio = math.log(r_lt / r_gt)
     x1, x2 = math.cos(th1), math.cos(th2)
 
     def terms(mu, count):
         # (r</r>)^lam / r>
-        log_radial = (mu + np.arange(count)) * logratio - math.log(r_gt)
+        log_radial = -(mu + np.arange(count)) * rate - math.log(r_gt)
         return specfun.ferrers_band(mu, x1, x2, count, log_radial)
 
     value, _, _ = sum_m_bands(
@@ -476,8 +469,8 @@ def _toroidal_coefficients(alpha, m, w_lt, w_gt, count):
 
 def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol):
     """c_0 + sum_{n>0} 2 cos(n deta) c_n (c_n of `_toroidal_coefficients`)
-    by `sum_l`: at rate w> - w<, or as a Wynn limit when w> - w< <= 1e-3
-    (deta away from 0 then; the callers check).  Returns (value, tail, nmax)."""
+    by `sum_l`: at rate w> - w<, or as a Wynn limit when w> - w< <= MIN_RATE,
+    which |deta| < 1e-6 refuses.  Returns (value, tail, nmax)."""
     def terms(count):
         t = (_toroidal_coefficients(alpha, m, w_lt, w_gt, count)
              * np.cos(np.arange(count) * deta))
@@ -485,7 +478,10 @@ def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol):
         return t
 
     rate = w_gt - w_lt
-    return sum_l(terms, tol, rate if rate > 1e-3 else None)
+    if rate <= MIN_RATE and abs(deta) < 1e-6:
+        raise SlowConvergenceError(
+            "toroidal n-sum has no decay and no oscillation (w=w', deta=0)")
+    return sum_l(terms, tol, rate if rate > MIN_RATE else None)
 
 
 def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
@@ -497,9 +493,6 @@ def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
     w2, eta2, _ = t2.coords
     deta = math.remainder(eta1 - eta2, 2.0 * math.pi)
     w_lt, w_gt = min(w1, w2), max(w1, w2)
-    if w_gt - w_lt <= 1e-3 and abs(deta) < 1e-6:
-        raise SlowConvergenceError(
-            "toroidal n-sum has no decay and no oscillation (w=w', deta=0)")
     pref = math.sqrt((math.cosh(w1) - math.cos(eta1)) * (math.cosh(w2) - math.cos(eta2)))
 
     value, _, _ = sum_m_bands(
@@ -513,21 +506,16 @@ def _spheroidal_lsum(alpha, m, th1, th2, s_lt, s_gt, tol):
     """sum_k (2 lam + 1) gr^2 P^{-mu}_lam(cos th) P^{-mu}_lam(cos th')
     P^{-mu}_lam(cosh s<) Qhat^{-mu}_lam(cosh s>), lam = mu + k, by `sum_l`
     at rate s> - s<, each term the Ferrers band with the `specfun.axis_band`
-    as its log factor.  At mu = m/alpha of about 100 the terms still grow at
-    that cutoff: SlowConvergenceError when the last three hold the largest."""
+    as its log factor (at mu = m/alpha of about 100 the terms still grow at
+    that cutoff, which `sum_l` refuses)."""
     mu = m / alpha
 
     def terms(count):
         lam = mu + np.arange(count, dtype=float)
         # gr^2 * Qhat = gr * [G(lam+mu+1) / G(lam+3/2)] * Qbar, gr in the band
         sign, log_axis = specfun.axis_band(mu, mu, s_lt, s_gt, count)
-        t = (2.0 * lam + 1.0) * sign * specfun.ferrers_band(
+        return (2.0 * lam + 1.0) * sign * specfun.ferrers_band(
             mu, math.cos(th1), math.cos(th2), count, log_axis)
-        size = np.abs(t)
-        if size[-3:].max() == size.max() > 0.0:
-            raise SlowConvergenceError(
-                f"spheroidal terms still grow at k = {count - 1} (mu = {mu})")
-        return t
 
     return sum_l(terms, tol, s_gt - s_lt)
 
@@ -541,10 +529,6 @@ def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
     s1, th1, _ = p1.coords
     s2, th2, _ = p2.coords
     s_lt, s_gt = min(s1, s2), max(s1, s2)
-    rate = s_gt - s_lt
-    if rate < 1e-3:
-        raise SlowConvergenceError(
-            "sigma coordinates too close for the spheroidal mode sum")
     value, _, _ = sum_m_bands(
         lambda m: _spheroidal_lsum(alpha, m, th1, th2, s_lt, s_gt, tol)[:2],
         tol, dphi)

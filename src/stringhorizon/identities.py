@@ -21,7 +21,7 @@ from .blackhole import lambda_of
 from .conespace import (ConePoint, _spheroidal_lsum, _toroidal_nsum, check_alpha,
                         g3_linet, generalized_heine_rhs, heine_double_sum)
 from .errors import DomainError, StringHorizonError
-from .summation import MAX_BANDS, quadpack, sum_l, sum_m_bands
+from .summation import MIN_RATE, count_bands, quadpack, sum_l, sum_m_bands
 
 __all__ = [
     "IdentityCase",
@@ -158,12 +158,9 @@ def _app5_rhs(mu, theta, theta_p):
 def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
     """(1/alpha) sum_m e^{i m dphi} [Wynn limit of the l-sum], theta != theta'.
     Band m is app5's at mu = m/alpha, which falls with mu (DLMF 14.12's
-    integral), so no band lies below the last: if those do not settle in
-    `sum_m_bands`, the sum is refused at one Q value, else the closed bands
-    decide it, all before any Wynn limit."""
-    low = (1.0 - 1e-9) * _app5_rhs((MAX_BANDS - 1) / alpha, theta, theta_p)
-    sum_m_bands(lambda m: (low, 0.0), tol, dphi)
-    sum_m_bands(lambda m: (_app5_rhs(m / alpha, theta, theta_p), 0.0), tol, dphi)
+    integral): `count_bands` over those refuses a sum past the band cap,
+    at one Q value where it can, before any Wynn limit."""
+    count_bands(lambda m: _app5_rhs(m / alpha, theta, theta_p), tol, dphi)
     x1, x2 = math.cos(theta), math.cos(theta_p)
     value, tail, bands = sum_m_bands(
         lambda m: sum_l(
@@ -246,9 +243,7 @@ def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
     if not chi > 1.0 + 1e-12:
         raise DomainError(f"coincident toroidal pair (cosh chi = {chi}); RHS divergent")
     note = ""
-    if w_gt - w_lt <= 1e-3:
-        if abs(deta) < 1e-6:
-            raise DomainError("w = w' with deta = 0 is coincident")
+    if w_gt - w_lt <= MIN_RATE:
         note = "w = w': n-sum evaluated by Wynn's epsilon-algorithm"
     lhs, tail, nmax = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol)
     rhs = specfun.legendre_Qhat_axis(mu - 0.5, 0.0, chi) \
@@ -269,8 +264,8 @@ def _spheroidal_chi(theta, theta_p, s1, s2):
 
 
 def _spheroidal_lhs_rhs(alpha, m, theta, theta_p, sigma_lt, sigma_gt, tol):
-    if not sigma_gt - sigma_lt >= 1e-3:
-        raise DomainError(f"sigma> - sigma< = {sigma_gt - sigma_lt}: l-sum has no decay")
+    if not sigma_lt <= sigma_gt:
+        raise DomainError(f"need sigma< <= sigma>, got {sigma_lt}, {sigma_gt}")
     lhs, tail, lmax = _spheroidal_lsum(alpha, m, theta, theta_p, sigma_lt,
                                        sigma_gt, tol)
     mu = abs(m) / alpha

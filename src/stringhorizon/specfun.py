@@ -415,7 +415,7 @@ def axis_band(nu0: float, mu: float, s_lt: float, s_gt: float,
     mq, Lq = legendre_Qbar_axis_sequence(nu0, mu, math.cosh(s_gt), count)
     log_p = np.log(mp) + Lp                # P > 0 on the axis
     # a stand-in for a residual scale that resolves values this small
-    # (ROADMAP item 1): a P value below the smallest subnormal is not summed
+    # (ROADMAP item 3): a P value below the smallest subnormal is not summed
     if log_p.min() < -1074.0 * math.log(2.0):
         raise ConvergenceError("axis chain underflowed; order too large")
     nu = nu0 + np.arange(count, dtype=float)

@@ -1,6 +1,7 @@
-"""Truncation and acceleration helpers for the mode sums: `sum_m_bands`
-folds and stops every azimuthal m-sum, and `sum_l` cuts off every degree
-sum over l (or n) and estimates its tail.  Degree sums come in two regimes:
+"""Truncation and acceleration helpers, which hold every rule that stops or
+refuses a mode sum: `sum_m_bands` folds and stops every azimuthal m-sum,
+`count_bands` counts its bands from closed values, and `sum_l` cuts off
+every degree sum over l (or n) and estimates its tail.  Two regimes:
 
 * geometric decay (a Q_lambda(zeta) factor, a radial ratio, or an
   exponential in the toroidal chain) -- summed directly with a geometric
@@ -23,6 +24,8 @@ from .errors import DomainError, QuadratureError, SlowConvergenceError
 
 __all__ = [
     "MAX_BANDS",
+    "MIN_RATE",
+    "count_bands",
     "sum_l",
     "sum_m_bands",
     "wynn_limit",
@@ -31,6 +34,7 @@ __all__ = [
 ]
 
 MAX_BANDS = 400           # the most m-bands any azimuthal sum takes
+MIN_RATE = 1e-3           # sum_l refuses a geometric rate at or below this
 
 
 def sum_m_bands(band_fn, tol: float,
@@ -44,10 +48,12 @@ def sum_m_bands(band_fn, tol: float,
     SlowConvergenceError if MAX_BANDS bands do not settle.
 
     Returns (value, sum of band tails + 10 |last weighted band|, last m).
-    DomainError unless 0 < tol < 1.
+    DomainError unless 0 < tol < 1 and dphi is finite.
     """
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
+    if not math.isfinite(dphi):
+        raise DomainError(f"dphi must be finite, got {dphi}")
     total = tails = 0.0
     small = 0
     for m in range(MAX_BANDS):
@@ -65,6 +71,15 @@ def sum_m_bands(band_fn, tol: float,
             small = 0
     raise SlowConvergenceError(
         f"m-band sum did not settle within {MAX_BANDS} bands (tol={tol})")
+
+
+def count_bands(closed, tol: float, dphi: float = 0.0) -> int:
+    """How many bands `sum_m_bands` takes over closed(m), a float at or below
+    band m that falls with m: a floor closed(MAX_BANDS - 1) (1 - 1e-9) that
+    does not settle refuses the sum from that one value, before the count."""
+    low = (1.0 - 1e-9) * closed(MAX_BANDS - 1)
+    sum_m_bands(lambda m: (low, 0.0), tol, dphi)
+    return sum_m_bands(lambda m: (closed(m), 0.0), tol, dphi)[2] + 1
 
 
 def _wynn(sums: np.ndarray) -> float:
@@ -114,25 +129,29 @@ def wynn_limit(terms_fn, tol: float) -> tuple[float, float, int]:
 def sum_l(terms_fn, tol: float, rate: float | None = None):
     """(value, tail, lmax) of sum_{l=0}^{lmax} t_l, terms_fn(n) giving
     t_0..t_{n-1}.  With a rate (|t_l| ~ e^{-rate l}) the terms are summed
-    directly: lmax = ceil(ln(1/tol)/rate) + 10, capped at 100,000
-    (SlowConvergenceError), and tail = 10 max|last three terms| r/(1 - r),
-    r = e^{-rate}; 2-D terms give one such sum per row, value and tail as
-    lists.  With rate=None it is `wynn_limit` on as many terms as the limit
-    needs.  DomainError unless 0 < tol < 1."""
+    directly: lmax = ceil(ln(1/tol)/rate) + 10, and tail = 10 max|last three
+    terms| r/(1 - r), r = e^{-rate}; 2-D terms give one such sum per row,
+    value and tail as lists.  SlowConvergenceError at a rate <= MIN_RATE or
+    an lmax > 100,000 (before any term), and where the largest term is one of
+    the last three.  With rate=None it is `wynn_limit` on as many terms as
+    the limit needs.  DomainError unless 0 < tol < 1."""
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
     if rate is None:
         value, err, n = wynn_limit(terms_fn, tol)
         return value, err, n - 1
-    if not rate > 0.0:
+    if not rate > MIN_RATE:
         raise SlowConvergenceError(f"no geometric decay (rate={rate})")
     lmax = int(math.ceil(math.log(1.0 / tol) / rate)) + 10
     if lmax > 100_000:
         raise SlowConvergenceError(
             f"truncation {lmax} exceeds cap 100000 (rate={rate}, tol={tol})")
     terms = terms_fn(lmax + 1)
+    size = np.abs(terms)
+    if np.any(size.argmax(axis=-1) > lmax - 3):
+        raise SlowConvergenceError(f"terms still grow at l = {lmax} (rate={rate})")
     r = math.exp(-rate)
-    amp = np.abs(terms[..., -3:]).max(axis=-1)
+    amp = size[..., -3:].max(axis=-1)
     return terms.sum(axis=-1).tolist(), (10.0 * amp * r / (1.0 - r)).tolist(), lmax
 
 

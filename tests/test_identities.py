@@ -58,6 +58,20 @@ def test_heine_classic_domain():
         check_heine_classic(0.9, 0.95)
 
 
+@pytest.mark.parametrize("zeta, tol", [(1.0 + 1e-7, 1e-6), (1.0 + 4e-7, 1e-8)])
+def test_heine_classic_just_above_one_is_refused_at_once(monkeypatch, zeta, tol):
+    # rates acosh(zeta) of 4.5e-4 and 8.9e-4 lie below summation.MIN_RATE;
+    # these passed on their tails alone, at residuals of 56 and 27 times
+    # tol (the first at lmax 30,903 after about 2 s)
+    def no_chain(*args):
+        raise AssertionError("no Q chain may be built")
+    monkeypatch.setattr(specfun, "legendre_Q_sequence", no_chain)
+    rec = run_case({"check": "heine_classic",
+                    "params": {"zeta": zeta, "psi": 0.3, "tol": tol}})
+    assert rec["error"].startswith(
+        "SlowConvergenceError: no geometric decay (rate=")
+
+
 def _assert_deeper_and_closer(cases):
     # a smaller tol buys a longer l-sum and a smaller residual
     floor = 1e-12
@@ -370,6 +384,27 @@ def test_spheroidal_sum_raises_where_an_axis_chain_underflows():
     # P_lam^{-300}(cosh 0.8) at lam = 300 is about sinh(0.8)^300 / (2^300 300!)
     with pytest.raises(ConvergenceError):
         check_spheroidal_sum(0.01, 3, 0.7, 1.1, 0.8, 1.5)
+
+
+@pytest.mark.parametrize("check, params, error", [
+    # sigma> - sigma< = 5e-4 is below summation.MIN_RATE
+    ("spheroidal_sum", {"alpha": 1.0, "m": 1, "theta": 0.7, "theta_p": 1.1,
+                        "sigma_lt": 0.8, "sigma_gt": 0.8005},
+     "SlowConvergenceError: no geometric decay (rate="),
+    ("spheroidal_sum", {"alpha": 0.01, "m": 1, "theta": 0.7, "theta_p": 1.1,
+                        "sigma_lt": 0.8, "sigma_gt": 1.5},
+     "SlowConvergenceError: terms still grow at l = 30 (rate=0.7"),
+    ("spheroidal_sum", {"alpha": 1.0, "m": 1, "theta": 0.7, "theta_p": 1.1,
+                        "sigma_lt": 1.5, "sigma_gt": 0.8},
+     "DomainError: need sigma< <= sigma>"),
+    # w' - w = 5e-4 takes the Wynn limit, which eta - eta' = 5e-7 cannot feed
+    ("toroidal_addition", {"alpha": 0.75, "m": 1, "w": 0.9, "w_p": 0.9005,
+                           "eta": 1.0000005, "eta_p": 1.0},
+     "SlowConvergenceError: toroidal n-sum has no decay and no oscillation"),
+])
+def test_sums_without_decay_are_error_records(check, params, error):
+    rec = run_case({"check": check, "params": params})
+    assert rec["error"].startswith(error), rec
 
 
 def test_spheroidal_chi_exceeds_one(rng):

@@ -1,6 +1,7 @@
 """The azimuthal mode sum `sum_m_bands`: the m >= 0 fold, the tail
-it reports, and its two stopping rules.  The degree sum `sum_l`: its
-cutoff, its geometric tail and its Wynn branch.  The Wynn limit
+it reports, and its two stopping rules; `count_bands`, its count from
+closed bands.  The degree sum `sum_l`: its cutoff, its geometric tail, its
+refusals and its Wynn branch.  The Wynn limit
 `wynn_limit`: closed sums, its length rule, and the Abel/Richardson limit
 it replaced.  The QUADPACK gate `quadpack`: its failure code and its
 error bound."""
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 
 from stringhorizon import specfun
 from stringhorizon.conespace import _toroidal_coefficients, _toroidal_nsum
-from stringhorizon.errors import QuadratureError, SlowConvergenceError
+from stringhorizon.errors import DomainError, QuadratureError, SlowConvergenceError
 from stringhorizon.identities import check_app5, check_linet_sum
-from stringhorizon.summation import (quadpack, richardson_table, sum_l,
-                                     sum_m_bands, wynn_limit)
+from stringhorizon.summation import (MAX_BANDS, MIN_RATE, count_bands, quadpack,
+                                     richardson_table, sum_l, sum_m_bands,
+                                     wynn_limit)
 
 
 def test_fold_of_constant_bands():
@@ -83,6 +85,38 @@ def test_unsettled_sum_raises_without_mmax():
     assert len(calls) == 400
 
 
+@pytest.mark.parametrize("dphi", [math.nan, math.inf, -math.inf])
+def test_sum_m_bands_refuses_a_non_finite_dphi(dphi):
+    def band(m):
+        raise AssertionError("no band may be asked for")
+
+    with pytest.raises(DomainError, match="dphi must be finite"):
+        sum_m_bands(band, 1e-8, dphi)
+
+
+@pytest.mark.parametrize("decay, dphi", [(0.5, 0.0), (0.05, 1.3), (0.2, 0.4)])
+def test_count_bands_counts_the_closed_bands(decay, dphi):
+    def closed(m):
+        return math.exp(-decay * m)
+
+    stop = sum_m_bands(lambda m: (closed(m), 0.0), 1e-6, dphi)[2]
+    assert count_bands(closed, 1e-6, dphi) == stop + 1
+
+
+def test_count_bands_refuses_from_one_closed_value():
+    # bands e^{-m/100} stay above tol/20 up to the cap: the floor at the
+    # last band refuses, and no other closed value is read
+    read = []
+
+    def closed(m):
+        read.append(m)
+        return math.exp(-0.01 * m)
+
+    with pytest.raises(SlowConvergenceError, match="within 400 bands"):
+        count_bands(closed, 1e-6, 0.7)
+    assert read == [MAX_BANDS - 1]
+
+
 # ----------------------------------------------------------------------
 # sum_l
 # ----------------------------------------------------------------------
@@ -122,18 +156,47 @@ def test_sum_l_cap_and_no_decay_raise():
     def terms(n):
         raise AssertionError("no terms may be asked for")
 
-    # ln(1e8)/1e-4 + 10 is about 184,217 > 100,000
-    with pytest.raises(SlowConvergenceError):
-        sum_l(terms, 1e-8, 1e-4)
-    for rate in (0.0, math.nan):
-        with pytest.raises(SlowConvergenceError):
+    # ln(1e100)/2e-3 + 10 is about 115,139 > 100,000
+    with pytest.raises(SlowConvergenceError, match="exceeds cap"):
+        sum_l(terms, 1e-100, 2e-3)
+    for rate in (0.0, math.nan, 1e-4, MIN_RATE):
+        with pytest.raises(SlowConvergenceError, match="no geometric decay"):
             sum_l(terms, 1e-8, rate)
+
+
+def test_sum_l_refuses_terms_still_growing_at_the_cutoff():
+    # at rate ln 2 and tol 1e-3, lmax = 20: a largest term at l = 18 lies in
+    # the last three of the 21 terms, one at l = 17 does not
+    rate, fall = math.log(2.0), 0.5 ** _k(21)
+    grow, late = fall.copy(), fall.copy()
+    grow[18], late[17] = 2.0, 2.0
+    with pytest.raises(SlowConvergenceError, match="still grow at l = 20"):
+        sum_l(lambda n: grow[:n], 1e-3, rate)
+    batch = np.array([fall, grow, np.zeros(21)])
+    with pytest.raises(SlowConvergenceError, match="still grow at l = 20"):
+        sum_l(lambda n: batch[:, :n], 1e-3, rate)
+    # a row of zeros beside falling rows is summed, with a zero tail
+    batch = np.array([fall, late, np.zeros(21)])
+    value, tail, lmax = sum_l(lambda n: batch[:, :n], 1e-3, rate)
+    assert lmax == 20 and value == batch.sum(axis=1).tolist()
+    assert tail[2] == 0.0
 
 
 def test_sum_l_without_rate_is_the_wynn_limit():
     value, err, lmax = sum_l(lambda n: (-1.0) ** _k(n) / (_k(n) + 1.0), 1e-10)
     assert lmax == 159 and err <= 1e-11
     assert value == pytest.approx(math.log(2.0), abs=1e-14)
+
+
+def test_toroidal_nsum_refuses_no_decay_and_no_oscillation(monkeypatch):
+    # w> - w< at MIN_RATE or below takes the Wynn limit, which needs the
+    # cos(n deta) oscillation: at |deta| < 1e-6 it is refused before any term
+    def no_terms(*args):
+        raise AssertionError("no coefficient may be asked for")
+    monkeypatch.setattr(specfun, "axis_band", no_terms)
+    for w_gt in (0.9, 0.9 + 5e-4):
+        with pytest.raises(SlowConvergenceError, match="no oscillation"):
+            _toroidal_nsum(0.75, 1, 0.9, w_gt, 5e-7, 1e-8)
 
 
 def test_toroidal_tail_reads_the_folded_terms():
