@@ -270,8 +270,8 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     eta - 1 >= 1e-6 only.  Both are integrated by Taylor steps of the
     equation in t = eta - 1 (see _taylor_solve).
 
-    In the eta variable the equation is mass-free (kappa M = 1/4), so
-    `geometry` only fixes the normalization used downstream.
+    In the eta variable the equation is mass-free (kappa M = 1/4) and alpha
+    enters only through lam, so `geometry` is not read.
     """
     if n == 0:
         raise DomainError("radial_solutions handles n != 0; use the analytic branch")
@@ -342,8 +342,7 @@ def chi_radial_green(n: int, lam: float, eta: float, eta_p: float,
         return (specfun.legendre_P_axis(lam, lo) * specfun.legendre_Q(lam, hi)
                 / (geometry.alpha * geometry.M))
     if pair is None:
-        pair = radial_solutions(n, lam, geometry,
-                                eta_max=max(20.0, 2.0 * hi))
+        pair = radial_solutions(n, lam, eta_max=max(20.0, 2.0 * hi))
     return pair.p(lo) * pair.q(hi) / (2.0 * abs(n) * geometry.alpha * geometry.M)
 
 

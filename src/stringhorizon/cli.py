@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import json
 import math
 import sys
@@ -40,16 +41,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
+def _write(args, payload, csv_text: str) -> None:
+    """Write payload as JSON, or csv_text, as --format asks, to --out or stdout."""
+    text = (csv_text if args.format == "csv"
+            else json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _csv(rows) -> str:
+    """CSV text of rows: each field by _fmt, quoted as the csv module quotes."""
+    import csv      # on first use: importing the CLI loads no csv
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -126,20 +135,11 @@ def _records_csv(records: list[dict]) -> str:
     cols = ["name", "params", "lmax", "mmax", "tol", "lhs", "rhs",
             "residual_abs", "residual_rel", "residual", "certified_tail",
             "passed", "note", "error"]
-    lines = [",".join(cols)]
-    for r in records:
-        row = []
-        for c in cols:
-            v = r.get(c, "")
-            if c == "params":
-                v = ";".join(f"{k}={_fmt(v2)}" for k, v2 in sorted(v.items()))
-            elif isinstance(v, float):
-                v = _fmt(v)
-            elif v is None:
-                v = ""
-            row.append(f'"{v}"' if "," in str(v) else str(v))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = [dict(r, params=";".join(f"{k}={_fmt(v)}"
+                                    for k, v in sorted(r["params"].items())))
+            for r in records]
+    return _csv([cols] + [["" if r.get(c) is None else r[c] for c in cols]
+                          for r in rows])
 
 
 def cmd_verify(args) -> int:
@@ -150,8 +150,7 @@ def cmd_verify(args) -> int:
     log = sys.stderr if args.out is None else sys.stdout
     if not cases:
         print("warning: empty manifest, nothing to verify", file=log)
-        _emit(_json_dumps([]) if args.format == "json" else _records_csv([]),
-              args.out)
+        _write(args, [], _records_csv([]))
         return EXIT_OK
     records = identities.run_cases(cases, tol_override=args.tolerance)
     n_err = sum(1 for r in records if "error" in r)
@@ -165,8 +164,7 @@ def cmd_verify(args) -> int:
                   f"tail={_fmt(r['certified_tail'])}", file=log)
     print(f"{len(records)} checks: {len(records) - n_fail - n_err} passed, "
           f"{n_fail} failed, {n_err} errored", file=log)
-    _emit(_json_dumps(records) if args.format == "json" else _records_csv(records),
-          args.out)
+    _write(args, records, _records_csv(records))
     if n_err:
         return EXIT_NUMERIC
     if n_fail:
@@ -187,10 +185,7 @@ def cmd_phi2(args) -> int:
         "extrapolation_error": res.extrapolation_error,
         "route_agreement": res.route_agreement,
     }
-    if args.format == "json":
-        _emit(_json_dumps(payload), args.out)
-    else:
-        _emit("".join(f"{k},{_fmt(v)}\n" for k, v in payload.items()), args.out)
+    _write(args, payload, _csv(payload.items()))
     return EXIT_OK
 
 
@@ -213,14 +208,8 @@ def cmd_figure1(args) -> int:
         raise ConfigError(f"--margin must lie in (0, 1), got {args.margin}")
     rows = vacuumpol.figure1_data(alphas, margin=args.margin,
                                   points=args.points)
-    if args.format == "json":
-        payload = [{"cos_theta": r[0], "alpha": r[1], "phi2_M2": r[2]}
-                   for r in rows]
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = ["cos_theta,alpha,phi2_M2"]
-        lines += [f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2])}" for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+    cols = ("cos_theta", "alpha", "phi2_M2")
+    _write(args, [dict(zip(cols, r)) for r in rows], _csv([cols, *rows]))
     return EXIT_OK
 
 
@@ -232,7 +221,6 @@ _ETA_MIN = 1.0 + 1e-3     # first row of the radial table
 
 
 def cmd_radial(args) -> int:
-    geometry = blackhole.DeficitGeometry(alpha=args.alpha, M=args.mass)
     lam = blackhole.lambda_of(args.l, args.m, args.alpha)
     _check_points(args.points)
     if not _ETA_MIN < args.eta_max < math.inf:
@@ -244,8 +232,7 @@ def cmd_radial(args) -> int:
                   specfun.legendre_Q(lam, float(e))) for e in etas]
         diag = {"n": 0, "lambda": lam, "branch": "analytic (P_lambda, Q_lambda)"}
     else:
-        pair = blackhole.radial_solutions(args.n, lam, geometry,
-                                          eta_max=args.eta_max)
+        pair = blackhole.radial_solutions(args.n, lam, eta_max=args.eta_max)
         table = [(float(e), pair.p(float(e)), pair.q(float(e))) for e in etas]
         diag = {
             "n": args.n, "lambda": lam,
@@ -256,18 +243,14 @@ def cmd_radial(args) -> int:
             "exponent_fit_q": blackhole.exponent_fit(pair.q),
             "exponent_target": abs(args.n) / 2.0,
         }
-    if args.format == "json":
-        payload = {"diagnostics": diag,
-                   "table": [{"eta": r[0], "p": r[1], "q": r[2]} for r in table]}
-        _emit(_json_dumps(payload), args.out)
-    else:
+    if args.format == "csv":
         # the diagnostics stay out of a table written to stdout
         log = sys.stderr if args.out is None else sys.stdout
         for k, v in sorted(diag.items()):
             print(f"# {k} = {_fmt(v)}", file=log)
-        lines = ["eta,p,q"]
-        lines += [f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2])}" for r in table]
-        _emit("\n".join(lines) + "\n", args.out)
+    cols = ("eta", "p", "q")
+    payload = {"diagnostics": diag, "table": [dict(zip(cols, r)) for r in table]}
+    _write(args, payload, _csv([cols, *table]))
     return EXIT_OK
 
 
@@ -284,37 +267,29 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the identity suite")
     v.add_argument("--manifest", default=None, help="grid manifest (JSON)")
     v.add_argument("--tolerance", type=float, default=None)
-    v.add_argument("--out", default=None)
-    v.add_argument("--format", choices=("csv", "json"), default="json")
-    v.set_defaults(func=cmd_verify)
 
     f = sub.add_parser("phi2", help="horizon vacuum polarization, both routes")
     f.add_argument("--theta", type=float, required=True)
     f.add_argument("--alpha", type=float, required=True)
     f.add_argument("--mass", type=float, default=1.0)
-    f.add_argument("--out", default=None)
-    f.add_argument("--format", choices=("csv", "json"), default="csv")
-    f.set_defaults(func=cmd_phi2)
 
     g = sub.add_parser("figure1", help="emit the horizon profile data table")
     g.add_argument("--alphas", default="1.0,0.9,0.75,0.5")
     g.add_argument("--points", type=int, default=81)
     g.add_argument("--margin", type=float, default=0.995)
-    g.add_argument("--out", default=None)
-    g.add_argument("--format", choices=("csv", "json"), default="csv")
-    g.set_defaults(func=cmd_figure1)
 
     r = sub.add_parser("radial", help="tabulate radial solutions")
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--l", type=int, required=True)
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--alpha", type=float, default=1.0)
-    r.add_argument("--mass", type=float, default=1.0)
     r.add_argument("--eta-max", type=float, default=20.0)
     r.add_argument("--points", type=int, default=40)
-    r.add_argument("--out", default=None)
-    r.add_argument("--format", choices=("csv", "json"), default="csv")
-    r.set_defaults(func=cmd_radial)
+    for parser, func, default in ((v, cmd_verify, "json"), (f, cmd_phi2, "csv"),
+                                  (g, cmd_figure1, "csv"), (r, cmd_radial, "csv")):
+        parser.add_argument("--out", default=None)
+        parser.add_argument("--format", choices=("csv", "json"), default=default)
+        parser.set_defaults(func=func)
     return p
 
 

@@ -327,8 +327,7 @@ def bessel_integral_lhs(lam: float, r_lt: float, r_gt: float, dtau: float,
 
     options = (dict(epsrel=1e-12) if dtau == 0.0
                else dict(weight="cos", wvar=abs(dtau), limlst=300))
-    return quadpack(f, 0.0, np.inf, "omega-integral", tol, tol, epsabs=1e-13,
-                    limit=400, **options)[0]
+    return quadpack(f, 0.0, np.inf, "omega-integral", tol, tol, **options)[0]
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +391,7 @@ def g3_axisym_integral(x: ConePoint, xp: ConePoint, alpha: float,
                 if s > 0.0 else 0.0
 
         return quadpack(integrand, 0.0, math.pi, f"axisymmetric integral m={m}",
-                        1e-11, 10.0 * tol, epsabs=1e-13, epsrel=1e-11,
-                        limit=200)[0], 0.0
+                        1e-11, 10.0 * tol, limit=200)[0], 0.0
 
     value, _, _ = sum_m_bands(band, tol, dphi)
     return value / (4.0 * math.pi ** 2 * alpha)
@@ -452,7 +450,7 @@ def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
         return linet_kernel(u, dphi, alpha) / math.sqrt(c + math.cosh(u))
 
     val = quadpack(integrand, 0.0, np.inf, "Linet u-integral", 1e-11 * math.sqrt(rr),
-                   10.0 * tol, epsabs=1e-13, epsrel=1e-11, limit=400)[0]
+                   10.0 * tol)[0]
     return total + val / math.sqrt(rr) / (8.0 * math.pi ** 2 * alpha)
 
 

@@ -188,8 +188,7 @@ def _linet_lhs_diag(alpha, theta, dphi, tol):
         ratio = (1.0 - e * e) / (1.0 + e * e - 2.0 * cpsi * e)
         return ratio / (2.0 * math.sinh(0.5 * t))
 
-    val, err = quadpack(integrand, 0.0, np.inf, "diagonal resummation", 1e-9,
-                        epsabs=1e-13, epsrel=1e-11, limit=400)
+    val, err = quadpack(integrand, 0.0, np.inf, "diagonal resummation", 1e-9)
     s2 = math.sin(theta) ** 2
     return val / (math.pi * alpha * s2 ** 0.5), err, None
 

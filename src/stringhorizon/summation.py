@@ -10,7 +10,8 @@ every degree sum over l (or n) and estimates its tail.  Two regimes:
   coincident radii) -- handed to `wynn_limit`, Wynn's epsilon-algorithm on
   the partial sums, which settles such series within a few hundred terms.
 
-`quadpack` is the one call into QUADPACK, with its failure code and bound.
+`quadpack` is the one call into QUADPACK, with its settings, failure code
+and bound.
 """
 
 from __future__ import annotations
@@ -167,13 +168,17 @@ def richardson_table(vals) -> list[np.ndarray]:
 
 
 def quadpack(f, a: float, b: float, what: str, abs_bound: float,
-             rel_bound: float = 0.0, **options) -> tuple[float, float]:
-    """(value, error) of scipy's `quad(f, a, b, **options)`, loaded on first
-    use; a one-line QuadratureError naming `what` when QUADPACK reports a
-    failure (its message's first sentence) or unless error <= max(abs_bound,
+             rel_bound: float = 0.0, epsabs: float = 1e-13,
+             epsrel: float = 1e-11, limit: int = 400,
+             **options) -> tuple[float, float]:
+    """(value, error) of scipy's `quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
+    limit=limit, **options)`, loaded on first use; a one-line
+    QuadratureError naming `what` when QUADPACK reports a failure (its
+    message's first sentence) or unless error <= max(abs_bound,
     rel_bound |value|), which a NaN estimate fails."""
     from scipy.integrate import quad
-    value, error, _, *failure = quad(f, a, b, full_output=1, **options)
+    value, error, _, *failure = quad(f, a, b, full_output=1, epsabs=epsabs,
+                                     epsrel=epsrel, limit=limit, **options)
     if failure:
         reason = re.split(r"(?<=\.) (?=[A-Z])", " ".join(failure[0].split()))[0]
         raise QuadratureError(f"{what}: {reason}")

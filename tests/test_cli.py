@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringhorizon import identities
 from stringhorizon.cli import (EXIT_CONFIG, EXIT_FAILURES, EXIT_NUMERIC,
                                EXIT_OK, main)
+from stringhorizon.errors import DomainError
 
 PI = math.pi
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -70,6 +72,25 @@ def test_verify_csv_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("name,params,lmax")
     assert len(lines) == 4
+
+
+def test_verify_csv_error_field_is_one_quoted_field(tmp_path, monkeypatch):
+    # a comma, a double quote and a newline in an error message stay in one
+    # field of one row
+    message = 'zeta = 2, "psi" = 0.3\nsecond line'
+
+    def broken(zeta, psi, tol=1e-10):
+        raise DomainError(message)
+
+    monkeypatch.setitem(identities.CHECKS, "heine_classic", broken)
+    man = write_manifest(tmp_path / "m.json", list(SMALL_CASES[:1]))
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--manifest", man, "--format", "csv",
+                 "--out", str(out)]) == EXIT_NUMERIC
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 1
+    assert dict(zip(header, rows[0]))["error"] == f"DomainError: {message}"
 
 
 def test_verify_empty_manifest(tmp_path, capsys):
@@ -474,6 +495,18 @@ def test_figure1_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_figure1_json_rows_match_csv(capsys):
+    argv = ["figure1", "--points", "5", "--alphas", "1.0,0.5"]
+    assert main(argv) == EXIT_OK
+    header, *rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert header == ["cos_theta", "alpha", "phi2_M2"]
+    assert len(rows) == 10
+    assert [[float(x) for x in row] for row in rows] == [
+        [r[c] for c in header] for r in payload]
+
+
 def test_figure1_bad_alphas():
     assert main(["figure1", "--alphas", "1.0,zebra"]) == EXIT_CONFIG
 
@@ -602,11 +635,16 @@ def test_scipy_modules_load_on_use():
     assert proc.stderr == ""
 
 
-def test_verify_has_no_parallelism_option(capsys):
+@pytest.mark.parametrize("argv,option", [
+    (["verify", "--parallelism", "2"], "--parallelism"),
+    # the radial table is in eta, which makes it mass-free
+    (["radial", "--n", "1", "--l", "1", "--m", "0", "--mass", "1"], "--mass"),
+])
+def test_removed_option_is_unrecognized(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--parallelism", "2"])
+        main(argv)
     assert exc.value.code == EXIT_CONFIG
-    assert "unrecognized arguments: --parallelism" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -631,10 +669,10 @@ _FIGURE1 = st.tuples(st.lists(_number(0.0, 1.2), min_size=1, max_size=3),
                f"--points={t[1]}", f"--margin={t[2]}"])
 # n = 0 is analytic and fast; n != 0 only with an eta-max that fails
 # validation, so no ODE solve runs
-_RADIAL0 = st.tuples(_number(0.0, 1.2), _number(0.0, 5.0), _number(0.5, 1e3),
+_RADIAL0 = st.tuples(_number(0.0, 1.2), _number(0.5, 1e3),
                      st.integers(-2, 30)).map(
     lambda t: ["radial", "--n", "0", "--l", "1", "--m", "1", f"--alpha={t[0]}",
-               f"--mass={t[1]}", f"--eta-max={t[2]}", f"--points={t[3]}"])
+               f"--eta-max={t[1]}", f"--points={t[2]}"])
 _RADIAL1 = st.tuples(_number(0.0, 1.2),
                      st.sampled_from(_EDGES + [1.2, 1.5]).map(repr)).map(
     lambda t: ["radial", "--n", "1", "--l", "1", "--m", "1",

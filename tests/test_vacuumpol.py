@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from stringhorizon import vacuumpol
 from stringhorizon.blackhole import DeficitGeometry
+from stringhorizon.cli import EXIT_NUMERIC, main
 from stringhorizon.errors import DomainError, ExtrapolationError
 from stringhorizon.vacuumpol import (dominance_angle, figure1_data,
                                      phi2_closed, phi2_limit, phi2_near_axis,
@@ -94,6 +96,19 @@ def test_phi2_limit_bracket_out_of_float_range():
     # overflows: an ExtrapolationError, not a NaN limit
     with pytest.raises(ExtrapolationError):
         phi2_limit(PI / 2, 1e-154)
+
+
+def test_phi2_limit_diverging_bracket_raises(monkeypatch, capsys):
+    # spans that grow as epsilon shrinks (a 1/eps bracket) fail the guard:
+    # an ExtrapolationError, which the CLI reports as exit 3 in one line
+    monkeypatch.setattr(vacuumpol, "_bracket", lambda eps, theta, geometry: 1.0 / eps)
+    with pytest.raises(ExtrapolationError, match="diverge with shrinking epsilon"):
+        phi2_limit(PI / 2, 0.75)
+    assert main(["phi2", "--theta", "1.0", "--alpha", "0.75"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ExtrapolationError: bracket values diverge")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_phi2_closed_out_of_float_range():
