@@ -8,7 +8,8 @@ every degree sum over l (or n) and estimates its tail.  Two regimes:
   tail estimate;
 * conditionally convergent 1/lambda-type oscillatory sums (mode sums at
   coincident radii) -- handed to `wynn_limit`, Wynn's epsilon-algorithm on
-  the partial sums, which settles such series within a few hundred terms.
+  the partial sums, which settles such series within a few hundred terms;
+  its four runs share one epsilon table (`_wynn_runs`).
 
 `quadpack` is the one call into QUADPACK, with its settings, failure code
 and bound.
@@ -21,7 +22,8 @@ import re
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, SlowConvergenceError
+from .errors import (ConvergenceError, DomainError, QuadratureError,
+                     SlowConvergenceError)
 
 __all__ = [
     "MAX_BANDS",
@@ -83,15 +85,26 @@ def count_bands(closed, tol: float, dphi: float = 0.0) -> int:
     return sum_m_bands(lambda m: (closed(m), 0.0), tol, dphi)[2] + 1
 
 
-def _wynn(sums: np.ndarray) -> float:
-    """Wynn's epsilon-algorithm on partial sums: the last entry of the
-    deepest even column that is still finite (nan for no sums)."""
-    prev, cur, est = np.zeros(sums.size + 1), sums, math.nan
+def _wynn_runs(sums: np.ndarray) -> list[float]:
+    """Wynn's epsilon-algorithm on four runs of partial sums -- all of sums,
+    its first half, the pairs sums[1::2] and their first half -- in one table
+    over sums and pairs.  Entry i of column j reads only entries i..i+j of
+    column 0, so a run (e, length), e its last index there, has its last
+    entry of column j at e - j, as in a table of its own.  A run's estimate
+    is that entry of its deepest still-finite even column (nan if empty)."""
+    n, p = sums.size, sums.size // 2
+    runs = [(n - 1, n), (n // 2 - 1, n // 2), (n + p - 1, p), (n + p // 2 - 1, p // 2)]
+    est = [math.nan] * 4
+    table = np.concatenate((sums, sums[1::2]))
+    prev, cur, live, j = np.zeros(table.size + 1), table, range(4), 0
     with np.errstate(all="ignore"):
-        while cur.size and math.isfinite(cur[-1]):
-            est = float(cur[-1])
+        while live := [r for r in live if j < runs[r][1]
+                       and math.isfinite(cur[runs[r][0] - j])]:
+            for r in live:
+                est[r] = float(cur[runs[r][0] - j])
             for _ in range(2):
                 prev, cur = cur, prev[1:cur.size] + 1.0 / (cur[1:] - cur[:-1])
+            j += 2
     return est
 
 
@@ -99,28 +112,35 @@ def wynn_limit(terms_fn, tol: float) -> tuple[float, float, int]:
     """(value, error, n) of a slowly convergent oscillating series: Wynn's
     epsilon-algorithm (MTAC 10, 91 (1956)) on the partial sums S_k of the
     terms terms_fn(n) and on S_1, S_3, ... (pairs, for when every other term
-    vanishes).  A run's error is the change of its estimate from half of its
-    sums to all; the smaller error wins.  n = 160, 320, ... until the error
-    is at most tol/10 or n = 20,480 (the estimate there, however rough).
-    While the largest |term| lies past the first quarter, the terms still
-    rise (a band before its turning point, where every partial sum is near
-    0): n doubles before any estimate is formed, and at n = 20,480 it is
-    SlowConvergenceError."""
+    vanishes), all four runs in one table (`_wynn_runs`).  A run's error is
+    the change of its estimate from half of its sums to all; the smaller
+    error wins.  n = 160, 320, ... until the error is at most tol/10 or
+    n = 20,480 (the estimate there, however rough).  While the largest
+    |term| lies past the first quarter, the terms still rise (a band before
+    its turning point, where every partial sum is near 0): n doubles before
+    any estimate is formed, and at n = 20,480 it is SlowConvergenceError.
+    A non-finite term is ConvergenceError at once; DomainError unless
+    0 < tol < 1."""
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     n = 160
     while True:
         terms = terms_fn(n)
+        bad = np.flatnonzero(~np.isfinite(terms))
+        if bad.size:
+            raise ConvergenceError(
+                f"non-finite term {terms[bad[0]]} at k = {bad[0]} of a Wynn series")
         if np.argmax(np.abs(terms)) >= n / 4:   # still rising
             if n >= 20_480:
                 raise SlowConvergenceError(
                     f"terms still rising at the Wynn cap of {n} terms")
             n *= 2
             continue
-        sums = np.cumsum(terms)
+        est = _wynn_runs(np.cumsum(terms))
         runs = []
-        for s in (sums, sums[1::2]):
-            est = _wynn(s)
-            err = abs(est - _wynn(s[: s.size // 2]))
-            runs.append((est, err if math.isfinite(err) else math.inf))
+        for full, half in (est[:2], est[2:]):
+            err = abs(full - half)
+            runs.append((full, err if math.isfinite(err) else math.inf))
         value, err = min(runs, key=lambda run: run[1])
         if err <= 0.1 * tol or n >= 20_480:
             return value, err, n

@@ -2,8 +2,9 @@
 it reports, and its two stopping rules; `count_bands`, its count from
 closed bands.  The degree sum `sum_l`: its cutoff, its geometric tail, its
 refusals and its Wynn branch.  The Wynn limit
-`wynn_limit`: closed sums, its length rule, and the Abel/Richardson limit
-it replaced.  The QUADPACK gate `quadpack`: its failure code and its
+`wynn_limit`: closed sums, its length rule, its refusals, its one shared
+epsilon table against a table per run, and the Abel/Richardson limit it
+replaced.  The QUADPACK gate `quadpack`: its failure code and its
 error bound."""
 
 import math
@@ -17,11 +18,12 @@ from hypothesis import strategies as st
 
 from stringhorizon import specfun
 from stringhorizon.conespace import _toroidal_coefficients, _toroidal_nsum
-from stringhorizon.errors import DomainError, QuadratureError, SlowConvergenceError
+from stringhorizon.errors import (ConvergenceError, DomainError, QuadratureError,
+                                  SlowConvergenceError)
 from stringhorizon.identities import check_app5, check_linet_sum
-from stringhorizon.summation import (MAX_BANDS, MIN_RATE, count_bands, quadpack,
-                                     richardson_table, sum_l, sum_m_bands,
-                                     wynn_limit)
+from stringhorizon.summation import (MAX_BANDS, MIN_RATE, _wynn_runs, count_bands,
+                                     quadpack, richardson_table, sum_l,
+                                     sum_m_bands, wynn_limit)
 
 
 def test_fold_of_constant_bands():
@@ -284,6 +286,92 @@ def test_app5_band_is_summed_past_its_turning_point(alpha, m, theta, theta_p):
 def test_wynn_divergent_series_returns_at_cap():
     value, err, n = wynn_limit(lambda n: 1.0 / (_k(n) + 1.0), 1e-6)
     assert n == 20_480 and err > 1e-6 and math.isfinite(value)
+
+
+def test_wynn_refuses_a_non_finite_term_at_once():
+    # a NaN at k = 5 used to run terms_fn at every length up to the cap
+    calls = []
+
+    def terms(n):
+        calls.append(n)
+        t = (-1.0) ** _k(n) / (_k(n) + 1.0)
+        t[5] = math.nan
+        return t
+    with pytest.raises(ConvergenceError, match="non-finite term nan at k = 5 "):
+        wynn_limit(terms, 1e-10)
+    assert calls == [160]
+
+
+def test_wynn_non_finite_term_past_the_first_quarter_is_not_still_rising():
+    # the rise guard used to read an inf at k = 100 as the largest term
+    def terms(n):
+        t = (-1.0) ** _k(n) / (_k(n) + 1.0)
+        t[100] = -math.inf
+        return t
+    with pytest.raises(ConvergenceError, match="non-finite term -inf at k = 100 ") as info:
+        wynn_limit(terms, 1e-10)
+    assert not isinstance(info.value, SlowConvergenceError)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, math.nan])
+def test_wynn_refuses_tol_outside_the_unit_interval(tol):
+    def no_terms(n):
+        raise AssertionError("no term may be asked for")
+    with pytest.raises(DomainError, match="tol must lie in"):
+        wynn_limit(no_terms, tol)
+
+
+def _wynn_one_run(sums):
+    """Wynn's epsilon-algorithm on one run in a table of its own, as
+    `wynn_limit` took each of its four runs before they shared one table."""
+    prev, cur, est = np.zeros(sums.size + 1), sums, math.nan
+    with np.errstate(all="ignore"):
+        while cur.size and math.isfinite(cur[-1]):
+            est = float(cur[-1])
+            for _ in range(2):
+                prev, cur = cur, prev[1:cur.size] + 1.0 / (cur[1:] - cur[:-1])
+    return est
+
+
+def _assert_runs_bit_identical(sums):
+    pairs = sums[1::2]
+    runs = (sums, sums[: sums.size // 2], pairs, pairs[: pairs.size // 2])
+    expected = [_wynn_one_run(run) for run in runs]
+    got = _wynn_runs(sums)
+    assert len(got) == 4
+    for e, g in zip(expected, got):
+        assert e == g or (math.isnan(e) and math.isnan(g)), (expected, got)
+
+
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sums=st.one_of(
+    # arbitrary partial sums, odd and even lengths
+    st.lists(_FLOATS, min_size=2, max_size=400),
+    # repeated values: zero differences put 1/0 into a column
+    st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=2, max_size=400),
+    # an infinite partial sum stops a run at column 0 or cuts its window
+    st.lists(st.one_of(_FLOATS, st.sampled_from([math.inf, -math.inf])),
+             min_size=2, max_size=400)))
+def test_wynn_shared_table_is_bit_identical_on_drawn_sums(sums):
+    _assert_runs_bit_identical(np.array(sums))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 400), p=st.floats(0.1, 3.0), phase=st.floats(0.0, math.pi))
+def test_wynn_shared_table_is_bit_identical_on_convergent_sums(n, p, phase):
+    # oscillating series deep into the table, odd and even lengths
+    k = np.arange(n, dtype=float)
+    _assert_runs_bit_identical(np.cumsum(np.cos(k * phase) / (k + 1.0) ** p))
+
+
+@pytest.mark.parametrize("n", [160, 320, 333])
+def test_wynn_shared_table_is_bit_identical_on_an_app5_band(n):
+    # the app5 band of (alpha, m, theta, theta') = (0.75, 1, pi/4, pi/2)
+    x1, x2 = math.cos(math.pi / 4.0), math.cos(math.pi / 2.0)
+    _assert_runs_bit_identical(np.cumsum(specfun.ferrers_band(1.0 / 0.75, x1, x2, n)))
 
 
 def _abel_oracle(coeffs, h0, levels):
