@@ -6,7 +6,7 @@ axisymmetric potential integral, Linet's image-plus-integral form (alpha >
 1/2), and the toroidal and prolate-spheroidal mode sums; the three integrals
 call `summation.quadpack`.  Their pairwise agreement is the content of the
 summation identities; the harness in `identities` reads `g3_linet`,
-`heine_double_sum`, `_toroidal_nsum` and `_spheroidal_lsum`.
+`heine_double_sum`, `_toroidal_nsum` and `_spheroidal_terms`.
 
 Azimuthal convention: phi has period 2*pi and the metric carries
 alpha^2 rho^2 dphi^2, so the cone angle deficit is encoded in alpha alone.
@@ -22,7 +22,7 @@ import numpy as np
 from . import specfun
 from .errors import CoincidenceError, DomainError, SlowConvergenceError
 from .specfun import arccosh1p
-from .summation import MIN_RATE, count_bands, quadpack, sum_l, sum_m_bands
+from .summation import MIN_RATE, mode_sum, quadpack, sum_l, sum_m_bands
 
 __all__ = [
     "check_alpha",
@@ -201,13 +201,12 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     P_lam^{-mu}(cos th) P_lam^{-mu}(cos th') Q_lam(zeta),
     lam = l - |m| + |m|/alpha, mu = |m|/alpha.
 
-    Returns (value, certified_tail, lmax_used, mmax_used).  Band m is
-    e^{-m chi/alpha} / (sin th sin th' sinh chi), cosh chi = (zeta - cos th
-    cos th') / (sin th sin th'): `count_bands` over these floats counts the
-    bands, or refuses, before any Legendre chain is built.  Bands are built
-    ahead of the m-sum to that count, 2^15 terms at a time, past it one at
-    a time.  Bands whose mu differ by integers read one log-Q chain, started
-    at the first one's mu and doubled when a later band needs more.
+    Returns (value, certified_tail, lmax_used, mmax_used) of `mode_sum`,
+    whose closed bands are e^{-m chi/alpha} / (sin th sin th' sinh chi),
+    cosh chi = (zeta - cos th cos th') / (sin th sin th'): they count the
+    bands, or refuse, before any Legendre chain is built.  Bands whose mu
+    differ by integers read one log-Q chain, started at the first one's mu
+    and doubled when a later band needs more.
     """
     check_alpha(alpha)
     if not zeta > 1.0 + 1e-6:
@@ -218,7 +217,6 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     ss = math.sin(theta) * math.sin(theta_p)
     chi = math.acosh(max(zeta, (zeta - x1 * x2) / ss)) if ss > 0.0 else xi
     top = 1.0 / (ss * math.sinh(chi)) if ss > 0.0 else 0.0  # 0 at a pole
-    stop = count_bands(lambda m: top * math.exp(-m * chi / alpha), tol, dphi)
     chains = {}                         # lattice start mu0: log Qbar_{mu0+j}(zeta)
 
     def log_qbar(mu, count):
@@ -232,27 +230,17 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
                 mu0, 0.0, zeta, max(2 * chain.size, j + count))[1]
         return chain[j:j + count]
 
-    def terms(count):                   # the next bands' terms, a row each
+    def rows(ms, count):
         from scipy.special import gammaln
-        m0, step = len(bands), max(1, 2 ** 15 // count)     # bounded memory
-        mu = np.arange(m0, min(max(stop, m0 + 1), m0 + step)) / alpha
-        lam = mu[:, None] + np.arange(count)
+        mu = np.asarray(ms) / alpha
+        lam = np.add.outer(mu, np.arange(count))
         # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2)
-        log_q = (np.array([log_qbar(v, count) for v in mu.tolist()])
-                 + gammaln(lam + 1.0) - gammaln(lam + 1.5))
+        log_q = (np.reshape([log_qbar(v, count) for v in mu.ravel().tolist()],
+                            lam.shape) + gammaln(lam + 1.0) - gammaln(lam + 1.5))
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
-    bands, lmax = [], None              # (value, tail) per band built
-
-    def band(m: int):
-        nonlocal lmax
-        while len(bands) <= m:
-            values, tails, lmax = sum_l(terms, tol, xi)
-            bands.extend(zip(values, tails))
-        return bands[m]
-
-    value, tail, mmax = sum_m_bands(band, tol, dphi)
-    return value, tail, lmax, mmax
+    return mode_sum(rows, tol, dphi, xi,
+                    lambda m: top * math.exp(-m * chi / alpha))
 
 
 def heine_kernel(alpha: float, chi: float, dphi: float, scale: float) -> float:
@@ -347,15 +335,12 @@ def g3_spherical_sum(x: ConePoint, xp: ConePoint, alpha: float,
     rate = math.log(r_gt / r_lt)
     x1, x2 = math.cos(th1), math.cos(th2)
 
-    def terms(mu, count):
+    def band(m, count):
         # (r</r>)^lam / r>
-        log_radial = -(mu + np.arange(count)) * rate - math.log(r_gt)
-        return specfun.ferrers_band(mu, x1, x2, count, log_radial)
+        log_radial = -(m / alpha + np.arange(count)) * rate - math.log(r_gt)
+        return specfun.ferrers_band(m / alpha, x1, x2, count, log_radial)
 
-    value, _, _ = sum_m_bands(
-        lambda m: sum_l(lambda n: terms(m / alpha, n), tol, rate)[:2],
-        tol, dphi)
-    return value / (4.0 * math.pi * alpha)
+    return mode_sum(band, tol, dphi, rate)[0] / (4.0 * math.pi * alpha)
 
 
 def g3_cylindrical_Qsum(x: ConePoint, xp: ConePoint, alpha: float,
@@ -500,22 +485,18 @@ def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
 
 # -- prolate spheroidal ------------------------------------------------
 
-def _spheroidal_lsum(alpha, m, th1, th2, s_lt, s_gt, tol):
-    """sum_k (2 lam + 1) gr^2 P^{-mu}_lam(cos th) P^{-mu}_lam(cos th')
-    P^{-mu}_lam(cosh s<) Qhat^{-mu}_lam(cosh s>), lam = mu + k, by `sum_l`
-    at rate s> - s<, each term the Ferrers band with the `specfun.axis_band`
-    as its log factor (at mu = m/alpha of about 100 the terms still grow at
-    that cutoff, which `sum_l` refuses)."""
+def _spheroidal_terms(alpha, m, th1, th2, s_lt, s_gt, count):
+    """(2 lam + 1) gr^2 P^{-mu}_lam(cos th) P^{-mu}_lam(cos th')
+    P^{-mu}_lam(cosh s<) Qhat^{-mu}_lam(cosh s>), lam = mu + k for k < count,
+    each the Ferrers band with the `specfun.axis_band` as its log factor;
+    summed at rate s> - s< (at mu = m/alpha of about 100 the terms still
+    grow at that cutoff, which `sum_l` refuses)."""
     mu = m / alpha
-
-    def terms(count):
-        lam = mu + np.arange(count, dtype=float)
-        # gr^2 * Qhat = gr * [G(lam+mu+1) / G(lam+3/2)] * Qbar, gr in the band
-        sign, log_axis = specfun.axis_band(mu, mu, s_lt, s_gt, count)
-        return (2.0 * lam + 1.0) * sign * specfun.ferrers_band(
-            mu, math.cos(th1), math.cos(th2), count, log_axis)
-
-    return sum_l(terms, tol, s_gt - s_lt)
+    lam = mu + np.arange(count, dtype=float)
+    # gr^2 * Qhat = gr * [G(lam+mu+1) / G(lam+3/2)] * Qbar, gr in the band
+    sign, log_axis = specfun.axis_band(mu, mu, s_lt, s_gt, count)
+    return (2.0 * lam + 1.0) * sign * specfun.ferrers_band(
+        mu, math.cos(th1), math.cos(th2), count, log_axis)
 
 
 def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
@@ -527,7 +508,5 @@ def g3_spheroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
     s1, th1, _ = p1.coords
     s2, th2, _ = p2.coords
     s_lt, s_gt = min(s1, s2), max(s1, s2)
-    value, _, _ = sum_m_bands(
-        lambda m: _spheroidal_lsum(alpha, m, th1, th2, s_lt, s_gt, tol)[:2],
-        tol, dphi)
-    return value / (4.0 * math.pi * alpha)
+    return mode_sum(lambda m, n: _spheroidal_terms(alpha, m, th1, th2, s_lt, s_gt, n),
+                    tol, dphi, s_gt - s_lt)[0] / (4.0 * math.pi * alpha)

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import specfun
 from .blackhole import lambda_of
-from .conespace import (ConePoint, _spheroidal_lsum, _toroidal_nsum, check_alpha,
+from .conespace import (ConePoint, _spheroidal_terms, _toroidal_nsum, check_alpha,
                         g3_linet, generalized_heine_rhs, heine_double_sum)
 from .errors import DomainError, StringHorizonError
-from .summation import MIN_RATE, count_bands, quadpack, sum_l, sum_m_bands
+from .summation import MIN_RATE, mode_sum, quadpack, sum_l
 
 __all__ = [
     "IdentityCase",
@@ -158,14 +158,12 @@ def _app5_rhs(mu, theta, theta_p):
 def _linet_lhs_offdiag(alpha, theta, theta_p, dphi, tol):
     """(1/alpha) sum_m e^{i m dphi} [Wynn limit of the l-sum], theta != theta'.
     Band m is app5's at mu = m/alpha, which falls with mu (DLMF 14.12's
-    integral): `count_bands` over those refuses a sum past the band cap,
-    at one Q value where it can, before any Wynn limit."""
-    count_bands(lambda m: _app5_rhs(m / alpha, theta, theta_p), tol, dphi)
+    integral): as `mode_sum`'s closed bands they refuse a sum past the band
+    cap, at one Q value where they can, before any Wynn limit."""
     x1, x2 = math.cos(theta), math.cos(theta_p)
-    value, tail, bands = sum_m_bands(
-        lambda m: sum_l(
-            lambda n: specfun.ferrers_band(m / alpha, x1, x2, n), tol)[:2],
-        tol, dphi)
+    value, tail, _, bands = mode_sum(
+        lambda m, n: specfun.ferrers_band(m / alpha, x1, x2, n), tol, dphi,
+        closed=lambda m: _app5_rhs(m / alpha, theta, theta_p))
     return value / alpha, tail / alpha, bands
 
 
@@ -265,8 +263,8 @@ def _spheroidal_chi(theta, theta_p, s1, s2):
 def _spheroidal_lhs_rhs(alpha, m, theta, theta_p, sigma_lt, sigma_gt, tol):
     if not sigma_lt <= sigma_gt:
         raise DomainError(f"need sigma< <= sigma>, got {sigma_lt}, {sigma_gt}")
-    lhs, tail, lmax = _spheroidal_lsum(alpha, m, theta, theta_p, sigma_lt,
-                                       sigma_gt, tol)
+    lhs, tail, lmax = sum_l(lambda n: _spheroidal_terms(
+        alpha, m, theta, theta_p, sigma_lt, sigma_gt, n), tol, sigma_gt - sigma_lt)
     mu = abs(m) / alpha
     chi = _spheroidal_chi(theta, theta_p, sigma_lt, sigma_gt)
     rhs = specfun.legendre_Qhat_axis(mu - 0.5, 0.0, chi) \

@@ -1,7 +1,9 @@
 """Truncation and acceleration helpers, which hold every rule that stops or
 refuses a mode sum: `sum_m_bands` folds and stops every azimuthal m-sum,
-`count_bands` counts its bands from closed values, and `sum_l` cuts off
-every degree sum over l (or n) and estimates its tail.  Two regimes:
+`count_bands` counts its bands from closed values, `sum_l` cuts off every
+degree sum over l (or n) and estimates its tail, and `mode_sum`, the engine
+of every Legendre double sum, counts, builds and folds its bands with them.
+Two regimes:
 
 * geometric decay (a Q_lambda(zeta) factor, a radial ratio, or an
   exponential in the toroidal chain) -- summed directly with a geometric
@@ -29,6 +31,7 @@ __all__ = [
     "MAX_BANDS",
     "MIN_RATE",
     "count_bands",
+    "mode_sum",
     "sum_l",
     "sum_m_bands",
     "wynn_limit",
@@ -174,6 +177,34 @@ def sum_l(terms_fn, tol: float, rate: float | None = None):
     r = math.exp(-rate)
     amp = size[..., -3:].max(axis=-1)
     return terms.sum(axis=-1).tolist(), (10.0 * amp * r / (1.0 - r)).tolist(), lmax
+
+
+def mode_sum(rows, tol: float, dphi: float = 0.0, rate: float | None = None,
+             closed=None) -> tuple[float, float, int, int]:
+    """(value, tail, lmax, mmax) of sum_m e^{i m dphi} sum_l t_{m,l}:
+    `sum_m_bands` over the `sum_l` of each band at `rate` (a Wynn limit at
+    None), lmax that of the last band built.  rows(ms, n) gives t_{m,l} for
+    l < n: a row per m of an array ms, one band for a scalar m.  With
+    closed, `count_bands` runs first and may refuse the sum before any row;
+    the bands it counts of a geometric sum are built ahead, as many at a
+    time as fit 2^15 terms, and every other band alone as the m-sum reads it."""
+    stop = 0 if closed is None else count_bands(closed, tol, dphi)
+    bands, lmax = [], None              # (value, tail) per band built
+
+    def band(m: int):
+        nonlocal lmax
+        if m == len(bands):             # the m-sum reads bands in order
+            if rate is not None and m < stop:
+                values, tails, lmax = sum_l(lambda n: rows(np.arange(
+                    m, min(stop, m + max(1, 2 ** 15 // n))), n), tol, rate)
+                bands.extend(zip(values, tails))
+            else:
+                value, tail, lmax = sum_l(lambda n: rows(m, n), tol, rate)
+                bands.append((value, tail))
+        return bands[m]
+
+    value, tail, mmax = sum_m_bands(band, tol, dphi)
+    return value, tail, lmax, mmax
 
 
 def richardson_table(vals) -> list[np.ndarray]:

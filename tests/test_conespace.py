@@ -318,12 +318,51 @@ def test_g3_linet_near_null_image(alpha):
             g3_linet(a, b, alpha)
 
 
-def test_g3_toroidal_equal_w_abel_path():
+def test_g3_toroidal_equal_w_wynn_path():
     t1 = ConePoint("toroidal", (0.9, 0.5, 0.3))
     t2 = ConePoint("toroidal", (0.9, 1.9, 1.0))
     ref = g3_cylindrical_Qsum(t1, t2, 0.75, tol=1e-10)
     assert g3_toroidal_sum(t1, t2, 0.75, tol=1e-8) == pytest.approx(
         ref, rel=1e-7)
+
+
+def _spherical_per_band(x, xp, alpha, tol):
+    """`g3_spherical_sum` band by band: `sum_m_bands` over `sum_l` of each
+    scalar band (r</r>)^lam / r> times the Ferrers band."""
+    (r1, th1, phi1), (r2, th2, phi2) = x.to_spherical().coords, xp.to_spherical().coords
+    rate = math.log(max(r1, r2) / min(r1, r2))
+
+    def terms(mu, count):
+        log_radial = -(mu + np.arange(count)) * rate - math.log(max(r1, r2))
+        return specfun.ferrers_band(mu, math.cos(th1), math.cos(th2), count, log_radial)
+
+    value = sum_m_bands(lambda m: sum_l(lambda n: terms(m / alpha, n), tol, rate)[:2],
+                        tol, math.remainder(phi1 - phi2, 2.0 * math.pi))[0]
+    return value / (4.0 * math.pi * alpha)
+
+
+def _spheroidal_per_band(x, xp, alpha, tol):
+    """`g3_spheroidal_sum` band by band: `sum_m_bands` over `sum_l` of each
+    scalar band of `_spheroidal_terms`."""
+    (s1, th1, phi1), (s2, th2, phi2) = x.to_spheroidal().coords, xp.to_spheroidal().coords
+    s_lt, s_gt = min(s1, s2), max(s1, s2)
+    value = sum_m_bands(
+        lambda m: sum_l(lambda n: cs._spheroidal_terms(alpha, m, th1, th2, s_lt, s_gt, n),
+                        tol, s_gt - s_lt)[:2],
+        tol, math.remainder(phi1 - phi2, 2.0 * math.pi))[0]
+    return value / (4.0 * math.pi * alpha)
+
+
+@pytest.mark.parametrize("x, xp, alpha", [
+    (Q1, Q2, 0.7), (Q2, Q1, 1.0), (P1, P2, 0.35),
+    (ConePoint("spherical", (0.4, 2.9, 0.0)),
+     ConePoint("spherical", (1.3, 0.2, 3.0)), 0.9)])
+@pytest.mark.parametrize("tol", [1e-8, 1e-4])
+def test_g3_sphere_and_spheroid_sums_equal_per_band_sums(x, xp, alpha, tol):
+    # `mode_sum` builds every band of these sums alone, with no closed
+    # count: each number must be the band-by-band sum's, bit for bit
+    assert g3_spherical_sum(x, xp, alpha, tol) == _spherical_per_band(x, xp, alpha, tol)
+    assert g3_spheroidal_sum(x, xp, alpha, tol) == _spheroidal_per_band(x, xp, alpha, tol)
 
 
 def test_g3_coincidence_and_slow_convergence_guards():

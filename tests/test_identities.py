@@ -16,14 +16,15 @@ from stringhorizon.conespace import (ConePoint, _toroidal_coefficients,
                                      g3_cylindrical_Qsum)
 from stringhorizon.errors import (ConvergenceError, DomainError,
                                   SlowConvergenceError)
-from stringhorizon.identities import (CHECKS, _app5_rhs, check_app5,
+from stringhorizon.identities import (CHECKS, _app5_rhs, _linet_lhs_offdiag,
+                                      check_app5,
                                       check_heine_classic,
                                       check_heine_generalized,
                                       check_linet_sum, check_norm_integral,
                                       check_spheroidal_sum,
                                       check_toroidal_addition, run_case,
                                       run_cases, spheroidal_ratio_audit)
-from stringhorizon.summation import sum_m_bands
+from stringhorizon.summation import sum_l, sum_m_bands
 
 PI = math.pi
 
@@ -304,6 +305,38 @@ def test_linet_sum_settling_near_the_cap_reaches_its_wynn_bands(monkeypatch):
     monkeypatch.setattr(specfun, "ferrers_band", first_wynn_band)
     with pytest.raises(Reached):
         check_linet_sum(0.6, 1.0, 1.02, 1.0)
+
+
+def _linet_per_band(alpha, theta, theta_p, dphi, tol):
+    """The off-diagonal Linet sum band by band: `sum_m_bands` over the Wynn
+    limit (`sum_l` without a rate) of each scalar band."""
+    x1, x2 = math.cos(theta), math.cos(theta_p)
+    value, tail, bands = sum_m_bands(
+        lambda m: sum_l(lambda n: specfun.ferrers_band(m / alpha, x1, x2, n), tol)[:2],
+        tol, dphi)
+    return value / alpha, tail / alpha, bands
+
+
+def test_linet_default_cases_equal_per_band_sums():
+    # `mode_sum` counts the closed bands first, then builds every Wynn band
+    # alone: the four off-diagonal default records, bit for bit
+    cases = [c["params"] for c in _load_manifest(None) if c["check"] == "linet"
+             and c["params"]["theta"] != c["params"]["theta_p"]]
+    assert len(cases) == 4
+    for p in cases:
+        args = (p["alpha"], p["theta"], p["theta_p"], p["dphi"], p["tol"])
+        assert _linet_lhs_offdiag(*args) == _linet_per_band(*args)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.5, 1.0, exclude_min=True),
+       theta=st.floats(0.2, PI - 0.2), gap=st.floats(0.3, 2.0),
+       dphi=st.floats(-PI, PI), tol=st.sampled_from([1e-6, 1e-4]))
+def test_linet_sum_equals_per_band_sum(alpha, theta, gap, dphi, tol):
+    theta_p = theta + gap if theta + gap < PI - 0.2 else theta - gap
+    assume(0.2 < theta_p)
+    args = (alpha, theta, theta_p, dphi, tol)
+    assert _linet_lhs_offdiag(*args) == _linet_per_band(*args)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,6 +1,8 @@
 """The azimuthal mode sum `sum_m_bands`: the m >= 0 fold, the tail
 it reports, and its two stopping rules; `count_bands`, its count from
-closed bands.  The degree sum `sum_l`: its cutoff, its geometric tail, its
+closed bands.  `mode_sum`, the Legendre double sum over both: the bands
+it builds at once and alone, and its refusal before any band.  The degree
+sum `sum_l`: its cutoff, its geometric tail, its
 refusals and its Wynn branch.  The Wynn limit
 `wynn_limit`: closed sums, its length rule, its refusals, its one shared
 epsilon table against a table per run, and the Abel/Richardson limit it
@@ -22,8 +24,8 @@ from stringhorizon.errors import (ConvergenceError, DomainError, QuadratureError
                                   SlowConvergenceError)
 from stringhorizon.identities import check_app5, check_linet_sum
 from stringhorizon.summation import (MAX_BANDS, MIN_RATE, _wynn_runs, count_bands,
-                                     quadpack, richardson_table, sum_l,
-                                     sum_m_bands, wynn_limit)
+                                     mode_sum, quadpack, richardson_table,
+                                     sum_l, sum_m_bands, wynn_limit)
 
 
 def test_fold_of_constant_bands():
@@ -117,6 +119,82 @@ def test_count_bands_refuses_from_one_closed_value():
     with pytest.raises(SlowConvergenceError, match="within 400 bands"):
         count_bands(closed, 1e-6, 0.7)
     assert read == [MAX_BANDS - 1]
+
+
+# ----------------------------------------------------------------------
+# mode_sum
+# ----------------------------------------------------------------------
+
+def _recorded(decay, ratio):
+    """rows of t_{m,l} = e^{-decay m} ratio^l (the alternating harmonic
+    series in l at ratio None), and the list of (ms, n) they were asked for."""
+    asked = []
+
+    def rows(ms, n):
+        asked.append((ms, n))
+        ls = np.arange(n)
+        series = (-1.0) ** ls / (ls + 1.0) if ratio is None else ratio ** ls
+        return np.multiply.outer(np.exp(-decay * np.asarray(ms, dtype=float)), series)
+    return rows, asked
+
+
+def _per_band(rows, tol, dphi, rate):
+    return sum_m_bands(lambda m: sum_l(lambda n: rows(m, n), tol, rate)[:2], tol, dphi)
+
+
+@pytest.mark.parametrize("rate, tol", [(0.01, 1e-6), (0.5, 1e-8), (5.0, 1e-3)])
+def test_mode_sum_builds_the_counted_bands_in_blocks(rate, tol):
+    # the closed bands are the real ones: every band up to the count comes
+    # in blocks of at most 2^15 terms, in order, and none is built twice
+    rows, asked = _recorded(0.2, math.exp(-rate))
+
+    def closed(m):
+        return math.exp(-0.2 * m) / (1.0 - math.exp(-rate))
+    stop = count_bands(closed, tol, 0.4)
+    value, tail, lmax, mmax = mode_sum(rows, tol, 0.4, rate, closed)
+    assert mmax == stop - 1
+    assert all(np.ndim(ms) == 1 and 0 < ms.size * n <= 2 ** 15 for ms, n in asked)
+    assert np.concatenate([ms for ms, _ in asked]).tolist() == list(range(stop))
+    assert {n for _, n in asked} == {lmax + 1}
+    ref = _per_band(_recorded(0.2, math.exp(-rate))[0], tol, 0.4, rate)
+    assert (value, tail, mmax) == ref
+
+
+def test_mode_sum_builds_bands_past_the_count_alone():
+    # closed bands below the real ones count too few: the real sum reads on,
+    # and each band past the count comes alone, as a scalar m
+    rows, asked = _recorded(0.2, 0.5)
+    stop = count_bands(lambda m: math.exp(-0.3 * m), 1e-6)
+    value, tail, lmax, mmax = mode_sum(rows, 1e-6, 0.0, math.log(2.0),
+                                       lambda m: math.exp(-0.3 * m))
+    blocks = [ms for ms, _ in asked if np.ndim(ms) == 1]
+    alone = [ms for ms, _ in asked if np.ndim(ms) == 0]
+    assert np.concatenate(blocks).tolist() == list(range(stop))
+    assert alone == list(range(stop, mmax + 1)) and len(alone) > 3
+    ref = _per_band(_recorded(0.2, 0.5)[0], 1e-6, 0.0, math.log(2.0))
+    assert (value, tail, mmax) == ref
+
+
+@pytest.mark.parametrize("closed", [None, lambda m: 2.0 * math.exp(-0.2 * m)])
+def test_mode_sum_without_rate_builds_every_band_alone(closed):
+    # Wynn limits take their bands one at a time, counted or not, at the
+    # lengths 160, 320, ... that each limit asks for
+    rows, asked = _recorded(0.2, None)
+    value, tail, lmax, mmax = mode_sum(rows, 1e-8, 0.7, None, closed)
+    assert all(np.ndim(ms) == 0 for ms, _ in asked)
+    assert sorted(set(ms for ms, _ in asked)) == list(range(mmax + 1))
+    assert {n for _, n in asked} <= {160 * 2 ** k for k in range(8)}
+    assert (value, tail, mmax) == _per_band(_recorded(0.2, None)[0], 1e-8, 0.7, None)
+    assert value == pytest.approx(math.log(2.0) * (1.0 + sum(
+        2.0 * math.cos(0.7 * m) * math.exp(-0.2 * m) for m in range(1, mmax + 1))))
+
+
+@pytest.mark.parametrize("rate", [0.5, None])
+def test_mode_sum_refuses_from_the_closed_floor_before_any_row(rate):
+    rows, asked = _recorded(0.001, 0.5)
+    with pytest.raises(SlowConvergenceError, match="within 400 bands"):
+        mode_sum(rows, 1e-6, 0.7, rate, lambda m: math.exp(-0.001 * m))
+    assert asked == []
 
 
 # ----------------------------------------------------------------------
