@@ -10,6 +10,7 @@ written with 17 significant digits and reports carry no timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import io
 import json
@@ -132,9 +133,7 @@ def _check_tol(tol: float, what: str) -> None:
 
 
 def _records_csv(records: list[dict]) -> str:
-    cols = ["name", "params", "lmax", "mmax", "tol", "lhs", "rhs",
-            "residual_abs", "residual_rel", "residual", "certified_tail",
-            "passed", "note", "error"]
+    cols = [f.name for f in dataclasses.fields(identities.IdentityCase)] + ["error"]
     rows = [dict(r, params=";".join(f"{k}={_fmt(v)}"
                                     for k, v in sorted(r["params"].items())))
             for r in records]

@@ -6,7 +6,8 @@ axisymmetric potential integral, Linet's image-plus-integral form (alpha >
 1/2), and the toroidal and prolate-spheroidal mode sums; the three integrals
 call `summation.quadpack`.  Their pairwise agreement is the content of the
 summation identities; the harness in `identities` reads `g3_linet`,
-`heine_double_sum`, `_toroidal_nsum` and `_spheroidal_terms`.
+`heine_double_sum`, `_toroidal_terms` at `_toroidal_rate`, and
+`_spheroidal_terms`.
 
 Azimuthal convention: phi has period 2*pi and the metric carries
 alpha^2 rho^2 dphi^2, so the cone angle deficit is encoded in alpha alone.
@@ -22,7 +23,7 @@ import numpy as np
 from . import specfun
 from .errors import CoincidenceError, DomainError, SlowConvergenceError
 from .specfun import arccosh1p
-from .summation import MIN_RATE, mode_sum, quadpack, sum_l, sum_m_bands
+from .summation import MIN_RATE, mode_sum, quadpack, sum_m_bands
 
 __all__ = [
     "check_alpha",
@@ -441,30 +442,27 @@ def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
 
 # -- toroidal ----------------------------------------------------------
 
-def _toroidal_coefficients(alpha, m, w_lt, w_gt, count):
-    """c_n = G(n+mu+1/2)/G(n-mu+1/2) P_{n-1/2}^{-mu}(cosh w<) Qhat_{n-1/2}^{-mu}(cosh w>)
-    for n = 0..count-1 (even in n): the `specfun.axis_band` at degree n - 1/2,
-    whose Qbar absorbs the G(n-mu+1/2) poles, so half-odd-integer orders mu
-    are regular here."""
-    sign, log_abs = specfun.axis_band(-0.5, m / alpha, w_lt, w_gt, count)
-    return sign * np.exp(log_abs)
+def _toroidal_terms(alpha, m, w_lt, w_gt, deta, count):
+    """c_0, then 2 cos(n deta) c_n for n = 1..count-1: the folded toroidal
+    n-sum, c_n = G(n+mu+1/2)/G(n-mu+1/2) P_{n-1/2}^{-mu}(cosh w<)
+    Qhat_{n-1/2}^{-mu}(cosh w>), mu = |m|/alpha, the `specfun.axis_band` at
+    degree n - 1/2, whose Qbar absorbs the G(n-mu+1/2) poles, so half-odd-
+    integer orders mu are regular here."""
+    sign, log_abs = specfun.axis_band(-0.5, abs(m) / alpha, w_lt, w_gt, count)
+    t = sign * np.exp(log_abs) * np.cos(np.arange(count) * deta)
+    t[1:] *= 2.0
+    return t
 
 
-def _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol):
-    """c_0 + sum_{n>0} 2 cos(n deta) c_n (c_n of `_toroidal_coefficients`)
-    by `sum_l`: at rate w> - w<, or as a Wynn limit when w> - w< <= MIN_RATE,
-    which |deta| < 1e-6 refuses.  Returns (value, tail, nmax)."""
-    def terms(count):
-        t = (_toroidal_coefficients(alpha, m, w_lt, w_gt, count)
-             * np.cos(np.arange(count) * deta))
-        t[1:] *= 2.0
-        return t
-
+def _toroidal_rate(w_lt, w_gt, deta):
+    """`sum_l`'s rate of the toroidal n-sum: w> - w<, or None (a Wynn limit)
+    at or below MIN_RATE, where |deta| < 1e-6 leaves no oscillation and
+    the sum is refused before any term."""
     rate = w_gt - w_lt
     if rate <= MIN_RATE and abs(deta) < 1e-6:
         raise SlowConvergenceError(
             "toroidal n-sum has no decay and no oscillation (w=w', deta=0)")
-    return sum_l(terms, tol, rate if rate > MIN_RATE else None)
+    return rate if rate > MIN_RATE else None
 
 
 def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
@@ -478,8 +476,8 @@ def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
     w_lt, w_gt = min(w1, w2), max(w1, w2)
     pref = math.sqrt((math.cosh(w1) - math.cos(eta1)) * (math.cosh(w2) - math.cos(eta2)))
 
-    value, _, _ = sum_m_bands(
-        lambda m: _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol)[:2], tol, dphi)
+    value = mode_sum(lambda m, n: _toroidal_terms(alpha, m, w_lt, w_gt, deta, n),
+                     tol, dphi, _toroidal_rate(w_lt, w_gt, deta))[0]
     return pref * value / (4.0 * math.pi ** 2 * alpha)
 
 
@@ -488,10 +486,10 @@ def g3_toroidal_sum(x: ConePoint, xp: ConePoint, alpha: float,
 def _spheroidal_terms(alpha, m, th1, th2, s_lt, s_gt, count):
     """(2 lam + 1) gr^2 P^{-mu}_lam(cos th) P^{-mu}_lam(cos th')
     P^{-mu}_lam(cosh s<) Qhat^{-mu}_lam(cosh s>), lam = mu + k for k < count,
-    each the Ferrers band with the `specfun.axis_band` as its log factor;
-    summed at rate s> - s< (at mu = m/alpha of about 100 the terms still
+    mu = |m|/alpha, each the Ferrers band with the `specfun.axis_band` as
+    its log factor; summed at rate s> - s< (at mu of about 100 the terms still
     grow at that cutoff, which `sum_l` refuses)."""
-    mu = m / alpha
+    mu = abs(m) / alpha
     lam = mu + np.arange(count, dtype=float)
     # gr^2 * Qhat = gr * [G(lam+mu+1) / G(lam+3/2)] * Qbar, gr in the band
     sign, log_axis = specfun.axis_band(mu, mu, s_lt, s_gt, count)

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import specfun
 from .blackhole import lambda_of
-from .conespace import (ConePoint, _spheroidal_terms, _toroidal_nsum, check_alpha,
-                        g3_linet, generalized_heine_rhs, heine_double_sum)
+from .conespace import (ConePoint, _spheroidal_terms, _toroidal_rate, _toroidal_terms,
+                        check_alpha, g3_linet, generalized_heine_rhs, heine_double_sum)
 from .errors import DomainError, StringHorizonError
-from .summation import MIN_RATE, mode_sum, quadpack, sum_l
+from .summation import mode_sum, quadpack, sum_l
 
 __all__ = [
     "IdentityCase",
@@ -239,10 +239,10 @@ def check_toroidal_addition(alpha: float, m: int, w: float, w_p: float,
         / (math.sinh(w) * math.sinh(w_p))
     if not chi > 1.0 + 1e-12:
         raise DomainError(f"coincident toroidal pair (cosh chi = {chi}); RHS divergent")
-    note = ""
-    if w_gt - w_lt <= MIN_RATE:
-        note = "w = w': n-sum evaluated by Wynn's epsilon-algorithm"
-    lhs, tail, nmax = _toroidal_nsum(alpha, m, w_lt, w_gt, deta, tol)
+    rate = _toroidal_rate(w_lt, w_gt, deta)
+    note = "w = w': n-sum evaluated by Wynn's epsilon-algorithm" if rate is None else ""
+    lhs, tail, nmax = sum_l(
+        lambda n: _toroidal_terms(alpha, m, w_lt, w_gt, deta, n), tol, rate)
     rhs = specfun.legendre_Qhat_axis(mu - 0.5, 0.0, chi) \
         / math.sqrt(math.sinh(w) * math.sinh(w_p))
     params = {"alpha": alpha, "m": m, "w": w, "w_p": w_p,

@@ -353,6 +353,32 @@ def _spheroidal_per_band(x, xp, alpha, tol):
     return value / (4.0 * math.pi * alpha)
 
 
+def _toroidal_per_band(x, xp, alpha, tol):
+    """`g3_toroidal_sum` band by band: `sum_m_bands` over `sum_l` of each
+    scalar band of `_toroidal_terms` at `_toroidal_rate`."""
+    (w1, eta1, phi1), (w2, eta2, phi2) = x.to_toroidal().coords, xp.to_toroidal().coords
+    deta = math.remainder(eta1 - eta2, 2.0 * math.pi)
+    w_lt, w_gt = min(w1, w2), max(w1, w2)
+    rate = cs._toroidal_rate(w_lt, w_gt, deta)
+    value = sum_m_bands(
+        lambda m: sum_l(lambda n: cs._toroidal_terms(alpha, m, w_lt, w_gt, deta, n),
+                        tol, rate)[:2],
+        tol, math.remainder(phi1 - phi2, 2.0 * math.pi))[0]
+    pref = math.sqrt((math.cosh(w1) - math.cos(eta1)) * (math.cosh(w2) - math.cos(eta2)))
+    return pref * value / (4.0 * math.pi ** 2 * alpha)
+
+
+@pytest.mark.parametrize("x, xp, alpha", [
+    (ConePoint("toroidal", (0.9, 0.5, 0.3)), ConePoint("toroidal", (1.4, 1.9, 1.0)), 0.75),
+    (ConePoint("toroidal", (1.2, 3.0, 0.0)), ConePoint("toroidal", (0.6, 0.2, 2.5)), 0.5),
+    # w = w': the Wynn path of test_g3_toroidal_equal_w_wynn_path
+    (ConePoint("toroidal", (0.9, 0.5, 0.3)), ConePoint("toroidal", (0.9, 1.9, 1.0)), 0.75)])
+@pytest.mark.parametrize("tol", [1e-8, 1e-4])
+def test_g3_toroidal_sum_equals_per_band_sum(x, xp, alpha, tol):
+    # `mode_sum` builds every toroidal band alone: bit for bit the band-by-band sum
+    assert g3_toroidal_sum(x, xp, alpha, tol) == _toroidal_per_band(x, xp, alpha, tol)
+
+
 @pytest.mark.parametrize("x, xp, alpha", [
     (Q1, Q2, 0.7), (Q2, Q1, 1.0), (P1, P2, 0.35),
     (ConePoint("spherical", (0.4, 2.9, 0.0)),

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from stringhorizon import specfun
 from stringhorizon.cli import _load_manifest
-from stringhorizon.conespace import (ConePoint, _toroidal_coefficients,
-                                     g3_cylindrical_Qsum)
+from stringhorizon.conespace import ConePoint, _toroidal_terms, g3_cylindrical_Qsum
 from stringhorizon.errors import (ConvergenceError, DomainError,
                                   SlowConvergenceError)
 from stringhorizon.identities import (CHECKS, _app5_rhs, _linet_lhs_offdiag,
@@ -398,13 +397,28 @@ def test_toroidal_folded_sum_is_real_sum():
     # the +-n fold equals the explicit complex sum; imaginary parts vanish
     alpha, m, w, wp, deta = 0.75, 1, 1.0, 1.6, 1.2
     count = 40
-    c = _toroidal_coefficients(alpha, m, w, wp, count)
+    c = _toroidal_terms(alpha, m, w, wp, 0.0, count)
+    c[1:] /= 2.0
     ns = np.arange(count)
     explicit = complex(c[0]) + np.sum(
         c[1:] * (np.exp(1j * ns[1:] * deta) + np.exp(-1j * ns[1:] * deta)))
-    folded = c[0] + 2.0 * float(np.sum(c[1:] * np.cos(ns[1:] * deta)))
+    folded = float(np.sum(_toroidal_terms(alpha, m, w, wp, deta, count)))
     assert abs(explicit.imag) < 1e-12 * abs(folded)
     assert explicit.real == pytest.approx(folded, rel=1e-13)
+
+
+@pytest.mark.parametrize("check, params", [
+    ("spheroidal_sum", {"alpha": 1.0, "theta": 0.7, "theta_p": 1.1,
+                        "sigma_lt": 0.8, "sigma_gt": 1.5}),
+    ("toroidal_addition", {"alpha": 0.75, "w": 0.5, "w_p": 0.9,
+                           "eta": 1.0, "eta_p": 2.0}),
+])
+def test_negative_m_records_equal_positive_m(check, params):
+    # both identities are even in m: each side of the sum takes |m|
+    plus, minus = (run_case({"check": check, "params": dict(params, m=m)})
+                   for m in (1, -1))
+    assert "error" not in minus and plus["passed"]
+    assert {**minus, "params": plus["params"]} == plus
 
 
 def test_spheroidal_alpha1():

@@ -19,10 +19,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stringhorizon import specfun
-from stringhorizon.conespace import _toroidal_coefficients, _toroidal_nsum
+from stringhorizon.conespace import (ConePoint, _toroidal_rate, _toroidal_terms,
+                                     g3_toroidal_sum)
 from stringhorizon.errors import (ConvergenceError, DomainError, QuadratureError,
                                   SlowConvergenceError)
-from stringhorizon.identities import check_app5, check_linet_sum
+from stringhorizon.identities import (check_app5, check_linet_sum,
+                                      check_toroidal_addition)
 from stringhorizon.summation import (MAX_BANDS, MIN_RATE, _wynn_runs, count_bands,
                                      mode_sum, quadpack, richardson_table,
                                      sum_l, sum_m_bands, wynn_limit)
@@ -268,7 +270,14 @@ def test_sum_l_without_rate_is_the_wynn_limit():
     assert value == pytest.approx(math.log(2.0), abs=1e-14)
 
 
-def test_toroidal_nsum_refuses_no_decay_and_no_oscillation(monkeypatch):
+def _toroidal_series(alpha, m, w_lt, w_gt, deta, tol):
+    """The toroidal n-sum as its callers take it: `sum_l` over
+    `_toroidal_terms` at `_toroidal_rate`."""
+    rate = _toroidal_rate(w_lt, w_gt, deta)
+    return sum_l(lambda n: _toroidal_terms(alpha, m, w_lt, w_gt, deta, n), tol, rate)
+
+
+def test_toroidal_rate_refuses_no_decay_and_no_oscillation(monkeypatch):
     # w> - w< at MIN_RATE or below takes the Wynn limit, which needs the
     # cos(n deta) oscillation: at |deta| < 1e-6 it is refused before any term
     def no_terms(*args):
@@ -276,15 +285,23 @@ def test_toroidal_nsum_refuses_no_decay_and_no_oscillation(monkeypatch):
     monkeypatch.setattr(specfun, "axis_band", no_terms)
     for w_gt in (0.9, 0.9 + 5e-4):
         with pytest.raises(SlowConvergenceError, match="no oscillation"):
-            _toroidal_nsum(0.75, 1, 0.9, w_gt, 5e-7, 1e-8)
+            _toroidal_series(0.75, 1, 0.9, w_gt, 5e-7, 1e-8)
+        with pytest.raises(SlowConvergenceError, match="no oscillation"):
+            g3_toroidal_sum(ConePoint("toroidal", (0.9, 1.0 + 5e-7, 0.3)),
+                            ConePoint("toroidal", (w_gt, 1.0, 1.0)), 0.75)
+    with pytest.raises(SlowConvergenceError, match="no oscillation"):
+        check_toroidal_addition(0.75, 1, 0.9, 0.9 + 5e-4, 1.0 + 5e-7, 1.0)
+    assert _toroidal_rate(0.9, 0.9 + 5e-4, 1e-3) is None
+    assert _toroidal_rate(0.9, 1.4, 0.0) == 1.4 - 0.9
 
 
 def test_toroidal_tail_reads_the_folded_terms():
     # at deta = 0 the n-sum is c_0 + sum 2 c_n, and its geometric tail must
     # be read from the 2 c_n it sums, not from the bare c_n
     alpha, m, w_lt, w_gt = 0.75, 1, 0.9, 1.4
-    value, tail, nmax = _toroidal_nsum(alpha, m, w_lt, w_gt, 0.0, 1e-8)
-    c = _toroidal_coefficients(alpha, m, w_lt, w_gt, nmax + 1)
+    value, tail, nmax = _toroidal_series(alpha, m, w_lt, w_gt, 0.0, 1e-8)
+    c = _toroidal_terms(alpha, m, w_lt, w_gt, 0.0, nmax + 1)
+    c[1:] /= 2.0
     r = math.exp(-(w_gt - w_lt))
     assert tail == pytest.approx(
         10.0 * float(np.max(np.abs(2.0 * c[-3:]))) * r / (1.0 - r), rel=1e-14)
@@ -479,11 +496,8 @@ def test_wynn_matches_abel_on_ferrers_bands(mu, theta, theta_p):
 
 def test_wynn_matches_abel_on_equal_w_toroidal_sum():
     alpha, m, w, deta = 0.75, 1, 0.9, -1.4
-    c = _toroidal_coefficients(alpha, m, w, w, 12_000)
-    terms = c * np.cos(np.arange(c.size) * deta)
-    terms[1:] *= 2.0
-    ref, ref_err = _abel_oracle(terms, 0.1, 6)
-    value, err, _ = _toroidal_nsum(alpha, m, w, w, deta, 1e-10)
+    ref, ref_err = _abel_oracle(_toroidal_terms(alpha, m, w, w, deta, 12_000), 0.1, 6)
+    value, err, _ = _toroidal_series(alpha, m, w, w, deta, 1e-10)
     assert err <= 1e-11 and ref_err < 1e-10
     assert value == pytest.approx(ref, abs=1e-10)
 
