@@ -22,7 +22,7 @@ import numpy as np
 
 from . import specfun
 from .errors import CoincidenceError, DomainError, SlowConvergenceError
-from .specfun import arccosh1p
+from .specfun import arccosh1p, log_gamma
 from .summation import MIN_RATE, mode_sum, quadpack, sum_m_bands
 
 __all__ = [
@@ -232,12 +232,11 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
         return chain[j:j + count]
 
     def rows(ms, count):
-        from scipy.special import gammaln
         mu = np.asarray(ms) / alpha
         lam = np.add.outer(mu, np.arange(count))
         # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2)
         log_q = (np.reshape([log_qbar(v, count) for v in mu.ravel().tolist()],
-                            lam.shape) + gammaln(lam + 1.0) - gammaln(lam + 1.5))
+                            lam.shape) + log_gamma(lam + 1.0) - log_gamma(lam + 1.5))
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
     return mode_sum(rows, tol, dphi, xi,
@@ -377,7 +376,7 @@ def g3_axisym_integral(x: ConePoint, xp: ConePoint, alpha: float,
                 if s > 0.0 else 0.0
 
         return quadpack(integrand, 0.0, math.pi, f"axisymmetric integral m={m}",
-                        1e-11, 10.0 * tol, limit=200)[0], 0.0
+                        1e-11, 10.0 * tol)[0], 0.0
 
     value, _, _ = sum_m_bands(band, tol, dphi)
     return value / (4.0 * math.pi ** 2 * alpha)

@@ -21,6 +21,7 @@ from .blackhole import lambda_of
 from .conespace import (ConePoint, _spheroidal_terms, _toroidal_rate, _toroidal_terms,
                         check_alpha, g3_linet, generalized_heine_rhs, heine_double_sum)
 from .errors import DomainError, StringHorizonError
+from .specfun import log_gamma
 from .summation import mode_sum, quadpack, sum_l
 
 __all__ = [
@@ -325,7 +326,6 @@ def spheroidal_ratio_audit(alpha: float, tol: float = 1e-8) -> IdentityCase:
 def _gauss_gegenbauer(mu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """count-point Gauss rule of the weight (1 - x^2)^mu on [-1, 1] (Golub and
     Welsch 1969); weights 1/sum p_k^2, p_k orthonormal: eigenvectors lose small ones."""
-    from scipy.special import gammaln
     k = np.arange(1.0, count)
     b = np.sqrt(k * (k + 2.0 * mu) / ((2.0 * (k + mu)) ** 2 - 1.0))
     x = np.linalg.eigvalsh(np.diag(b, -1))
@@ -333,7 +333,7 @@ def _gauss_gegenbauer(mu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     for b_prev, b_k in zip([0.0] + b.tolist(), b.tolist()):
         q_prev, q = q, (x * q - b_prev * q_prev) / b_k
         total += q * q
-    w0 = math.sqrt(math.pi) * math.exp(gammaln(mu + 1.0) - gammaln(mu + 1.5))
+    w0 = math.sqrt(math.pi) * math.exp(log_gamma(mu + 1.0) - log_gamma(mu + 1.5))
     return x, w0 / total
 
 
@@ -345,11 +345,10 @@ def check_norm_integral(alpha: float, m: int, l: int, l_p: int,
     n + n' (DLMF 14.3, 18.3), and max(n, n') + 1 nodes of that weight take both
     squares too, so the tail bounds rounding: 2 eps K sqrt(int P^2 int P'^2),
     K = nodes + chain steps + mu ln 2 + |ln G(mu+1)| + |ln G(mu+3/2)|."""
-    from scipy.special import gammaln
     lam = lambda_of(l, m, alpha)
     lambda_of(l_p, m, alpha)            # checks l' as it checks l
     mu, n, n_p = abs(m) / alpha, int(l) - abs(int(m)), int(l_p) - abs(int(m))
-    count, rows, g1 = max(n, n_p) + 1, [], gammaln(mu + 1.0)    # g1 = ln G(mu+1)
+    count, rows, g1 = max(n, n_p) + 1, [], log_gamma(mu + 1.0)  # g1 = ln G(mu+1)
     if count > 4096:        # the rule's dense Jacobi matrix holds count^2 floats
         raise DomainError(f"max(l, l') - |m| must be below 4096, got {count - 1}")
     for x, w in zip(*(a.tolist() for a in _gauss_gegenbauer(mu, count))):
@@ -358,10 +357,10 @@ def check_norm_integral(alpha: float, m: int, l: int, l_p: int,
         u, v = p[n] * math.exp(L[n] - half), p[n_p] * math.exp(L[n_p] - half)
         rows.append((w * u * v, w * u * u, w * v * v))
     lhs, norm, norm_p = (math.fsum(c) for c in zip(*rows))
-    k = 2 * count + mu * math.log(2.0) + abs(g1) + abs(gammaln(mu + 1.5))
+    k = 2 * count + mu * math.log(2.0) + abs(g1) + abs(log_gamma(mu + 1.5))
     tail = 2.0 * k * np.finfo(float).eps * math.sqrt(norm) * math.sqrt(norm_p)
     rhs = 0.0 if l != l_p else (2.0 / (2.0 * lam + 1.0)) * math.exp(
-        gammaln(lam - mu + 1.0) - gammaln(lam + mu + 1.0))
+        log_gamma(lam - mu + 1.0) - log_gamma(lam + mu + 1.0))
     params = {"alpha": alpha, "m": m, "l": l, "l_p": l_p}
     return _make_case("norm_integral", params, tol, lhs, rhs, tail)
 

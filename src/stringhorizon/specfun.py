@@ -23,6 +23,8 @@ Conventions
 * ``axis_band`` is its counterpart on the axis, the gamma-ratio x P x Qbar
   band of the toroidal and spheroidal mode sums, returned as signs and
   logs; it is the one reader of the axis chains at nonzero order.
+* ``log_gamma`` is the package's one ln|Gamma|, and every chain and point
+  value starts with one check: a finite degree and an order 0 <= mu < inf.
 
 Every series has a certified geometric tail bound; one that cannot certify
 its tolerance within the iteration budget raises ConvergenceError.
@@ -39,6 +41,7 @@ from .errors import ConvergenceError, DomainError, PoleError
 __all__ = [
     "SING_TOL",
     "MAX_SERIES_TERMS",
+    "log_gamma",
     "gamma_ratio_signed",
     "ferrers_P",
     "ferrers_P_sequence",
@@ -60,21 +63,32 @@ _SERIES_TOL = 1e-15       # target relative tail for series evaluation
 
 
 # ----------------------------------------------------------------------
-# gamma ratios
+# gamma ratios and the degree/order rule
 # ----------------------------------------------------------------------
 
-def _near_nonpositive_integer(a: float) -> bool:
-    if a > 0.5:
-        return False
-    return abs(a - round(a)) <= 1e-12
+def log_gamma(x):
+    """ln|Gamma(x)| of a float or an array: scipy's gammaln, loaded on first call."""
+    from scipy.special import gammaln
+    return gammaln(x)
 
 
 def gamma_ratio_signed(a: float, b: float) -> tuple[float, float]:
     """(log|Gamma(a)/Gamma(b)|, sign); arguments may be negative non-integers."""
-    from scipy.special import gammaln, gammasgn
-    if _near_nonpositive_integer(a) or _near_nonpositive_integer(b):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"gamma ratio needs finite arguments, got a={a}, b={b}")
+    if any(x <= 0.5 and abs(x - round(x)) <= 1e-12 for x in (a, b)):
         raise PoleError(f"gamma pole within tolerance: a={a}, b={b}")
-    return gammaln(a) - gammaln(b), gammasgn(a) * gammasgn(b)
+    flips = sum(math.ceil(-x) for x in (a, b) if x < 0.0)  # sign G(x) = (-1)^ceil(-x)
+    return log_gamma(a) - log_gamma(b), (-1.0) ** flips
+
+
+def _check_degree_order(nu, mu):
+    """DomainError unless nu is finite and 0 <= mu < inf; NaN fails both."""
+    if not (np.all(np.isfinite(nu) & (0.0 <= mu) & (mu < math.inf))
+            if isinstance(mu, np.ndarray)   # a scalar order: no numpy call
+            else math.isfinite(nu) and 0.0 <= mu < math.inf):
+        raise DomainError(f"need a finite nu and order 0 <= mu < inf, got "
+                          f"nu = {nu}, mu = {mu}")
 
 
 # ----------------------------------------------------------------------
@@ -126,9 +140,7 @@ def _hyp_series(a: float, b: float, c: float, w: float):
 def ferrers_P(nu: float, mu: float, x: float) -> float:
     """Ferrers function P_nu^{-mu}(x) for x in (-1, 1), mu >= 0: the last
     element of the Ferrers chain that climbs to degree nu."""
-    if not (0.0 <= mu < math.inf and math.isfinite(nu)):
-        raise DomainError(f"need a finite nu and order 0 <= mu < inf, got "
-                          f"nu = {nu}, mu = {mu}")
+    _check_degree_order(nu, mu)
     nu = max(nu, -nu - 1.0)    # P_nu = P_{-nu-1}
     n = max(0, int(math.floor(nu - mu + 1e-9)))
     m, L = _ferrers_chain(nu - n, mu, x, n + 1)
@@ -139,27 +151,25 @@ _BIG = 2.0 ** 500          # Ferrers mantissas are rescaled by this power of
 _TINY = 1.0 / _BIG         # two to stay within [_TINY, _BIG], exactly
 
 
-def _ferrers_offset(mu, x: float, count: int, log_gamma=None):
-    """Check x and count; log of the seeds' (sin(theta)/2)^mu / Gamma(1+mu)."""
-    if log_gamma is None:               # ln Gamma(1+mu), unless the caller has it
-        from scipy.special import gammaln
-        log_gamma = gammaln(1.0 + mu)
+def _ferrers_offset(nu0, mu, x: float, count: int, g1=None):
+    """Check nu0, mu, x and count; log of the seeds' (sin(theta)/2)^mu / Gamma(1+mu)."""
+    _check_degree_order(nu0, mu)
     if not -1.0 + SING_TOL < x < 1.0 - SING_TOL:
         raise DomainError(
             f"Ferrers functions require |x| < 1 - {SING_TOL}, got {x}")
     if count < 1:
         raise DomainError("count must be >= 1")
-    return (0.5 * mu * (math.log1p(-x) + math.log1p(x))
-            - mu * math.log(2.0) - log_gamma)
+    return (0.5 * mu * (math.log1p(-x) + math.log1p(x)) - mu * math.log(2.0)
+            - (log_gamma(1.0 + mu) if g1 is None else g1))
 
 
 def _ferrers_chain(nu0: float, mu: float, x: float, count: int,
-                   log_gamma=None) -> tuple[list, list]:
+                   g1=None) -> tuple[list, list]:
     """`ferrers_P_sequence` on Python floats: lists (m, L)."""
-    if not (-0.5 <= nu0 and nu0 - mu < 2.0 and math.isfinite(mu)):
-        raise DomainError(f"sequence seeds need a finite mu and -1/2 <= nu0 < "
-                          f"mu + 2 (P_nu = P_(-nu-1)), got nu0 = {nu0}, mu = {mu}")
-    off = float(_ferrers_offset(mu, x, count, log_gamma))
+    off = float(_ferrers_offset(nu0, mu, x, count, g1))
+    if not (-0.5 <= nu0 and nu0 - mu < 2.0):
+        raise DomainError(f"sequence seeds need -1/2 <= nu0 < mu + 2 "
+                          f"(P_nu = P_(-nu-1)), got nu0 = {nu0}, mu = {mu}")
     m, w = [], 0.5 * (1.0 - x)
     for k in range(min(count, 2)):      # the seeds F(a, b; c; w), a = mu - nu
         a, b, c = (mu - nu0) - k, mu + (nu0 + k) + 1.0, 1.0 + mu
@@ -222,7 +232,7 @@ def _ferrers_chains(mu: np.ndarray, x: float,
     if mu.ndim == 0:
         return ferrers_P_sequence(float(mu), float(mu), x, count)
     m, L = np.ones((mu.size, count)), np.empty((mu.size, count))
-    L[:] = _ferrers_offset(mu, x, count)[:, None]
+    L[:] = _ferrers_offset(mu, mu, x, count)[:, None]
     w = 0.5 * (1.0 - x)
     m[:, 1:2] = (1.0 - (mu + (mu + 1.0) + 1.0) / (1.0 + mu) * w)[:, None]
     nu = np.add.outer(np.arange(1.0, count - 1), mu)    # degree nu0 + k - 1
@@ -253,13 +263,12 @@ def ferrers_band(mu, x1: float, x2: float, count: int,
     stays small; `log_factor` (a scalar or one value per degree) enters the
     same exponential.  With x2 == x1 the one chain serves both factors.
     """
-    from scipy.special import gammaln
     mu = np.asarray(mu, dtype=float)
     m1, L1 = _ferrers_chains(mu, x1, count)
     m2, L2 = (m1, L1) if x2 == x1 else _ferrers_chains(mu, x2, count)
     mu = mu[..., None]                     # one row per band
     lam = mu + np.arange(count)
-    lgr = gammaln(lam + mu + 1.0) - gammaln(lam - mu + 1.0)
+    lgr = log_gamma(lam + mu + 1.0) - log_gamma(lam - mu + 1.0)
     with np.errstate(divide="ignore"):     # a zero of P: log 0 = -inf, term 0
         return np.sign(m1) * np.sign(m2) * np.exp(
             lgr + L1 + L2 + np.log(np.abs(m1)) + np.log(np.abs(m2))
@@ -270,7 +279,8 @@ def ferrers_band(mu, x1: float, x2: float, count: int,
 # Legendre functions on the axis (1, oo)
 # ----------------------------------------------------------------------
 
-def _check_axis(x: float):
+def _check_axis(nu: float, mu: float, x: float):
+    _check_degree_order(nu, mu)
     if x <= 1.0 + SING_TOL:
         raise DomainError(f"axis argument must exceed 1 + {SING_TOL}, got {x}")
 
@@ -287,14 +297,13 @@ def legendre_P_axis(lam: float, x: float) -> float:
 
 def _axis_P_log(nu: float, mu: float, x: float) -> float:
     """log of P_nu^{-mu}(x) on (1, oo); the function is strictly positive."""
-    from scipy.special import gammaln
-    _check_axis(x)
+    _check_axis(nu, mu, x)
     nu = max(nu, -nu - 1.0)
     w = (x - 1.0) / (x + 1.0)
     # Pfaff transform of F(nu+1, -nu; 1+mu; (1-x)/2): positive-term series
     F, _ = _hyp_series(nu + 1.0, nu + mu + 1.0, 1.0 + mu, w)
     return (0.5 * mu * (math.log(x - 1.0) - math.log(x + 1.0))
-            - gammaln(1.0 + mu)
+            - log_gamma(1.0 + mu)
             - (nu + 1.0) * math.log(0.5 * (x + 1.0))
             + math.log(F))
 
@@ -312,7 +321,7 @@ def _axis_Qbar_log(nu: float, mu: float, x: float) -> tuple[float, float]:
         sqrt(pi) 2^{-nu-1} x^{mu-nu-1} (x^2-1)^{-mu/2} F(.; nu+3/2; 1/x^2),
     because at order mu the e^{-2 xi} form alternates and cancels.
     """
-    _check_axis(x)
+    _check_axis(nu, mu, x)
     if mu == 0.0:
         xi = math.acosh(x)
         F, _ = _hyp_series(0.5, nu + 1.0, nu + 1.5, math.exp(-2.0 * xi))
@@ -332,12 +341,8 @@ def legendre_Qhat_axis(nu: float, mu: float, x: float) -> float:
     at every order (below that the defining integral representations
     diverge).
     """
-    if not mu >= 0.0:
-        raise DomainError(f"order mu must be >= 0, got {mu}")
     if nu <= -1.0:
         raise DomainError(f"Legendre Q requires degree > -1, got {nu}")
-    if _near_nonpositive_integer(nu - mu + 1.0):
-        raise PoleError(f"Qhat undefined: nu - mu + 1 = {nu - mu + 1.0} at a gamma pole")
     log_abs, sign = _axis_Qbar_log(nu, mu, x)
     lg, sg = gamma_ratio_signed(nu - mu + 1.0, nu + 1.5)
     return sign * sg * math.exp(log_abs + lg)
@@ -345,17 +350,14 @@ def legendre_Qhat_axis(nu: float, mu: float, x: float) -> float:
 
 def legendre_Q_sequence(lam0: float, zeta: float, count: int) -> np.ndarray:
     """[Q_{lam0+k}(zeta) for k = 0..count-1]: the gamma-free Qbar chain
-    (one series value times backward ratios) times Gamma(lam+1)/Gamma(lam+3/2).
-
-    Every lam0 + k + 1 must stay off the gamma poles.
+    (one series value times backward ratios) times Gamma(lam+1)/Gamma(lam+3/2),
+    for lam0 > -1 as `legendre_Q`, so every gamma argument is positive.
     """
-    from scipy.special import gammaln, gammasgn
+    if lam0 <= -1.0:
+        raise DomainError(f"Legendre Q requires degree > -1, got {lam0}")
     m, L = legendre_Qbar_axis_sequence(lam0, 0.0, zeta, count)
     lam = lam0 + np.arange(count, dtype=float)
-    a = lam + 1.0
-    if np.any((a < 0.5) & (np.abs(a - np.round(a)) < 1e-12)):
-        raise PoleError("Q chain crosses a gamma pole; use the Qbar chain")
-    return m * gammasgn(a) * np.exp(L + gammaln(a) - gammaln(lam + 1.5))
+    return m * np.exp(L + log_gamma(lam + 1.0) - log_gamma(lam + 1.5))
 
 
 def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float,
@@ -410,7 +412,6 @@ def axis_band(nu0: float, mu: float, s_lt: float, s_gt: float,
     """(sign, log|band|) of [G(nu+mu+1)/G(nu+3/2) P_nu^{-mu}(cosh s<)
     Qbar_nu^{-mu}(cosh s>), nu = nu0 + k, k < count], the axis counterpart
     of `ferrers_band`, added in logs from both chains."""
-    from scipy.special import gammaln
     mp, Lp = legendre_P_axis_sequence(nu0, mu, math.cosh(s_lt), count)
     mq, Lq = legendre_Qbar_axis_sequence(nu0, mu, math.cosh(s_gt), count)
     log_p = np.log(mp) + Lp                # P > 0 on the axis
@@ -419,7 +420,7 @@ def axis_band(nu0: float, mu: float, s_lt: float, s_gt: float,
     if log_p.min() < -1074.0 * math.log(2.0):
         raise ConvergenceError("axis chain underflowed; order too large")
     nu = nu0 + np.arange(count, dtype=float)
-    return mq, gammaln(nu + mu + 1.0) - gammaln(nu + 1.5) + log_p + Lq
+    return mq, log_gamma(nu + mu + 1.0) - log_gamma(nu + 1.5) + log_p + Lq
 
 
 # ----------------------------------------------------------------------
@@ -437,9 +438,9 @@ def bessel_IK(order: float, z: float, scaled: bool = False) -> tuple[float, floa
     OverflowError.
     """
     from scipy.special import iv, ive, kv, kve
-    if z <= 0.0:
+    if not z > 0.0:
         raise DomainError(f"bessel_IK requires z > 0, got {z}")
-    if order < 0.0:
+    if not order >= 0.0:
         raise DomainError(f"bessel_IK requires order >= 0, got {order}")
     if scaled:
         return float(ive(order, z)), float(kve(order, z))
@@ -458,7 +459,7 @@ def bessel_IK(order: float, z: float, scaled: bool = False) -> tuple[float, floa
 
 def arccosh1p(delta: float) -> float:
     """arccosh(1 + delta) computed stably for small delta >= 0."""
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise DomainError(f"arccosh1p requires delta >= 0, got {delta}")
     if delta == 0.0:
         return 0.0

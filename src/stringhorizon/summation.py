@@ -219,16 +219,16 @@ def richardson_table(vals) -> list[np.ndarray]:
 
 
 def quadpack(f, a: float, b: float, what: str, abs_bound: float,
-             rel_bound: float = 0.0, epsrel: float = 1e-11, limit: int = 400,
+             rel_bound: float = 0.0, epsrel: float = 1e-11,
              **options) -> tuple[float, float]:
     """(value, error) of scipy's `quad(f, a, b, epsabs=1e-13, epsrel=epsrel,
-    limit=limit, **options)`, loaded on first use; a one-line
+    limit=400, **options)`, loaded on first use; a one-line
     QuadratureError naming `what` when QUADPACK reports a failure (its
     message's first sentence) or unless error <= max(abs_bound,
     rel_bound |value|), which a NaN estimate fails."""
     from scipy.integrate import quad
     value, error, _, *failure = quad(f, a, b, full_output=1, epsabs=1e-13,
-                                     epsrel=epsrel, limit=limit, **options)
+                                     epsrel=epsrel, limit=400, **options)
     if failure:
         reason = re.split(r"(?<=\.) (?=[A-Z])", " ".join(failure[0].split()))[0]
         raise QuadratureError(f"{what}: {reason}")

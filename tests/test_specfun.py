@@ -1,7 +1,9 @@
 """Special-function core: values against independent oracles, invariants,
 and domain guards."""
 
+import inspect
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln, lpmv
+from scipy.special import gammaln, gammasgn, lpmv
 
 from stringhorizon import specfun
 from stringhorizon.blackhole import lambda_of
 from stringhorizon.errors import ConvergenceError, DomainError, PoleError
-from stringhorizon.specfun import (arccosh1p, bessel_IK,
+from stringhorizon.specfun import (arccosh1p, axis_band, bessel_IK,
                                    ferrers_band, ferrers_P,
                                    ferrers_P_sequence, gamma_ratio_signed,
                                    legendre_P_axis, legendre_P_axis_sequence,
@@ -51,6 +53,68 @@ def test_log_gamma_ratio_large_arguments_no_overflow():
 def test_log_gamma_ratio_pole(a, b):
     with pytest.raises(PoleError):
         gamma_ratio_signed(a, b)
+
+
+def test_gamma_ratio_closed_form_sign_is_scipys():
+    # sign Gamma(x) = (-1)^ceil(-x) below zero, against scipy's gammasgn
+    xs = [-k - f for k in range(25) for f in (1e-6, 0.03, 0.5, 0.97)] + [0.3, 7.5]
+    for a in xs:
+        for b in xs:
+            lg, sign = gamma_ratio_signed(a, b)
+            assert sign == gammasgn(a) * gammasgn(b)
+            assert lg == gammaln(a) - gammaln(b)
+
+
+def test_gammaln_is_named_only_in_log_gamma():
+    # ln Gamma has one owner, and its sign is a closed form
+    texts = {p.name: p.read_text() for p in Path(specfun.__file__).parent.glob("*.py")}
+    assert not any("gammasgn" in t or "_near_nonpositive_integer" in t
+                   for t in texts.values())
+    assert [name for name, t in texts.items() if "gammaln" in t] == ["specfun.py"]
+    assert (texts["specfun.py"].count("gammaln")
+            == inspect.getsource(specfun.log_gamma).count("gammaln"))
+
+
+@pytest.mark.parametrize("fn, args", [
+    (legendre_Q, (math.nan, 2.0)),
+    (legendre_Q, (math.inf, 2.0)),
+    (legendre_P_axis, (math.nan, 2.0)),
+    (legendre_P_axis, (math.inf, 2.0)),
+    (legendre_Qhat_axis, (1.0, math.inf, 2.0)),
+    (gamma_ratio_signed, (math.nan, 1.0)),
+    (legendre_Q_sequence, (-1.2, 2.0, 3)),
+    (ferrers_band, (-0.5, 0.3, 0.4, 3)),
+    (ferrers_band, ([-0.5, 1.0], 0.3, 0.4, 3)),
+    (ferrers_P_sequence, (0.0, -1.0, 0.5, 3)),
+    (ferrers_P_sequence, (0.5, -0.3, 0.5, 3)),
+    (legendre_P_axis_sequence, (0.0, -0.5, 2.0, 3)),
+    (legendre_Qbar_axis_sequence, (0.0, -0.5, 2.0, 3)),
+    (axis_band, (-0.5, math.nan, 0.5, 0.9, 3)),
+    (arccosh1p, (math.nan,)),
+    (bessel_IK, (math.nan, 1.0)),
+    (bessel_IK, (1.0, math.nan)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_bad_degree_order_or_argument_is_a_domain_error(fn, args):
+    # a NaN or infinite degree, a negative, NaN or infinite order, a degree
+    # below a Q chain's -1 or a NaN argument: a DomainError, not a value, an
+    # inf or a ValueError, ConvergenceError, OverflowError or ZeroDivisionError
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+def test_integer_degrees_and_orders_equal_float_ones():
+    assert ferrers_P(2, 1, 0.5) == ferrers_P(2.0, 1.0, 0.5)
+    assert legendre_Q(2, 3) == legendre_Q(2.0, 3.0)
+    assert legendre_P_axis(2, 3) == legendre_P_axis(2.0, 3.0)
+    assert legendre_Qhat_axis(2, 1, 3) == legendre_Qhat_axis(2.0, 1.0, 3.0)
+    for fn, ints, floats in [
+            (ferrers_P_sequence, (1, 1, 0.5, 4), (1.0, 1.0, 0.5, 4)),
+            (ferrers_band, ([1, 2], 0.3, 0.4, 4), ([1.0, 2.0], 0.3, 0.4, 4)),
+            (legendre_Q_sequence, (0, 3, 4), (0.0, 3.0, 4)),
+            (legendre_P_axis_sequence, (0, 1, 3, 4), (0.0, 1.0, 3.0, 4)),
+            (legendre_Qbar_axis_sequence, (0, 1, 3, 4), (0.0, 1.0, 3.0, 4)),
+            (axis_band, (0, 1, 0.5, 0.9, 4), (0.0, 1.0, 0.5, 0.9, 4))]:
+        assert np.array_equal(fn(*ints), fn(*floats))
 
 
 # ----------------------------------------------------------------------
