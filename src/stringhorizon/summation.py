@@ -11,7 +11,9 @@ Two regimes:
 * conditionally convergent 1/lambda-type oscillatory sums (mode sums at
   coincident radii) -- handed to `wynn_limit`, Wynn's epsilon-algorithm on
   the partial sums, which settles such series within a few hundred terms;
-  its four runs share one epsilon table (`_wynn_runs`).
+  its four runs share one epsilon table (`_wynn_runs`), and `mode_sum`
+  sums its counted bands as one 160-term block in one such table, each
+  band that block leaves unsettled by a `wynn_limit` of its own.
 
 `quadpack` is the one call into QUADPACK, with its settings, failure code
 and bound.
@@ -88,18 +90,20 @@ def count_bands(closed, tol: float, dphi: float = 0.0) -> int:
     return sum_m_bands(lambda m: (closed(m), 0.0), tol, dphi)[2] + 1
 
 
-def _wynn_runs(sums: np.ndarray) -> list[float]:
+def _wynn_runs(sums: np.ndarray) -> list:
     """Wynn's epsilon-algorithm on four runs of partial sums -- all of sums,
     its first half, the pairs sums[1::2] and their first half -- in one table
-    over sums and pairs.  Entry i of column j reads only entries i..i+j of
-    column 0, so a run (e, length), e its last index there, has its last
-    entry of column j at e - j, as in a table of its own.  A run's estimate
-    is that entry of its deepest still-finite even column (nan if empty)."""
-    n, p = sums.size, sums.size // 2
-    runs = [(n - 1, n), (n // 2 - 1, n // 2), (n + p - 1, p), (n + p // 2 - 1, p // 2)]
-    est = [math.nan] * 4
-    table = np.concatenate((sums, sums[1::2]))
-    prev, cur, live, j = np.zeros(table.size + 1), table, range(4), 0
+    over sums and pairs, rows of a 2-D sums laid end to end.  Entry i of
+    column j reads only entries i..i+j of column 0, so a run (e, length), e
+    its last index there, has its last entry of column j at e - j, as in a
+    table of its own.  A run's estimate is that entry of its deepest
+    still-finite even column (nan if empty): four floats, or four per row."""
+    n, p = sums.shape[-1], sums.shape[-1] // 2
+    table = np.concatenate((sums, sums[..., 1::2]), axis=-1).ravel()
+    runs = [(i + e, length) for i in range(0, table.size, n + p) for e, length in
+            ((n - 1, n), (n // 2 - 1, n // 2), (n + p - 1, p), (n + p // 2 - 1, p // 2))]
+    est = [math.nan] * len(runs)
+    prev, cur, live, j = np.zeros(table.size + 1), table, range(len(runs)), 0
     with np.errstate(all="ignore"):
         while live := [r for r in live if j < runs[r][1]
                        and math.isfinite(cur[runs[r][0] - j])]:
@@ -108,7 +112,17 @@ def _wynn_runs(sums: np.ndarray) -> list[float]:
             for _ in range(2):
                 prev, cur = cur, prev[1:cur.size] + 1.0 / (cur[1:] - cur[:-1])
             j += 2
-    return est
+    return est if sums.ndim == 1 else [est[k:k + 4] for k in range(0, len(est), 4)]
+
+
+def _wynn_estimate(est: list) -> tuple[float, float]:
+    """(value, error) from `_wynn_runs`' four estimates: a run's error is the
+    change of its estimate from half of its sums to all; the smaller wins."""
+    runs = []
+    for full, half in (est[:2], est[2:]):
+        err = abs(full - half)
+        runs.append((full, err if math.isfinite(err) else math.inf))
+    return min(runs, key=lambda run: run[1])
 
 
 def wynn_limit(terms_fn, tol: float) -> tuple[float, float, int]:
@@ -139,12 +153,7 @@ def wynn_limit(terms_fn, tol: float) -> tuple[float, float, int]:
                     f"terms still rising at the Wynn cap of {n} terms")
             n *= 2
             continue
-        est = _wynn_runs(np.cumsum(terms))
-        runs = []
-        for full, half in (est[:2], est[2:]):
-            err = abs(full - half)
-            runs.append((full, err if math.isfinite(err) else math.inf))
-        value, err = min(runs, key=lambda run: run[1])
+        value, err = _wynn_estimate(_wynn_runs(np.cumsum(terms)))
         if err <= 0.1 * tol or n >= 20_480:
             return value, err, n
         n *= 2
@@ -183,28 +192,39 @@ def mode_sum(rows, tol: float, dphi: float = 0.0, rate: float | None = None,
              closed=None) -> tuple[float, float, int, int]:
     """(value, tail, lmax, mmax) of sum_m e^{i m dphi} sum_l t_{m,l}:
     `sum_m_bands` over the `sum_l` of each band at `rate` (a Wynn limit at
-    None), lmax that of the last band built.  rows(ms, n) gives t_{m,l} for
-    l < n: a row per m of an array ms, one band for a scalar m.  With
-    closed, `count_bands` runs first and may refuse the sum before any row;
-    the bands it counts of a geometric sum are built ahead, as many at a
-    time as fit 2^15 terms, and every other band alone as the m-sum reads it."""
+    None), lmax that of band mmax.  rows(ms, n) gives t_{m,l} for l < n: a
+    row per m of an array ms, one band for a scalar m.  With closed,
+    `count_bands` runs first and may refuse the sum before any row, and the
+    bands it counts are built ahead: those of a geometric sum as many at a
+    time as fit 2^15 terms, those of a Wynn sum as one block of 160 terms in
+    one epsilon table, each row kept where `wynn_limit` would stop at 160.
+    Every other band is built alone, by `sum_l`, as the m-sum reads it."""
     stop = 0 if closed is None else count_bands(closed, tol, dphi)
-    bands, lmax = [], None              # (value, tail) per band built
+    bands = []                  # (value, tail, lmax) per band, None: alone
 
     def band(m: int):
-        nonlocal lmax
-        if m == len(bands):             # the m-sum reads bands in order
-            if rate is not None and m < stop:
+        if m == len(bands) and m < stop:    # the m-sum reads bands in order
+            if rate is None:
+                terms = rows(np.arange(stop), 160)
+                keep = np.flatnonzero(np.isfinite(terms).all(axis=1)
+                                      & (np.abs(terms).argmax(axis=1) < 160 / 4))
+                bands.extend([None] * stop)
+                for k, est in zip(keep, _wynn_runs(np.cumsum(terms[keep], axis=1))):
+                    value, err = _wynn_estimate(est)
+                    if err <= 0.1 * tol:
+                        bands[k] = (value, err, 159)
+            else:
                 values, tails, lmax = sum_l(lambda n: rows(np.arange(
                     m, min(stop, m + max(1, 2 ** 15 // n))), n), tol, rate)
-                bands.extend(zip(values, tails))
-            else:
-                value, tail, lmax = sum_l(lambda n: rows(m, n), tol, rate)
-                bands.append((value, tail))
-        return bands[m]
+                bands.extend((value, tail, lmax) for value, tail in zip(values, tails))
+        if m == len(bands):
+            bands.append(None)
+        if bands[m] is None:
+            bands[m] = sum_l(lambda n: rows(m, n), tol, rate)
+        return bands[m][:2]
 
     value, tail, mmax = sum_m_bands(band, tol, dphi)
-    return value, tail, lmax, mmax
+    return value, tail, bands[mmax][2], mmax
 
 
 def richardson_table(vals) -> list[np.ndarray]:

@@ -564,6 +564,17 @@ def test_Qhat_order0_single(nu, x):
     assert_log_close(legendre_Qhat_axis(nu, 0.0, x), mp_log_Qhat(nu, 0.0, x))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ln Gamma(nu+1) - ln Gamma(nu+3/2) cancels about eps |ln Gamma| at large "
+    "degree: a log error of 1.59e-12 against the 1.37e-12 bound here, until a "
+    "running sum of ln ratios from one scalar ln Gamma (ROADMAP item 4, "
+    "step 2) replaces the difference"))
+def test_Qhat_order0_single_at_a_large_degree():
+    # a point that the derandomized draws of test_Qhat_order0_single miss
+    nu, x = 816.6268018922251, 1.1
+    assert_log_close(legendre_Qhat_axis(nu, 0.0, x), mp_log_Qhat(nu, 0.0, x))
+
+
 @pytest.mark.parametrize("nu", [80.0, 700.0])
 def test_Q_order0_near_singular_point(nu):
     # the 1/x^2 series ran out of terms here; the e^{-2 xi} series does not

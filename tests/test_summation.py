@@ -1,12 +1,14 @@
 """The azimuthal mode sum `sum_m_bands`: the m >= 0 fold, the tail
 it reports, and its two stopping rules; `count_bands`, its count from
 closed bands.  `mode_sum`, the Legendre double sum over both: the bands
-it builds at once and alone, and its refusal before any band.  The degree
+it builds at once and alone (the counted Wynn bands as one 160-term
+block, and the rows that block leaves to `wynn_limit`), and its refusal
+before any band.  The degree
 sum `sum_l`: its cutoff, its geometric tail, its
 refusals and its Wynn branch.  The Wynn limit
 `wynn_limit`: closed sums, its length rule, its refusals, its one shared
-epsilon table against a table per run, and the Abel/Richardson limit it
-replaced.  The QUADPACK gate `quadpack`: its failure code and its
+epsilon table against a table per run and a block's rows against their
+own tables, and the Abel/Richardson limit it replaced.  The QUADPACK gate `quadpack`: its failure code and its
 error bound."""
 
 import math
@@ -23,7 +25,7 @@ from stringhorizon.conespace import (ConePoint, _toroidal_rate, _toroidal_terms,
                                      g3_toroidal_sum)
 from stringhorizon.errors import (ConvergenceError, DomainError, QuadratureError,
                                   SlowConvergenceError)
-from stringhorizon.identities import (check_app5, check_linet_sum,
+from stringhorizon.identities import (_app5_rhs, check_app5, check_linet_sum,
                                       check_toroidal_addition)
 from stringhorizon.summation import (MAX_BANDS, MIN_RATE, _wynn_runs, count_bands,
                                      mode_sum, quadpack, richardson_table,
@@ -127,17 +129,24 @@ def test_count_bands_refuses_from_one_closed_value():
 # mode_sum
 # ----------------------------------------------------------------------
 
+def _recorded_rows(rows):
+    """rows, and the list of (ms, n) they were asked for."""
+    asked = []
+
+    def recorded(ms, n):
+        asked.append((ms, n))
+        return rows(ms, n)
+    return recorded, asked
+
+
 def _recorded(decay, ratio):
     """rows of t_{m,l} = e^{-decay m} ratio^l (the alternating harmonic
     series in l at ratio None), and the list of (ms, n) they were asked for."""
-    asked = []
-
     def rows(ms, n):
-        asked.append((ms, n))
         ls = np.arange(n)
         series = (-1.0) ** ls / (ls + 1.0) if ratio is None else ratio ** ls
         return np.multiply.outer(np.exp(-decay * np.asarray(ms, dtype=float)), series)
-    return rows, asked
+    return _recorded_rows(rows)
 
 
 def _per_band(rows, tol, dphi, rate):
@@ -177,18 +186,118 @@ def test_mode_sum_builds_bands_past_the_count_alone():
     assert (value, tail, mmax) == ref
 
 
+def _bumped(rows, bumped, at=60, factor=100.0):
+    """rows with term l = at of the bands in `bumped` scaled by factor: the
+    largest term lies past n/4 at n = 160 and before it at 320, so a Wynn
+    limit takes such a band at 320 terms."""
+    def bumped_rows(ms, n):
+        terms = rows(ms, n)
+        terms[..., at] *= np.where(np.isin(ms, bumped), factor, 1.0)
+        return terms
+    return bumped_rows
+
+
 @pytest.mark.parametrize("closed", [None, lambda m: 2.0 * math.exp(-0.2 * m)])
-def test_mode_sum_without_rate_builds_every_band_alone(closed):
-    # Wynn limits take their bands one at a time, counted or not, at the
-    # lengths 160, 320, ... that each limit asks for
+def test_mode_sum_without_rate_blocks_the_counted_bands_at_160(closed):
+    # with closed, the counted bands are asked for once, as one array at
+    # n = 160, and only the bands that block does not settle (1 and 4 still
+    # rise at 160) come again alone at 160, 320, ...; without closed every
+    # band comes alone, at the lengths its own limit asks for
     rows, asked = _recorded(0.2, None)
-    value, tail, lmax, mmax = mode_sum(rows, 1e-8, 0.7, None, closed)
-    assert all(np.ndim(ms) == 0 for ms, _ in asked)
-    assert sorted(set(ms for ms, _ in asked)) == list(range(mmax + 1))
-    assert {n for _, n in asked} <= {160 * 2 ** k for k in range(8)}
-    assert (value, tail, mmax) == _per_band(_recorded(0.2, None)[0], 1e-8, 0.7, None)
-    assert value == pytest.approx(math.log(2.0) * (1.0 + sum(
-        2.0 * math.cos(0.7 * m) * math.exp(-0.2 * m) for m in range(1, mmax + 1))))
+    value, tail, lmax, mmax = mode_sum(_bumped(rows, (1, 4)), 1e-8, 0.7, None, closed)
+    alone = [(ms, n) for ms, n in asked if np.ndim(ms) == 0]
+    rising = [(1, 160), (1, 320), (4, 160), (4, 320)]
+    if closed is None:
+        assert alone == asked
+        assert alone == [(m, n) for m in range(mmax + 1)
+                         for n in ((160, 320) if m in (1, 4) else (160,))]
+    else:
+        stop = count_bands(closed, 1e-8, 0.7)
+        assert asked[0][0].tolist() == list(range(stop)) and asked[0][1] == 160
+        assert alone == asked[1:] == rising + [(m, 160) for m in range(stop, mmax + 1)]
+    assert lmax == 159
+    ref = _per_band(_bumped(_recorded(0.2, None)[0], (1, 4)), 1e-8, 0.7, None)
+    assert (value, tail, mmax) == ref
+    assert value == pytest.approx(sum(
+        (1.0 if m == 0 else 2.0 * math.cos(0.7 * m)) * math.exp(-0.2 * m)
+        * (math.log(2.0) + (99.0 / 61.0 if m in (1, 4) else 0.0))
+        for m in range(mmax + 1)))
+
+
+def _spoilt(rows, m_bad, k=5, value=math.nan):
+    """rows with term k of band m_bad replaced by value."""
+    def spoilt_rows(ms, n):
+        terms = rows(ms, n)
+        terms[..., k] = np.where(np.asarray(ms) == m_bad, value, terms[..., k])
+        return terms
+    return spoilt_rows
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_mode_sum_skips_a_non_finite_block_row_past_the_m_sum(value):
+    # the closed bands count far past the real sum's stop: terms +-value in
+    # the last counted band are built in the block but never read
+    def closed(m):
+        return 1e3 * math.exp(-0.2 * m)
+    stop = count_bands(closed, 1e-8, 0.7)
+    rows, _ = _recorded(0.2, None)
+    rows = _spoilt(_spoilt(rows, stop - 1, 5, value), stop - 1, 6, -value)
+    got = mode_sum(rows, 1e-8, 0.7, None, closed)
+    assert got[3] < stop - 1
+    assert got == mode_sum(_recorded(0.2, None)[0], 1e-8, 0.7, None, closed)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_mode_sum_raises_the_wynn_text_on_a_non_finite_band_it_reads(value):
+    # the block sets the row aside, and the band alone raises what each band
+    # alone raised before the block
+    def closed(m):
+        return 2.0 * math.exp(-0.2 * m)
+    errors = []
+    for given_closed in (None, closed):
+        rows, asked = _recorded(0.2, None)
+        with pytest.raises(ConvergenceError, match=f"non-finite term {value} at k = 5 ") as info:
+            mode_sum(_spoilt(rows, 2, value=value), 1e-8, 0.7, None, given_closed)
+        errors.append(str(info.value))
+        assert asked[-1] == (2, 160)
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("kind, unsettled, lmax, mmax", [
+    ("rising", 3, 319, 3), ("slow", 1, 159, 4)])
+def test_mode_sum_band_unsettled_at_160_is_the_one_alone(kind, unsettled, lmax, mmax):
+    # bands past 0 are small but one: band 3 of "rising" still rises at 160
+    # terms (a bump at l = 60) and is the last band read; band 1 of "slow",
+    # cos(0.3 l)/(l + 1), has a Wynn error of 8e-8 at 160, above tol/10.
+    # That band alone comes again at 160 and 320, and the sum, its tail, the
+    # lmax of band mmax and mmax are those of every band alone
+    def rows(ms, n):
+        ls = np.arange(n)
+        ms = np.asarray(ms)[..., None]
+        alt = np.where(ms == 0, 1.0, 1e-12) * (-1.0) ** ls / (ls + 1.0)
+        return np.where(ms == 1, np.cos(0.3 * ls) / (ls + 1.0), alt) if kind == "slow" else alt
+    rows, asked = _recorded_rows(_bumped(rows, (3,)) if kind == "rising" else rows)
+    got = mode_sum(rows, 1e-8, 0.7, None, lambda m: 2.0 * math.exp(-0.2 * m))
+    assert [a for a in asked if np.ndim(a[0]) == 0] == [(unsettled, 160), (unsettled, 320)]
+    assert got[2:] == (lmax, mmax)
+    assert got == mode_sum(rows, 1e-8, 0.7, None)
+
+
+@pytest.mark.parametrize("alpha, theta, theta_p, dphi", [
+    (1.0, math.pi / 3, 2 * math.pi / 3, 1.0),
+    (0.9, math.pi / 3, 2 * math.pi / 3, 0.5),
+    (0.75, math.pi / 3, 2 * math.pi / 3, 1.0),
+    (0.6, 0.9, 1.9, 0.8),
+])
+def test_mode_sum_blocks_the_linet_bands_bit_identically(alpha, theta, theta_p, dphi):
+    # the four off-diagonal Linet sums of the default manifest: value, tail,
+    # lmax and band count of the block are those of every band alone
+    x1, x2 = math.cos(theta), math.cos(theta_p)
+    rows, asked = _recorded_rows(lambda ms, n: specfun.ferrers_band(ms / alpha, x1, x2, n))
+    got = mode_sum(rows, 1e-6, dphi, None, lambda m: _app5_rhs(m / alpha, theta, theta_p))
+    assert np.ndim(asked[0][0]) == 1 and asked[0][0].size >= got[3] + 1
+    assert got == mode_sum(rows, 1e-6, dphi)
 
 
 @pytest.mark.parametrize("rate", [0.5, None])
@@ -452,6 +561,52 @@ _FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
              min_size=2, max_size=400)))
 def test_wynn_shared_table_is_bit_identical_on_drawn_sums(sums):
     _assert_runs_bit_identical(np.array(sums))
+
+
+def _block_row(kind, n, seed):
+    """A row of n partial sums of one kind, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(n, dtype=float)
+    if kind == "noise":
+        return rng.uniform(-1e3, 1e3, n)
+    if kind == "repeated":          # zero differences put 1/0 into a column
+        return rng.choice([-1.0, 0.0, 0.5, 1.0], n)
+    if kind == "infinite":          # +-inf partial sums stop or cut a run
+        row = rng.uniform(-1e3, 1e3, n)
+        row[rng.integers(0, n, rng.integers(1, 4))] = rng.choice([math.inf, -math.inf])
+        return row
+    # oscillating series: their runs die at depths that vary with p and phase
+    return np.cumsum(np.cos(k * rng.uniform(0.0, math.pi)) / (k + 1.0) ** rng.uniform(0.1, 3.0))
+
+
+def _assert_block_rows_bit_identical(sums):
+    got = _wynn_runs(sums)
+    assert len(got) == len(sums)
+    for row, g in zip(sums, got):
+        e = _wynn_runs(row)
+        assert len(g) == 4
+        assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(e, g)), (e, g)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(2, 400), rows=st.lists(st.tuples(
+    st.sampled_from(["noise", "repeated", "infinite", "series"]),
+    st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=20))
+def test_wynn_block_rows_are_bit_identical_to_their_own_tables(n, rows):
+    # a 2-D table lays its rows end to end: each row's four estimates are
+    # those of its own 1-D table, wherever each of its runs stops
+    _assert_block_rows_bit_identical(np.array([_block_row(kind, n, seed) for kind, seed in rows]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 160])
+def test_wynn_block_rows_dying_at_different_depths(n):
+    # a table that empties (n = 3 is sums = [0, 0, 1]), repeated values
+    # that die at once, an infinite sum and a series that runs to full depth
+    k = np.arange(n, dtype=float)
+    sums = np.array([np.where(k < 2, 0.0, 1.0), np.zeros(n), np.where(k == 1, math.inf, k),
+                     np.cumsum((-1.0) ** k / (k + 1.0))])
+    _assert_block_rows_bit_identical(sums)
+    assert _wynn_runs(sums)[1][:3] == [0.0, 0.0, 0.0]   # dead after column 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
