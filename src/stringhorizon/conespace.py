@@ -206,8 +206,10 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     whose closed bands are e^{-m chi/alpha} / (sin th sin th' sinh chi),
     cosh chi = (zeta - cos th cos th') / (sin th sin th'): they count the
     bands, or refuse, before any Legendre chain is built.  Bands whose mu
-    differ by integers read one log-Q chain, started at the first one's mu
-    and doubled when a later band needs more.
+    differ by integers read one log-Q chain, started at the first one's mu:
+    a block of bands builds it at most once, to the largest degree the
+    block reads and at least doubled, and a longer chain keeps the values
+    of a shorter one.
     """
     check_alpha(alpha)
     if not zeta > 1.0 + 1e-6:
@@ -220,23 +222,27 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
     top = 1.0 / (ss * math.sinh(chi)) if ss > 0.0 else 0.0  # 0 at a pole
     chains = {}                         # lattice start mu0: log Qbar_{mu0+j}(zeta)
 
-    def log_qbar(mu, count):
-        mu0 = next((c for c in chains if abs(mu - c - round(mu - c))
-                    <= 1e-12 * (1.0 + mu)), mu)
-        j = round(mu - mu0)
-        chain = chains.setdefault(mu0, np.empty(0))
-        if j + count > chain.size:
-            # Qbar > 0 at order 0: its chain is its log offset
-            chain = chains[mu0] = specfun.legendre_Qbar_axis_sequence(
-                mu0, 0.0, zeta, max(2 * chain.size, j + count))[1]
-        return chain[j:j + count]
-
     def rows(ms, count):
         mu = np.asarray(ms) / alpha
         lam = np.add.outer(mu, np.arange(count))
+        flat, log_q = mu.ravel(), np.empty((mu.size, count))
+        left, known = np.ones(mu.size, dtype=bool), list(chains)
+        while left.any():               # the known lattices first, then new ones
+            mu0 = known.pop(0) if known else float(flat[left.argmax()])
+            d = flat - mu0
+            on = left & (np.abs(d - np.round(d)) <= 1e-12 * (1.0 + flat))
+            if not on.any():
+                continue
+            j = np.round(d[on]).astype(int)
+            size, need = len(chains.get(mu0, ())), int(j.max()) + count
+            if size < need:             # at least doubled: few rebuilds over many blocks
+                # Qbar > 0 at order 0: its chain is its log offset
+                chains[mu0] = specfun.legendre_Qbar_axis_sequence(
+                    mu0, 0.0, zeta, max(2 * size, need))[1]
+            log_q[on] = chains[mu0][np.add.outer(j, np.arange(count))]
+            left &= ~on
         # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2)
-        log_q = (np.reshape([log_qbar(v, count) for v in mu.ravel().tolist()],
-                            lam.shape) + log_gamma(lam + 1.0) - log_gamma(lam + 1.5))
+        log_q = log_q.reshape(lam.shape) + log_gamma(lam + 1.0) - log_gamma(lam + 1.5)
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
     return mode_sum(rows, tol, dphi, xi,

@@ -370,26 +370,29 @@ def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float,
             = (2nu+1) x Qbar_nu - (nu+1/2) Qbar_{nu-1},
     computed by Miller's algorithm in ratio form (Gautschi, SIAM Rev. 9, 24
     (1967)): the ratios r_k = Qbar_{nu0+k} / Qbar_{nu0+k-1} run downward
-    from r = 0 well above the chain.  L is the log of one series value at
-    the bottom plus the running sum of log|r_k|, and m the running sign.
-    The recurrence separates its minimal solution only above nu ~ mu, hence
-    the mu - nu0 in the start; where (2nu+1) x overflows, the ratio is
-    exactly 0 (m = 0, L = -inf).  The bottom value comes first, so a chain
-    too close to x = 1 raises ConvergenceError before the loop runs.
+    from r = 0, in segments of 2 M degrees, each started M degrees above
+    its last one.  The start r = 0 errs by about e^{-2 xi} per step, so
+    M = 17/xi + 20 steps (x = cosh xi) leave e^{-34}, and the recurrence
+    separates its minimal solution only above nu ~ mu, hence the mu - nu0
+    in M.  No start depends on count: chain(n)[:k] is chain(k) bit for bit.
+    L is the log of one series value at the bottom plus the running sum of
+    log|r_k|, and m the running sign.  Where (2nu+1) x overflows, the ratio
+    is exactly 0 (m = 0, L = -inf).  The bottom value comes first, so a
+    chain too close to x = 1 raises ConvergenceError before the loop runs.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     log_abs, sign = _axis_Qbar_log(nu0, mu, x)
-    r = 0.0
     ratios = np.ones(count)
-    # the start r = 0 errs by about e^{-2 xi} per step: 17/xi steps give e^{-34}
-    top = count + math.ceil(max(0.0, mu - nu0) + 17.0 / math.acosh(x)) + 20
-    for k in range(top - 1, 0, -1):
-        nu = nu0 + k
-        r = (nu + 0.5) / ((2.0 * nu + 1.0) * x - (nu + mu + 1.0)
-                          * (nu - mu + 1.0) / (nu + 1.5) * r)
-        if k < count:
-            ratios[k] = r
+    margin = math.ceil(max(0.0, mu - nu0) + 17.0 / math.acosh(x)) + 20
+    for start in range(0, count, 2 * margin):
+        stop, r = min(count, start + 2 * margin), 0.0
+        for k in range(start + 3 * margin - 1, max(start, 1) - 1, -1):
+            nu = nu0 + k
+            r = (nu + 0.5) / ((2.0 * nu + 1.0) * x - (nu + mu + 1.0)
+                              * (nu - mu + 1.0) / (nu + 1.5) * r)
+            if k < stop:
+                ratios[k] = r
     log_r = np.log(np.abs(ratios), out=np.full(count, -np.inf), where=ratios != 0.0)
     return sign * np.cumprod(np.sign(ratios)), log_abs + np.cumsum(log_r)
 

@@ -406,9 +406,10 @@ def test_g3_coincidence_and_slow_convergence_guards():
     (1.0, 1), (0.5, 1), (0.75, 3), (1.0 / math.sqrt(2.0), None)])
 def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
     # Q_lam(zeta) depends on lam alone: bands whose mu differ by integers
-    # read one chain, rebuilt at double length as the bands climb; at an
-    # irrational alpha every band computed starts its own, and bands are
-    # computed ahead to the closed bands' count, past it one at a time
+    # read one chain, built at most once per block of bands and at least
+    # doubled when a later block reads past it; at an irrational alpha every
+    # band computed starts its own, and bands are computed ahead to the
+    # closed bands' count, past it one at a time
     starts = []
     chain = specfun.legendre_Qbar_axis_sequence
 
@@ -421,37 +422,39 @@ def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
                                             0.3, zeta, tol=1e-6)
     rhs = generalized_heine_rhs(alpha, math.pi / 2, math.pi / 2, 0.3, 0.05)
     assert value == pytest.approx(rhs, rel=1e-6)
+    count = 1 + sum_m_bands(
+        lambda m: (math.exp(-m * 0.05 / alpha) / math.sinh(0.05), 0.0),
+        1e-6, 0.3)[2]
     if lattices is None:
-        count = 1 + sum_m_bands(
-            lambda m: (math.exp(-m * 0.05 / alpha) / math.sinh(0.05), 0.0),
-            1e-6, 0.3)[2]
         assert starts == [m / alpha for m in range(len(starts))]
         assert mmax < len(starts) <= max(count, mmax + 1)
     else:
         assert len(set(starts)) == lattices
+        blocks = math.ceil(count / max(1, 2 ** 15 // (lmax + 1)))
         rebuilds = math.log2((mmax / alpha + lmax + 1) / (lmax + 1))
-        assert len(starts) <= lattices * (2 + rebuilds) < mmax / 10
+        past = max(0, mmax + 1 - count)      # bands built past the count
+        assert len(starts) <= lattices * min(blocks, 2 + rebuilds) + past
+        assert len(starts) < mmax / 10
 
 
 def _heine_per_band(alpha, theta, theta_p, dphi, zeta, tol):
     """The generalized Heine sum band by band: `sum_m_bands` over `sum_l` of
-    the scalar band, with one log-Q chain per lattice of degrees, rebuilt
-    at double length as the bands climb."""
+    the scalar band, each band reading a log-Q chain of its own, started at
+    the first mu of its lattice of degrees and ending at its last degree."""
     x1, x2 = math.cos(theta), math.cos(theta_p)
     xi = math.acosh(zeta)
-    chains = {}                         # Qbar > 0 at order 0: its log offsets
+    starts = []                         # the first mu of each lattice
 
     def terms(mu, count):
-        mu0 = next((c for c in chains if abs(mu - c - round(mu - c))
-                    <= 1e-12 * (1.0 + mu)), mu)
+        mu0 = next((c for c in starts if abs(mu - c - round(mu - c))
+                    <= 1e-12 * (1.0 + mu)), None)
+        if mu0 is None:
+            starts.append(mu0 := mu)
         j = round(mu - mu0)
-        log_qbar = chains.setdefault(mu0, np.empty(0))
-        if j + count > log_qbar.size:
-            n = max(2 * log_qbar.size, j + count)
-            log_qbar = chains[mu0] = specfun.legendre_Qbar_axis_sequence(
-                mu0, 0.0, zeta, n)[1]
+        # Qbar > 0 at order 0: its chain is its log offset
+        log_qbar = specfun.legendre_Qbar_axis_sequence(mu0, 0.0, zeta, j + count)[1]
         lam = mu + np.arange(count)
-        log_q = log_qbar[j:j + count] + gammaln(lam + 1.0) - gammaln(lam + 1.5)
+        log_q = log_qbar[j:] + gammaln(lam + 1.0) - gammaln(lam + 1.5)
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
     lmax = None

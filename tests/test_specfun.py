@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, gammasgn, lpmv
@@ -640,6 +640,38 @@ def test_Qbar_chain_starts_above_the_order():
     # the ratios separate the minimal solution only above nu ~ mu: a start
     # 17/xi + 20 above the top degree alone missed by 3.2e-6 here
     assert_abs_chain_matches(-0.5, 200.0, 1.438, 3)
+
+
+@pytest.mark.parametrize("nu0", [0.0, 1.0 / 3.0])
+@pytest.mark.parametrize("xi", [0.02, 0.5])
+def test_Qbar_chain_at_its_segment_joins(nu0, xi):
+    # Miller's recurrence restarts from r = 0 every 2 (17/xi + 20) degrees:
+    # the degrees on both sides of the first two joins match mpmath
+    x = math.cosh(xi)
+    segment = 2 * (math.ceil(17.0 / math.acosh(x)) + 20)
+    m, L = legendre_Qbar_axis_sequence(nu0, 0.0, x, 2 * segment + 1)
+    for k in (segment - 1, segment, 2 * segment - 1, 2 * segment):
+        ref = mp_log_Qbar(nu0 + k, 0.0, x)
+        assert m[k] == 1.0
+        assert abs(L[k] - ref) <= 1e-12 + 1e-15 * abs(ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nu0=st.one_of(st.sampled_from([-0.5, 0.0]),
+                     st.floats(0.0, 50.0, exclude_min=True)),
+       mu=st.one_of(st.just(0.0), st.floats(0.0, 30.0, exclude_min=True)),
+       u=st.floats(-3.0, 1.0), n=st.integers(1, 3000), frac=st.floats(0.0, 1.0))
+# two points where a Miller run started a margin above the chain's own top
+# gave the k-chain other last bits than the n-chain's first k entries
+@example(nu0=0.0, mu=0.0, u=-2.8532933073442206, n=1451, frac=191 / 1451)
+@example(nu0=0.0, mu=3.2519364802191797, u=-2.7131749932995692, n=1382, frac=955 / 1382)
+def test_Qbar_chain_prefix_is_the_shorter_chain(nu0, mu, u, n, frac):
+    # no Miller start depends on the chain's length, so a chain's first k
+    # entries are the k-chain bit for bit, across several segment joins
+    x, k = 1.0 + 10.0 ** u, max(1, round(frac * n))
+    m, L = legendre_Qbar_axis_sequence(nu0, mu, x, n)
+    m_k, L_k = legendre_Qbar_axis_sequence(nu0, mu, x, k)
+    assert np.array_equal(m[:k], m_k) and np.array_equal(L[:k], L_k)
 
 
 def test_Qbar_chain_logs_where_its_values_underflow():
