@@ -130,36 +130,43 @@ def _frobenius(a: np.ndarray, n: int, t: float) -> tuple[float, float]:
 _TERMS = 28     # Taylor coefficients per step
 _TAIL = 1e-16   # weight of a step's last two terms against |c_0| + |c_1|
 _REACH = 0.4    # longest step over t_c, the distance to the singular point t = 0
+_M_MM1 = tuple((float(m), float(m * (m - 1))) for m in range(2, _TERMS))
 
 
-def _shifted(poly, tc, s):
-    """Coefficients in x of poly(tc + s x), by repeated synthetic division."""
-    c = list(poly)
-    for i in range(len(c) - 1):
-        for k in range(len(c) - 2, i - 1, -1):
-            c[k] += tc * c[k + 1]
-    return [ck * s ** k for k, ck in enumerate(c)]
+def _shifted(poly, tc, s, f):
+    """Coefficients in x of f poly(tc + s x), poly a cubic, by synthetic division."""
+    p0, p1, p2, p3 = poly
+    p2 += tc * p3
+    p1 += tc * p2
+    p0 += tc * p1
+    p2 += tc * p3
+    p1 += tc * p2
+    p2 += tc * p3
+    return f * p0, f * (p1 * s), f * (p2 * s ** 2), f * (p3 * s ** 3)
 
 
 def _taylor_series(polys, tc, s, c0, c1):
     """The _TERMS coefficients of chi = sum c_k x^k, x = (t - tc)/s, from
-    c_0 = chi(tc) and c_1 = s chi'(tc).  The three polynomials moved to
+    c_0 = chi(tc) and c_1 = s chi'(tc).  The three cubics moved to
     tc + s x and times 1, s, s^2 have x^i coefficients a_i, b_(i+1) and
     g_(i+2); the x^(m-2) coefficient of the equation is then the recurrence
     sum_d [a_d k (k-1) + b_d k + g_d] c_k = 0 over k = m - d, d = 0..5."""
-    a0, a1, a2, a3 = _shifted(polys[0], tc, s)
-    b1, b2, b3 = (s * b for b in _shifted(polys[1], tc, s))
-    g2, g3, g4, g5 = (s * s * g for g in _shifted(polys[2], tc, s))
-    # c_k, k c_k and k (k-1) c_k from k = -3 on, zero below k = 0
-    c, v, u = [0.0, 0.0, 0.0, c0, c1], [0.0, 0.0, 0.0, 0.0, c1], [0.0] * 5
-    for m in range(2, _TERMS):
-        cm = -(a1 * u[-1] + a2 * u[-2] + a3 * u[-3] + b1 * v[-1] + b2 * v[-2]
-               + b3 * v[-3] + g2 * c[-2] + g3 * c[-3] + g4 * c[-4] + g5 * c[-5]
-               ) / (a0 * (m * (m - 1)))
+    a0, a1, a2, a3 = _shifted(polys[0], tc, s, 1.0)
+    b1, b2, b3, _ = _shifted(polys[1], tc, s, s)
+    g2, g3, g4, g5 = _shifted(polys[2], tc, s, s * s)
+    # rolling floats: c_k for k = m-1..m-5, k c_k and k (k-1) c_k for
+    # k = m-1..m-3, zero below k = 0
+    k1, k2, k3, k4, k5 = c1, c0, 0.0, 0.0, 0.0
+    v1, v2, v3, u1, u2, u3 = c1, 0.0, 0.0, 0.0, 0.0, 0.0
+    c = [c0, c1]
+    for m, mm1 in _M_MM1:
+        cm = -(a1 * u1 + a2 * u2 + a3 * u3 + b1 * v1 + b2 * v2 + b3 * v3
+               + g2 * k2 + g3 * k3 + g4 * k4 + g5 * k5) / (a0 * mm1)
         c.append(cm)
-        v.append(m * cm)
-        u.append((m * (m - 1)) * cm)
-    return c[3:]
+        k1, k2, k3, k4, k5 = cm, k1, k2, k3, k4
+        v1, v2, v3 = m * cm, v1, v2
+        u1, u2, u3 = mm1 * cm, u1, u2
+    return c
 
 
 def _horner(c, x):
@@ -182,7 +189,7 @@ def _taylor_solve(n, lam, t0, t1, chi, dchi, label):
     the start of its step in the direction of integration.  A non-finite
     series or a step below 10 ulp raises StiffnessError."""
     n2, ll = float(n * n), lam * (lam + 1.0)
-    polys = ((0.0, 0.0, 32.0, 16.0), (0.0, 32.0, 32.0),
+    polys = ((0.0, 0.0, 32.0, 16.0), (0.0, 32.0, 32.0, 0.0),
              (-8.0 * n2, -12.0 * n2 - 16.0 * ll, -6.0 * n2, -n2))
     d = 1.0 if t1 >= t0 else -1.0
     keys, steps = [], []
@@ -306,9 +313,12 @@ def radial_solutions(n: int, lam: float, geometry: DeficitGeometry | None = None
     pair = RadialSolutionPair(n=n, lam=lam, eta_max=eta_max,
                               wronskian_scale=0.0, wronskian_spread=0.0,
                               _p_sol=p_sol, _q_sol=q_sol, _q_norm=q_norm)
-    etas = np.geomspace(1.01, min(5.0, eta_max), 9)
-    w = np.array([(e * e - 1.0) * (pair.p(e) * pair.dq(e) - pair.dp(e) * pair.q(e))
-                  for e in etas])
+    w = []
+    for e in np.geomspace(1.01, min(5.0, eta_max), 9):
+        pair._check_q(e)                # one (p, dp) and one (q, dq) per eta
+        (p, dp), (q, dq) = p_sol(e - 1.0), q_sol(e - 1.0)
+        w.append((e * e - 1.0) * (p * (dq / q_norm) - dp * (q / q_norm)))
+    w = np.array(w)
     pair.wronskian_scale = float(np.mean(w))
     pair.wronskian_spread = float(np.ptp(w) / abs(np.mean(w)))
     return pair

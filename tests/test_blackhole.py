@@ -6,7 +6,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stringhorizon import blackhole
 from stringhorizon.blackhole import (DeficitGeometry, chi_radial_green,
                                      exponent_fit, frobenius_coefficients,
                                      g_sing, geodesic_distance,
@@ -220,6 +223,81 @@ def test_q_domain_ends_with_the_inward_solve(n, lam):
             pair.dq(1.0 + d)
     # p has its Frobenius series there
     assert pair.p(1.0 + 1e-10) == pytest.approx(1e-10 ** (n / 2.0), rel=1e-6)
+
+
+def _shifted_list_form(poly, tc, s):
+    # the generic synthetic division of any degree, then x^k scaled by s ** k
+    c = list(poly)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += tc * c[k + 1]
+    return [ck * s ** k for k, ck in enumerate(c)]
+
+
+def _taylor_series_list_form(polys, tc, s, c0, c1):
+    # the step recurrence with c_k, k c_k and k (k-1) c_k in growing lists
+    # read by negative index, and b of degree 2
+    a0, a1, a2, a3 = _shifted_list_form(polys[0], tc, s)
+    b1, b2, b3 = (s * b for b in _shifted_list_form(polys[1], tc, s))
+    g2, g3, g4, g5 = (s * s * g for g in _shifted_list_form(polys[2], tc, s))
+    c, v, u = [0.0, 0.0, 0.0, c0, c1], [0.0, 0.0, 0.0, 0.0, c1], [0.0] * 5
+    for m in range(2, 28):
+        cm = -(a1 * u[-1] + a2 * u[-2] + a3 * u[-3] + b1 * v[-1] + b2 * v[-2]
+               + b3 * v[-3] + g2 * c[-2] + g3 * c[-3] + g4 * c[-4] + g5 * c[-5]
+               ) / (a0 * (m * (m - 1)))
+        c.append(cm)
+        v.append(m * cm)
+        u.append((m * (m - 1)) * cm)
+    return c[3:]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), lam=st.floats(0.0, 1000.0),
+       tc=st.floats(1e-6, 1e3), reach=st.floats(0.0, 0.4, exclude_min=True),
+       sign=st.sampled_from([1.0, -1.0]), c0=_FINITE, c1=_FINITE)
+def test_taylor_series_bit_identical_to_the_list_form(n, lam, tc, reach, sign, c0, c1):
+    # the rolling-float recurrence and the unrolled cubic shift do the same
+    # float operations in the same order as the list form: every coefficient
+    # has the same bits (float.hex tells -0.0 from 0.0 and matches nan)
+    n2, ll = float(n * n), lam * (lam + 1.0)
+    a, b, g = ((0.0, 0.0, 32.0, 16.0), (0.0, 32.0, 32.0),
+               (-8.0 * n2, -12.0 * n2 - 16.0 * ll, -6.0 * n2, -n2))
+    s = sign * reach * tc
+    ref = _taylor_series_list_form((a, b, g), tc, s, c0, c1)
+    got = blackhole._taylor_series((a, b + (0.0,), g), tc, s, c0, c1)
+    assert len(got) == len(ref) == blackhole._TERMS
+    assert [x.hex() for x in got] == [x.hex() for x in ref]
+    assert all(x == y for x, y in zip(got, ref) if not math.isnan(x))
+
+
+@pytest.mark.parametrize("n,lam,eta_max", [(1, 1.0, 20.0), (2, 4.0 / 3.0, 20.0),
+                                           (-3, 2.5, 3.0), (7, 0.0, 20.0)])
+def test_wronskian_diagnostics_equal_the_public_calls(n, lam, eta_max):
+    # the pair's Wronskian loop reads p_sol and q_sol once per eta; its
+    # diagnostics equal those of p, dp, q and dq called apart
+    pair = radial_solutions(n, lam, eta_max=eta_max)
+    w = np.array([(e * e - 1.0) * (pair.p(e) * pair.dq(e) - pair.dp(e) * pair.q(e))
+                  for e in np.geomspace(1.01, min(5.0, eta_max), 9)])
+    assert pair.wronskian_scale == float(np.mean(w))
+    assert pair.wronskian_spread == float(np.ptp(w) / abs(np.mean(w)))
+
+
+@pytest.mark.parametrize("n,lam,steps", [(1, 1.0, 104), (2, 1.0, 102)])
+def test_radial_step_count(monkeypatch, n, lam, steps):
+    # Taylor steps of one pair, outward and inward together: a change to the
+    # step rule shows up here as a changed count, not as a silent cost
+    calls = []
+    series = blackhole._taylor_series
+
+    def counted(*args):
+        calls.append(args[1])
+        return series(*args)
+    monkeypatch.setattr(blackhole, "_taylor_series", counted)
+    radial_solutions(n, lam)
+    assert len(calls) == steps
 
 
 def test_nonzero_modes_vanish_on_horizon():
