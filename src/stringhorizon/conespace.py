@@ -22,7 +22,7 @@ import numpy as np
 
 from . import specfun
 from .errors import CoincidenceError, DomainError, SlowConvergenceError
-from .specfun import arccosh1p, log_gamma
+from .specfun import arccosh1p, log_gamma_ratios
 from .summation import MIN_RATE, mode_sum, quadpack, sum_m_bands
 
 __all__ = [
@@ -242,7 +242,7 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
             log_q[on] = chains[mu0][np.add.outer(j, np.arange(count))]
             left &= ~on
         # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2)
-        log_q = log_q.reshape(lam.shape) + log_gamma(lam + 1.0) - log_gamma(lam + 1.5)
+        log_q = log_q.reshape(lam.shape) + log_gamma_ratios(mu + 1.0, mu + 1.5, count)
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
     return mode_sum(rows, tol, dphi, xi,

@@ -91,9 +91,13 @@ def check_heine_classic(zeta: float, psi: float,
         raise DomainError(f"validity needs |psi| < min(1, zeta), got {psi}")
 
     def terms(count):
-        from scipy.special import eval_legendre
-        ls = np.arange(count)
-        return ((2.0 * ls + 1.0) * eval_legendre(ls, psi)
+        # P_l(|psi|) by Bonnet's recurrence (DLMF 14.10.3) on d = P_l - P_(l-1),
+        # which keeps its accuracy as |psi| -> 1
+        x, p, d, ls = abs(psi), [1.0], 0.0, np.arange(count)
+        for l in range(count - 1):
+            d = ((2 * l + 1) * (x - 1.0) * p[-1] + l * d) / (l + 1)
+            p.append(p[-1] + d)
+        return ((2.0 * ls + 1.0) * np.array(p) * math.copysign(1.0, psi) ** ls
                 * specfun.legendre_Q_sequence(0.0, zeta, count))
 
     lhs, tail, lmax = sum_l(terms, tol, math.acosh(zeta))
@@ -352,7 +356,7 @@ def check_norm_integral(alpha: float, m: int, l: int, l_p: int,
     if count > 4096:        # the rule's dense Jacobi matrix holds count^2 floats
         raise DomainError(f"max(l, l') - |m| must be below 4096, got {count - 1}")
     for x, w in zip(*(a.tolist() for a in _gauss_gegenbauer(mu, count))):
-        p, L = specfun._ferrers_chain(mu, mu, x, count, g1)     # both degrees
+        p, L = specfun._ferrers_chain(mu, mu, x, count)     # both degrees
         half = 0.5 * mu * (math.log1p(-x) + math.log1p(x))  # ln (1-x^2)^(mu/2)
         u, v = p[n] * math.exp(L[n] - half), p[n_p] * math.exp(L[n_p] - half)
         rows.append((w * u * v, w * u * u, w * v * v))

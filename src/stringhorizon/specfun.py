@@ -23,8 +23,9 @@ Conventions
 * ``axis_band`` is its counterpart on the axis, the gamma-ratio x P x Qbar
   band of the toroidal and spheroidal mode sums, returned as signs and
   logs; it is the one reader of the axis chains at nonzero order.
-* ``log_gamma`` is the package's one ln|Gamma|, and every chain and point
-  value starts with one check: a finite degree and an order 0 <= mu < inf.
+* ``log_gamma`` is math.lgamma, and ``log_gamma_ratios`` a chain's gamma
+  ratio by its recurrence.  Every chain and point value starts with one
+  check: a finite degree and an order 0 <= mu < inf.
 
 Every series has a certified geometric tail bound; one that cannot certify
 its tolerance within the iteration budget raises ConvergenceError.
@@ -42,6 +43,7 @@ __all__ = [
     "SING_TOL",
     "MAX_SERIES_TERMS",
     "log_gamma",
+    "log_gamma_ratios",
     "gamma_ratio_signed",
     "ferrers_P",
     "ferrers_P_sequence",
@@ -67,19 +69,45 @@ _SERIES_TOL = 1e-15       # target relative tail for series evaluation
 # ----------------------------------------------------------------------
 
 def log_gamma(x):
-    """ln|Gamma(x)| of a float or an array: scipy's gammaln, loaded on first call."""
-    from scipy.special import gammaln
-    return gammaln(x)
+    """ln|Gamma(x)| by math.lgamma as a numpy float (inf past float range), or
+    of each entry of a small array; a chain of ratios takes `log_gamma_ratios`."""
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(log_gamma, x.ravel().tolist()))).reshape(x.shape)
+    try:
+        return np.float64(math.lgamma(x))
+    except OverflowError:
+        return np.float64(math.inf)
+
+
+def log_gamma_ratios(a, b, count: int) -> np.ndarray:
+    """[ln Gamma(a+k)/Gamma(b+k), k < count], a row per entry of 1-D a, b > 0:
+    the running sum of ln((a+j)/(b+j)) (Gamma(z+1) = z Gamma(z), DLMF 5.5.1),
+    then one math.lgamma pair per row, added last: no large ln Gamma cancels."""
+    a, b = (np.asarray(v, dtype=float)[..., None] for v in (a, b))
+    k = np.arange(count - 1.0)
+    steps = np.log((a + k) / (b + k))
+    out = np.zeros(steps.shape[:-1] + (count,))
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    out += log_gamma(a) - log_gamma(b)
+    return out
 
 
 def gamma_ratio_signed(a: float, b: float) -> tuple[float, float]:
-    """(log|Gamma(a)/Gamma(b)|, sign); arguments may be negative non-integers."""
+    """(log|Gamma(a)/Gamma(b)|, sign); arguments may be negative non-integers.
+    At min(a, b) >= 10 Stirling's series of the difference (DLMF 5.11.1, seven
+    terms), a - b formed once: no ln Gamma of size a ln a cancels."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"gamma ratio needs finite arguments, got a={a}, b={b}")
     if any(x <= 0.5 and abs(x - round(x)) <= 1e-12 for x in (a, b)):
         raise PoleError(f"gamma pole within tolerance: a={a}, b={b}")
     flips = sum(math.ceil(-x) for x in (a, b) if x < 0.0)  # sign G(x) = (-1)^ceil(-x)
-    return log_gamma(a) - log_gamma(b), (-1.0) ** flips
+    if min(a, b) < 10.0:
+        return log_gamma(a) - log_gamma(b), (-1.0) ** flips
+    d, sa, sb = a - b, 0.0, 0.0
+    for c in (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12):
+        sa, sb = sa / (a * a) + c, sb / (b * b) + c    # B_2k / (2k (2k-1)), k = 7..1
+    return ((a - 0.5) * math.log1p(d / b) + d * (math.log(b) - 1.0) + sa / a - sb / b,
+            (-1.0) ** flips)
 
 
 def _check_degree_order(nu, mu):
@@ -151,7 +179,7 @@ _BIG = 2.0 ** 500          # Ferrers mantissas are rescaled by this power of
 _TINY = 1.0 / _BIG         # two to stay within [_TINY, _BIG], exactly
 
 
-def _ferrers_offset(nu0, mu, x: float, count: int, g1=None):
+def _ferrers_offset(nu0, mu, x: float, count: int):
     """Check nu0, mu, x and count; log of the seeds' (sin(theta)/2)^mu / Gamma(1+mu)."""
     _check_degree_order(nu0, mu)
     if not -1.0 + SING_TOL < x < 1.0 - SING_TOL:
@@ -160,13 +188,12 @@ def _ferrers_offset(nu0, mu, x: float, count: int, g1=None):
     if count < 1:
         raise DomainError("count must be >= 1")
     return (0.5 * mu * (math.log1p(-x) + math.log1p(x)) - mu * math.log(2.0)
-            - (log_gamma(1.0 + mu) if g1 is None else g1))
+            - log_gamma(1.0 + mu))
 
 
-def _ferrers_chain(nu0: float, mu: float, x: float, count: int,
-                   g1=None) -> tuple[list, list]:
+def _ferrers_chain(nu0: float, mu: float, x: float, count: int) -> tuple[list, list]:
     """`ferrers_P_sequence` on Python floats: lists (m, L)."""
-    off = float(_ferrers_offset(nu0, mu, x, count, g1))
+    off = float(_ferrers_offset(nu0, mu, x, count))
     if not (-0.5 <= nu0 and nu0 - mu < 2.0):
         raise DomainError(f"sequence seeds need -1/2 <= nu0 < mu + 2 "
                           f"(P_nu = P_(-nu-1)), got nu0 = {nu0}, mu = {mu}")
@@ -266,9 +293,7 @@ def ferrers_band(mu, x1: float, x2: float, count: int,
     mu = np.asarray(mu, dtype=float)
     m1, L1 = _ferrers_chains(mu, x1, count)
     m2, L2 = (m1, L1) if x2 == x1 else _ferrers_chains(mu, x2, count)
-    mu = mu[..., None]                     # one row per band
-    lam = mu + np.arange(count)
-    lgr = log_gamma(lam + mu + 1.0) - log_gamma(lam - mu + 1.0)
+    lgr = log_gamma_ratios(2.0 * mu + 1.0, 1.0, count)
     with np.errstate(divide="ignore"):     # a zero of P: log 0 = -inf, term 0
         return np.sign(m1) * np.sign(m2) * np.exp(
             lgr + L1 + L2 + np.log(np.abs(m1)) + np.log(np.abs(m2))
@@ -356,8 +381,7 @@ def legendre_Q_sequence(lam0: float, zeta: float, count: int) -> np.ndarray:
     if lam0 <= -1.0:
         raise DomainError(f"Legendre Q requires degree > -1, got {lam0}")
     m, L = legendre_Qbar_axis_sequence(lam0, 0.0, zeta, count)
-    lam = lam0 + np.arange(count, dtype=float)
-    return m * np.exp(L + log_gamma(lam + 1.0) - log_gamma(lam + 1.5))
+    return m * np.exp(L + log_gamma_ratios(lam0 + 1.0, lam0 + 1.5, count))
 
 
 def legendre_Qbar_axis_sequence(nu0: float, mu: float, x: float,
@@ -414,7 +438,9 @@ def axis_band(nu0: float, mu: float, s_lt: float, s_gt: float,
               count: int) -> tuple[np.ndarray, np.ndarray]:
     """(sign, log|band|) of [G(nu+mu+1)/G(nu+3/2) P_nu^{-mu}(cosh s<)
     Qbar_nu^{-mu}(cosh s>), nu = nu0 + k, k < count], the axis counterpart
-    of `ferrers_band`, added in logs from both chains."""
+    of `ferrers_band`, added in logs from both chains; degree nu0 > -1."""
+    if nu0 <= -1.0:
+        raise DomainError(f"Legendre Q requires degree > -1, got {nu0}")
     mp, Lp = legendre_P_axis_sequence(nu0, mu, math.cosh(s_lt), count)
     mq, Lq = legendre_Qbar_axis_sequence(nu0, mu, math.cosh(s_gt), count)
     log_p = np.log(mp) + Lp                # P > 0 on the axis
@@ -422,8 +448,7 @@ def axis_band(nu0: float, mu: float, s_lt: float, s_gt: float,
     # (ROADMAP item 1): a P value below the smallest subnormal is not summed
     if log_p.min() < -1074.0 * math.log(2.0):
         raise ConvergenceError("axis chain underflowed; order too large")
-    nu = nu0 + np.arange(count, dtype=float)
-    return mq, log_gamma(nu + mu + 1.0) - log_gamma(nu + 1.5) + log_p + Lq
+    return mq, log_gamma_ratios(nu0 + mu + 1.0, nu0 + 1.5, count) + log_p + Lq
 
 
 # ----------------------------------------------------------------------

@@ -600,10 +600,11 @@ def test_radial_near_the_float_range_edge(argv, top):
 
 def test_scipy_modules_load_on_use():
     # scipy.special and scipy.integrate load where they are first called:
-    # neither the import nor phi2, figure1 and the radial pair (Taylor
-    # steps) load either; norm_integral (Gauss rule, also at l = l' = 1000)
-    # loads scipy.special for gammaln and still no QUADPACK; none of them
-    # writes to stderr
+    # neither the import nor phi2, figure1, the radial pair (Taylor steps),
+    # the analytic n = 0 radial table, norm_integral (Gauss rule, also at
+    # l = l' = 1000), a horizon Green's function nor the generalized and
+    # classic Heine checks load either (every Gamma ratio is math.lgamma and
+    # its recurrence); none but the CSV radial table writes to stderr
     code = (
         "import sys, io, contextlib\n"
         "def loaded():\n"
@@ -611,8 +612,10 @@ def test_scipy_modules_load_on_use():
         "import stringhorizon\n"
         "seen = [loaded()]\n"
         "from stringhorizon.cli import main\n"
-        "from stringhorizon.identities import run_case\n"
-        "from stringhorizon.blackhole import radial_solutions\n"
+        "from stringhorizon.identities import (check_heine_classic,\n"
+        "                                      check_heine_generalized, run_case)\n"
+        "from stringhorizon.blackhole import (DeficitGeometry, horizon_green,\n"
+        "                                     radial_solutions)\n"
         "codes = []\n"
         "for argv in (['phi2', '--theta', '1.2', '--alpha', '0.75'],\n"
         "             ['figure1', '--points', '5'],\n"
@@ -621,17 +624,29 @@ def test_scipy_modules_load_on_use():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(main(argv))\n"
         "    seen.append(loaded())\n"
+        "# the CSV radial table writes its diagnostics to stderr\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes.append(main(['radial', '--n', '0', '--l', '3', '--m', '1',\n"
+        "                       '--alpha', '0.75']))\n"
+        "seen.append(loaded())\n"
         "passed = [radial_solutions(1, 1.0).wronskian_spread < 1e-12]\n"
         "seen.append(loaded())\n"
         "passed += [run_case({'check': 'norm_integral', 'params': {'alpha': 0.75,\n"
         "                     'm': 2, 'l': l, 'l_p': l}})['passed'] for l in (3, 1000)]\n"
         "seen.append(loaded())\n"
+        "passed.append(horizon_green(1.0, 1.2, 0.5, 1.05,\n"
+        "                            DeficitGeometry(alpha=0.75)) > 0.0)\n"
+        "seen.append(loaded())\n"
+        "passed += [check_heine_generalized(0.75, 1.0, 1.2, 0.5, 0.3).passed,\n"
+        "           check_heine_classic(1.5, 0.3).passed]\n"
+        "seen.append(loaded())\n"
         "print(codes, seen, passed)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC),
                           timeout=120)
-    assert proc.stdout == ("[0, 0, 0] " + str([[False, False]] * 5 + [[False, True]])
-                           + " [True, True, True]\n"), proc.stderr
+    assert proc.stdout == ("[0, 0, 0, 0] " + str([[False, False]] * 9)
+                           + " " + str([True] * 6) + "\n"), proc.stderr
     assert proc.stderr == ""
 
 

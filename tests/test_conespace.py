@@ -7,7 +7,6 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from stringhorizon import conespace as cs
 from stringhorizon import specfun
@@ -454,7 +453,7 @@ def _heine_per_band(alpha, theta, theta_p, dphi, zeta, tol):
         # Qbar > 0 at order 0: its chain is its log offset
         log_qbar = specfun.legendre_Qbar_axis_sequence(mu0, 0.0, zeta, j + count)[1]
         lam = mu + np.arange(count)
-        log_q = log_qbar[j:] + gammaln(lam + 1.0) - gammaln(lam + 1.5)
+        log_q = log_qbar[j:] + specfun.log_gamma_ratios(mu + 1.0, mu + 1.5, count)
         return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
 
     lmax = None

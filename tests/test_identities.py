@@ -51,6 +51,27 @@ def test_heine_classic_parity_flip():
     assert abs(a.residual - b.residual) < 1e-10
 
 
+def test_heine_classic_legendre_P_near_the_ends(monkeypatch):
+    # with Q_l = 1 the terms are (2l+1) P_l(psi); Bonnet's recurrence on
+    # P_l - P_(l-1) keeps P_l to a few ulps as |psi| -> 1, where the
+    # recurrence on P_l itself erred by up to 4.4e-13 at psi = 0.999999
+    terms = []
+
+    def first_400_terms(f, tol, rate):
+        terms.append(f(400))
+        return 0.0, 0.0, 0
+
+    monkeypatch.setattr(specfun, "legendre_Q_sequence",
+                        lambda lam0, zeta, count: np.ones(count))
+    monkeypatch.setattr("stringhorizon.identities.sum_l", first_400_terms)
+    ls = np.arange(400)
+    with mpmath.workdps(30):
+        for psi in (0.999999, -0.999999, 1.0 - 1e-12, -0.7, 0.0, 0.3):
+            check_heine_classic(1.5, psi)
+            ref = [float(mpmath.legendre(int(l), psi)) for l in ls]
+            assert np.abs(terms.pop() / (2 * ls + 1) - ref).max() <= 4e-15
+
+
 def test_heine_classic_domain():
     with pytest.raises(DomainError):
         check_heine_classic(1.0, 0.5)

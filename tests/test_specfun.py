@@ -1,7 +1,6 @@
 """Special-function core: values against independent oracles, invariants,
 and domain guards."""
 
-import inspect
 import math
 from pathlib import Path
 
@@ -56,23 +55,70 @@ def test_log_gamma_ratio_pole(a, b):
 
 
 def test_gamma_ratio_closed_form_sign_is_scipys():
-    # sign Gamma(x) = (-1)^ceil(-x) below zero, against scipy's gammasgn
+    # sign Gamma(x) = (-1)^ceil(-x) below zero, against scipy's gammasgn; the
+    # value against mpmath within rounding of the math.lgamma pair
     xs = [-k - f for k in range(25) for f in (1e-6, 0.03, 0.5, 0.97)] + [0.3, 7.5]
-    for a in xs:
-        for b in xs:
-            lg, sign = gamma_ratio_signed(a, b)
-            assert sign == gammasgn(a) * gammasgn(b)
-            assert lg == gammaln(a) - gammaln(b)
+    with mpmath.workdps(30):
+        mp_lg = {x: mpmath.log(abs(mpmath.gamma(x))) for x in xs}
+        for a in xs:
+            for b in xs:
+                lg, sign = gamma_ratio_signed(a, b)
+                assert sign == gammasgn(a) * gammasgn(b)
+                ref = float(mp_lg[a] - mp_lg[b])
+                assert abs(lg - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
-def test_gammaln_is_named_only_in_log_gamma():
-    # ln Gamma has one owner, and its sign is a closed form
-    texts = {p.name: p.read_text() for p in Path(specfun.__file__).parent.glob("*.py")}
-    assert not any("gammasgn" in t or "_near_nonpositive_integer" in t
-                   for t in texts.values())
-    assert [name for name, t in texts.items() if "gammaln" in t] == ["specfun.py"]
-    assert (texts["specfun.py"].count("gammaln")
-            == inspect.getsource(specfun.log_gamma).count("gammaln"))
+def test_gammaln_is_named_nowhere():
+    # ln Gamma is math.lgamma and its recurrence, and its sign a closed form
+    texts = [p.read_text() for p in Path(specfun.__file__).parent.glob("*.py")]
+    assert not any(name in t for t in texts for name in
+                   ("gammaln", "gammasgn", "_near_nonpositive_integer"))
+
+
+def mp_log_gamma_ratios(a, b, count):
+    """[ln Gamma(a+k)/Gamma(b+k), k < count] at 40 digits: mpmath's pair at
+    k = 0, then its exact steps ln((a+k)/(b+k))."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        out = [mpmath.loggamma(a) - mpmath.loggamma(b)]
+        for k in range(count - 1):
+            out.append(out[-1] + mpmath.log((a + k) / (b + k)))
+        return np.array([float(v) for v in out])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mu=st.floats(0.0, 1000.0), count=st.integers(1, 2000),
+       pair=st.sampled_from(["ferrers", "heine"]))
+def test_log_gamma_ratios_against_mpmath(mu, count, pair):
+    # the chains' two ratios, G(2mu+1+k)/G(1+k) and G(mu+1+k)/G(mu+3/2+k):
+    # no worse than the difference of two gammaln values, plus a few ulps
+    a, b = (2.0 * mu + 1.0, 1.0) if pair == "ferrers" else (mu + 1.0, mu + 1.5)
+    ref = mp_log_gamma_ratios(a, b, count)
+    k = np.arange(count)
+    err = np.abs(specfun.log_gamma_ratios(a, b, count) - ref)
+    err_gammaln = np.abs(gammaln(a + k) - gammaln(b + k) - ref)
+    assert err.max() <= err_gammaln.max() + 4.0 * np.spacing(np.abs(ref).max())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.floats(10.0, 1e8), db=st.floats(-20.0, 20.0))
+@example(a=1e5, db=0.5)
+@example(a=1e5 + 0.5, db=-0.5)
+@example(a=65539.3, db=0.5)
+@example(a=10.0, db=1e5 - 10.0)
+@example(a=1e5, db=10.0 - 1e5)
+def test_gamma_ratio_stirling_path_against_mpmath(a, db):
+    # at min(a, b) >= 10 the ratio is Stirling's series of the difference: a
+    # few ulps of the ratio itself, where a difference of two ln Gamma values
+    # cancels about eps ln Gamma (1.0e-11 at (1e5, 1e5 + 1/2))
+    b = a + db
+    if b < 10.0:
+        b = a - db
+    lg, sign = gamma_ratio_signed(a, b)
+    with mpmath.workdps(40):
+        ref = float(mpmath.loggamma(a) - mpmath.loggamma(b))
+    assert sign == 1.0
+    assert abs(lg - ref) <= 4.0 * np.spacing(max(1.0, abs(ref)))
 
 
 @pytest.mark.parametrize("fn, args", [
@@ -90,6 +136,7 @@ def test_gammaln_is_named_only_in_log_gamma():
     (legendre_P_axis_sequence, (0.0, -0.5, 2.0, 3)),
     (legendre_Qbar_axis_sequence, (0.0, -0.5, 2.0, 3)),
     (axis_band, (-0.5, math.nan, 0.5, 0.9, 3)),
+    (axis_band, (-1.2, 0.1, 0.5, 0.9, 3)),
     (arccosh1p, (math.nan,)),
     (bessel_IK, (math.nan, 1.0)),
     (bessel_IK, (1.0, math.nan)),
@@ -564,14 +611,12 @@ def test_Qhat_order0_single(nu, x):
     assert_log_close(legendre_Qhat_axis(nu, 0.0, x), mp_log_Qhat(nu, 0.0, x))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ln Gamma(nu+1) - ln Gamma(nu+3/2) cancels about eps |ln Gamma| at large "
-    "degree: a log error of 1.59e-12 against the 1.37e-12 bound here, until a "
-    "running sum of ln ratios from one scalar ln Gamma (ROADMAP item 4, "
-    "step 2) replaces the difference"))
-def test_Qhat_order0_single_at_a_large_degree():
-    # a point that the derandomized draws of test_Qhat_order0_single miss
-    nu, x = 816.6268018922251, 1.1
+@pytest.mark.parametrize("nu,x", [(816.6268018922251, 1.1), (2500.3, 1.001),
+                                  (5000.7, 1.0002)])
+def test_Qhat_order0_single_at_a_large_degree(nu, x):
+    # points that the derandomized draws of test_Qhat_order0_single miss; a
+    # difference of two ln Gamma values of this size cancels about
+    # eps |ln Gamma|, beyond the bound at each of them
     assert_log_close(legendre_Qhat_axis(nu, 0.0, x), mp_log_Qhat(nu, 0.0, x))
 
 
