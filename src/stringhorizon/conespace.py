@@ -3,11 +3,11 @@
 The 4D Euclidean and 3D Laplace Green's functions in several representations:
 closed form, spherical mode sum, cylindrical Q-sum, Bessel k-integral,
 axisymmetric potential integral, Linet's image-plus-integral form (alpha >
-1/2), and the toroidal and prolate-spheroidal mode sums; the three integrals
-call `summation.quadpack`.  Their pairwise agreement is the content of the
-summation identities; the harness in `identities` reads `g3_linet`,
-`heine_double_sum`, `_toroidal_terms` at `_toroidal_rate`, and
-`_spheroidal_terms`.
+1/2), and the toroidal and prolate-spheroidal mode sums; Linet's integral
+calls `summation.trapezoid`, the other two `summation.quadpack`.  Their
+pairwise agreement is the content of the summation identities; the harness
+in `identities` reads `g3_linet`, `heine_double_sum`, `_toroidal_terms` at
+`_toroidal_rate`, and `_spheroidal_terms`.
 
 Azimuthal convention: phi has period 2*pi and the metric carries
 alpha^2 rho^2 dphi^2, so the cone angle deficit is encoded in alpha alone.
@@ -23,7 +23,7 @@ import numpy as np
 from . import specfun
 from .errors import CoincidenceError, DomainError, SlowConvergenceError
 from .specfun import arccosh1p, log_gamma_ratios
-from .summation import MIN_RATE, mode_sum, quadpack, sum_m_bands
+from .summation import MIN_RATE, mode_sum, quadpack, sum_m_bands, trapezoid
 
 __all__ = [
     "check_alpha",
@@ -388,16 +388,14 @@ def g3_axisym_integral(x: ConePoint, xp: ConePoint, alpha: float,
     return value / (4.0 * math.pi ** 2 * alpha)
 
 
-def linet_kernel(u: float, psi: float, alpha: float) -> float:
-    """F_alpha(u, psi) over a common denominator:
+def linet_kernel(u, psi: float, alpha: float):
+    """F_alpha(u, psi) over a common denominator, elementwise in u:
     2 sin(pi/a) [cos(pi/a) - cosh(u/a) cos(psi)] /
     [(cosh(u/a) - cos(psi - pi/a)) (cosh(u/a) - cos(psi + pi/a))].
 
     Evaluated through sech(u/a) so large u never overflows."""
-    y = u / alpha
     spa, cpa = math.sin(math.pi / alpha), math.cos(math.pi / alpha)
-    # vi = 1/cosh(y), computed overflow-free
-    e = math.exp(-abs(y))
+    e = np.exp(-np.abs(u) / alpha)
     vi = 2.0 * e / (1.0 + e * e)
     num = 2.0 * spa * (cpa * vi - math.cos(psi)) * vi
     den = ((1.0 - math.cos(psi - math.pi / alpha) * vi)
@@ -410,18 +408,18 @@ def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
     """Linet's representation (B. Linet, Phys. Rev. D 35, 536 (1987)), valid
     for alpha in (1/2, 1]: the direct images alpha (dphi + 2 pi n) with
     |dphi + 2 pi n| < pi/alpha, plus int_0^oo F_alpha(u, dphi) / sqrt(base +
-    2 rho rho' cosh u) du by `quadpack`.  A pair within 1e-2 of a null image
-    (|dphi + 2 pi n| = pi/alpha) is a DomainError: there the u-integrand
-    barely decays, QUADPACK fails from 2e-3 to 2e-4 in (by alpha), and at
-    the null image F_alpha has a pole."""
+    2 rho rho' cosh u) du by `trapezoid`, its poles a distance d = alpha |pi/alpha
+    - |dphi + 2 pi n|| (nearest n) from the real axis: a pair within 1e-2 of a null
+    image (d = 0) is a DomainError, which keeps d >= 0.01 alpha."""
     if not 0.5 < alpha <= 1.0:
         raise DomainError(f"g3_linet requires alpha in (1/2, 1], got {alpha}")
     rho1, z1, rho2, z2, dphi, _ = _guard_separation(x, xp, alpha, with_tau=False)
     base = (z1 - z2) ** 2 + rho1 * rho1 + rho2 * rho2
-    total = 0.0
+    total, d = 0.0, math.inf     # d: alpha times the nearest |margin|
     for n in (-1, 0, 1):
         ang = dphi + 2.0 * math.pi * n
         margin = math.pi / alpha - abs(ang)
+        d = min(d, alpha * abs(margin))
         if abs(margin) < 1e-2:
             raise DomainError("pair within 1e-2 of a null image "
                               f"(|dphi + 2 pi n| = pi/alpha, margin {margin:.1e})")
@@ -431,17 +429,15 @@ def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
     if alpha == 1.0:
         return total  # F_1 vanishes identically
 
-    # base + 2 rho rho' cosh u = 2 rho rho' (c + cosh u)
+    # base + rr cosh u = rr (c + cosh u) = rr (1 + 2 c w + w^2) / (2 w), w = e^{-u}
     rr = 2.0 * rho1 * rho2
     c = base / rr
 
     def integrand(u):
-        if u > 600.0:   # kernel ~ e^{-u/alpha}, denominator ~ e^{u/2}: far below eps
-            return 0.0
-        return linet_kernel(u, dphi, alpha) / math.sqrt(c + math.cosh(u))
+        w = np.exp(-u)
+        return linet_kernel(u, dphi, alpha) * np.sqrt(2.0 * w / (1.0 + w * (2.0 * c + w)))
 
-    val = quadpack(integrand, 0.0, np.inf, "Linet u-integral", 1e-11 * math.sqrt(rr),
-                   10.0 * tol)[0]
+    val = trapezoid(integrand, d, "Linet u-integral", 1e-11 * math.sqrt(rr), 10.0 * tol)[0]
     return total + val / math.sqrt(rr) / (8.0 * math.pi ** 2 * alpha)
 
 

@@ -22,7 +22,7 @@ class SlowConvergenceError(ConvergenceError):
 
 
 class QuadratureError(StringHorizonError, ArithmeticError):
-    """QUADPACK reported a failure or an error estimate above its bound."""
+    """A quadrature rule reported a failure or an error estimate above its bound."""
 
 
 class CoincidenceError(DomainError):

@@ -6,8 +6,8 @@ Reports are deterministic: the same case list with the same tolerances
 produces bit-identical records: tol is the only truncation setting, and
 every cutoff follows from it.  A right-hand side that `conespace` already
 represents (Linet's form, `g3_linet`) is that function, not a copy.  A
-check that raises (a QuadratureError of `summation.quadpack` among them)
-is a record with an `error` field."""
+check that raises (a QuadratureError of the Linet integrals'
+`summation.trapezoid` among them) is a record with an `error` field."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .conespace import (ConePoint, _spheroidal_terms, _toroidal_rate, _toroidal_
                         check_alpha, g3_linet, generalized_heine_rhs, heine_double_sum)
 from .errors import DomainError, StringHorizonError
 from .specfun import log_gamma
-from .summation import mode_sum, quadpack, sum_l
+from .summation import mode_sum, sum_l, trapezoid
 
 __all__ = [
     "IdentityCase",
@@ -176,24 +176,21 @@ def _linet_lhs_diag(alpha, theta, dphi, tol):
     """theta = theta' limit of the double sum: exact resummation of the
     m-sum via the Heine integral representation,
     sum_m e^{im dphi} Q_{|m|/alpha - 1/2}(cosh xi -> 1) ->
-    int_0^oo sinh(t/a) / [(cosh(t/a) - cos dphi) 2 sinh(t/2)] dt."""
-    if 2.0 * math.sin(0.5 * dphi) ** 2 < 1e-10:
+    int_0^oo sinh(t/a) / [(cosh(t/a) - cos dphi) 2 sinh(t/2)] dt by `trapezoid`,
+    with 1 - e^2 and 1 + e^2 - 2 e cos dphi (e = e^{-t/a}) free of cancellation."""
+    sin2 = math.sin(0.5 * dphi) ** 2
+    if 2.0 * sin2 < 1e-10:
         raise DomainError("diagonal Linet check needs dphi away from 0")
-    beta = 1.0 / alpha
-    cpsi = math.cos(dphi)
 
     def integrand(t):
-        if t == 0.0:
-            return 1.0 / (alpha * (1.0 - cpsi))
-        if t > 600.0:
-            return 0.0
-        e = math.exp(-beta * t)
-        ratio = (1.0 - e * e) / (1.0 + e * e - 2.0 * cpsi * e)
-        return ratio / (2.0 * math.sinh(0.5 * t))
+        e, em = np.exp(-t / alpha), np.expm1(-t / alpha)
+        num = -np.expm1(-2.0 * t / alpha) * np.exp(-0.5 * t)
+        den = (em * em + 4.0 * e * sin2) * -np.expm1(-t)
+        return np.divide(num, den, out=np.full_like(t, 0.5 / (alpha * sin2)), where=t > 0)
 
-    val, err = quadpack(integrand, 0.0, np.inf, "diagonal resummation", 1e-9)
-    s2 = math.sin(theta) ** 2
-    return val / (math.pi * alpha * s2 ** 0.5), err, None
+    val, err = trapezoid(integrand, alpha * abs(dphi), "diagonal resummation", 1e-9, 1e-9)
+    scale = math.pi * alpha * abs(math.sin(theta))
+    return val / scale, err / scale, None
 
 
 def check_linet_sum(alpha: float, theta: float, theta_p: float, dphi: float,

@@ -15,8 +15,8 @@ Two regimes:
   sums its counted bands as one 160-term block in one such table, each
   band that block leaves unsettled by a `wynn_limit` of its own.
 
-`quadpack` is the one call into QUADPACK, with its settings, failure code
-and bound.
+`trapezoid` integrates the Linet integrands in numpy; `quadpack` is the one
+call into QUADPACK, with its settings, failure code and bound.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "sum_m_bands",
     "wynn_limit",
     "richardson_table",
+    "trapezoid",
     "quadpack",
 ]
 
@@ -236,6 +237,37 @@ def richardson_table(vals) -> list[np.ndarray]:
         fac = 2.0 ** k
         cols.append((fac * prev[1:] - prev[:-1]) / (fac - 1.0))
     return cols
+
+
+def trapezoid(f, d: float, what: str, abs_bound: float,
+              rel_bound: float = 0.0) -> tuple[float, float]:
+    """(value, error) of int_0^oo f(t) dt, f even, vectorized, analytic in |Im t| < d,
+    decaying exponentially: the trapezoid rule in s, t = d sinh(s), whose step h errs
+    by e^{-pi^2/h} (poles +-id at s = +-i pi/2; Trefethen & Weideman, SIAM Rev. 56, 385
+    (2014)).  From h = pi^2/25, cut one past the last term above 1e-17 sum |terms|, h
+    halves until a halving moves the sum (the error) by <= min(bound, 1e-9 sum |terms|)
+    or by no less than the last.  One-line QuadratureError naming `what`: terms alive at
+    s = 37.5, over 2048 nodes, or not error <= bound = max(abs_bound, rel_bound |value|)."""
+    h, s, last = math.pi ** 2 / 25.0, np.arange(96.0), math.inf
+    g = f(d * np.sinh(h * s)) * (d * np.cosh(h * s))
+    alive = np.abs(g) > 1e-17 * np.abs(g).sum()
+    if alive[-2:].any():
+        raise QuadratureError(f"{what}: no decay by t = {d * math.sinh(95 * h):.1e}")
+    g = g[:g.size + 1 - np.argmax(alive[::-1])]
+    while True:
+        if 2 * g.size > 2048:
+            raise QuadratureError(f"{what}: no estimate within 2048 nodes")
+        s = h * (np.arange(g.size) + 0.5)
+        mid = f(d * np.sinh(s)) * (d * np.cosh(s))
+        coarse, midpoint = h * (g.sum() - 0.5 * g[0]), h * mid.sum()
+        value, error = 0.5 * (coarse + midpoint), 0.5 * abs(midpoint - coarse)
+        bound = max(abs_bound, rel_bound * abs(value))
+        if not min(bound, 1e-9 * h * np.abs(g).sum()) < error < last:
+            break
+        g, h, last = np.column_stack((g, mid)).ravel(), 0.5 * h, error
+    if not error <= bound:
+        raise QuadratureError(f"{what}: error estimate {error:.2e} exceeds {bound:.2e}")
+    return float(value), float(error)
 
 
 def quadpack(f, a: float, b: float, what: str, abs_bound: float,

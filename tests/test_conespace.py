@@ -317,6 +317,16 @@ def test_g3_linet_near_null_image(alpha):
             g3_linet(a, b, alpha)
 
 
+@pytest.mark.parametrize("alpha, psi", [(0.6, 0.8), (0.75, 1.0), (0.9, 3.0),
+                                        (0.51, 2.0 * math.pi - math.pi / 0.51 + 0.011)])
+def test_linet_kernel_array_is_its_scalar_values(alpha, psi):
+    # one kernel for both: each entry of the array form, bit for bit
+    u = np.concatenate(([0.0], np.geomspace(1e-8, 900.0, 61), [-2.5]))
+    values = cs.linet_kernel(u, psi, alpha)
+    assert values.tolist() == [float(cs.linet_kernel(x, psi, alpha)) for x in u.tolist()]
+    assert np.isfinite(values).all()
+
+
 def test_g3_toroidal_equal_w_wynn_path():
     t1 = ConePoint("toroidal", (0.9, 0.5, 0.3))
     t2 = ConePoint("toroidal", (0.9, 1.9, 1.0))

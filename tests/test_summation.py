@@ -9,7 +9,9 @@ refusals and its Wynn branch.  The Wynn limit
 `wynn_limit`: closed sums, its length rule, its refusals, its one shared
 epsilon table against a table per run and a block's rows against their
 own tables, and the Abel/Richardson limit it replaced.  The QUADPACK gate `quadpack`: its failure code and its
-error bound."""
+error bound.  The sinh-mapped trapezoid rule `trapezoid`: its error bound,
+node cap and decay rule, and its value against QUADPACK on both Linet
+integrands."""
 
 import math
 import warnings
@@ -20,16 +22,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stringhorizon import specfun
+from stringhorizon import conespace, identities, specfun
 from stringhorizon.conespace import (ConePoint, _toroidal_rate, _toroidal_terms,
-                                     g3_toroidal_sum)
+                                     g3_linet, g3_toroidal_sum)
 from stringhorizon.errors import (ConvergenceError, DomainError, QuadratureError,
                                   SlowConvergenceError)
 from stringhorizon.identities import (_app5_rhs, check_app5, check_linet_sum,
                                       check_toroidal_addition)
 from stringhorizon.summation import (MAX_BANDS, MIN_RATE, _wynn_runs, count_bands,
                                      mode_sum, quadpack, richardson_table,
-                                     sum_l, sum_m_bands, wynn_limit)
+                                     sum_l, sum_m_bands, trapezoid, wynn_limit)
 
 
 def test_fold_of_constant_bands():
@@ -725,3 +727,108 @@ def test_quadpack_returns_scipy_value_and_error(f, a, b, options):
     from scipy.integrate import quad
     settings = {"epsabs": 1e-13, "epsrel": 1e-11, "limit": 400, **options}
     assert quadpack(f, a, b, "f", 1e-6, **options) == quad(f, a, b, **settings)
+
+
+# ----------------------------------------------------------------------
+# the sinh-mapped trapezoid rule
+# ----------------------------------------------------------------------
+
+def _sech(t):
+    # 1/cosh t without overflow: poles at +-i pi/2, integral pi/2 on [0, oo)
+    e = np.exp(-np.abs(t))
+    return 2.0 * e / (1.0 + e * e)
+
+
+def test_trapezoid_closed_form():
+    # the error is the move of the last halving, far above the error left
+    value, error = trapezoid(_sech, 0.5 * math.pi, "sech", 1e-9)
+    assert value == pytest.approx(0.5 * math.pi, rel=4e-16)
+    assert 1e-15 < error <= 1e-9
+
+
+def test_trapezoid_estimate_above_bound_raises():
+    # a ripple of 1e-6 at period 2 pi/1000 that the steps do not resolve:
+    # the halvings stop falling far above the bound
+    def f(t):
+        return _sech(t) * (1.0 + 1e-6 * np.sin(1e3 * t))
+    with pytest.raises(QuadratureError, match="^ripple: error estimate .* exceeds 1.00e-12$"):
+        trapezoid(f, 0.5 * math.pi, "ripple", 1e-12)
+
+
+def test_trapezoid_nan_estimate_raises():
+    def f(t):
+        return np.where(t > 1.0, math.nan, _sech(t))
+    with pytest.raises(QuadratureError, match="^nan: error estimate nan exceeds 1.00e[+]00$"):
+        trapezoid(f, 0.5 * math.pi, "nan", 1.0, 1.0)
+
+
+def test_trapezoid_node_cap_raises():
+    # e^{-|t|} has a kink at t = 0: each halving moves the sum a quarter of
+    # the last, which reaches 1e-9 of it only past the node cap
+    with pytest.raises(QuadratureError, match="^kink: no estimate within 2048 nodes$"):
+        trapezoid(lambda t: np.exp(-np.abs(t)), 1.0, "kink", 1.0, 1.0)
+
+
+def test_trapezoid_refuses_terms_that_do_not_decay():
+    with pytest.raises(QuadratureError, match="^flat: no decay by t = "):
+        trapezoid(lambda t: np.ones_like(t), 1.0, "flat", 1.0, 1.0)
+
+
+def _quad_of(f):
+    # QUADPACK on the scalar values of a vectorized integrand; full_output
+    # keeps its roundoff flag (the diagonal near its dphi guard) from warning
+    from scipy.integrate import quad
+    return quad(lambda t: float(f(np.array([t]))[0]), 0.0, math.inf, epsabs=0.0,
+                epsrel=1e-12, limit=400, full_output=1)[0]
+
+
+def _spied_integrands(call):
+    """(f, value) of every `trapezoid` that call() runs in conespace and
+    identities."""
+    seen = []
+
+    def spy(f, *args):
+        out = trapezoid(f, *args)
+        seen.append((f, out[0]))
+        return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conespace, "trapezoid", spy)
+        mp.setattr(identities, "trapezoid", spy)
+        call()
+    return seen
+
+
+_NULL_OFFSET = st.floats(1.05e-2, 0.2) | st.floats(-0.2, -1.05e-2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       theta=st.floats(0.02, math.pi - 0.02), theta_p=st.floats(0.02, math.pi - 0.02),
+       where=st.sampled_from(["any", "n = 0", "n = -1"]),
+       dphi=st.floats(0.0, math.pi), offset=_NULL_OFFSET)
+def test_trapezoid_against_quad_on_linet_u_integral(alpha, theta, theta_p, where,
+                                                    dphi, offset):
+    # a null image lies at dphi = pi/alpha (n = 0) or 2 pi - pi/alpha (n = -1);
+    # pairs reach 1.05e-2 of one, where the poles of F_alpha near the axis
+    assume(abs(theta - theta_p) > 1e-3)
+    if where != "any":
+        dphi = offset + (math.pi / alpha if where == "n = 0"
+                         else 2.0 * math.pi - math.pi / alpha)
+    assume(0.0 <= dphi <= math.pi
+           and min(abs(math.pi / alpha - abs(dphi + 2.0 * math.pi * n))
+                   for n in (-1, 0, 1)) >= 1.05e-2)
+    [(f, value)] = _spied_integrands(lambda: g3_linet(
+        ConePoint("spherical", (1.0, theta, 0.0)),
+        ConePoint("spherical", (1.0, theta_p, dphi)), alpha))
+    assert value == pytest.approx(_quad_of(f), rel=1e-10, abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       theta=st.floats(0.02, math.pi - 0.02),
+       log_dphi=st.floats(math.log10(1.415e-5), math.log10(math.pi)))
+def test_trapezoid_against_quad_on_diagonal_resummation(alpha, theta, log_dphi):
+    # dphi from pi down to the 2 sin^2(dphi/2) >= 1e-10 guard (dphi ~ 1.414e-5)
+    [(f, value)] = _spied_integrands(
+        lambda: identities._linet_lhs_diag(alpha, theta, 10.0 ** log_dphi, 1e-6))
+    assert value == pytest.approx(_quad_of(f), rel=1e-10)
