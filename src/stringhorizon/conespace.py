@@ -224,7 +224,6 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
 
     def rows(ms, count):
         mu = np.asarray(ms) / alpha
-        lam = np.add.outer(mu, np.arange(count))
         flat, log_q = mu.ravel(), np.empty((mu.size, count))
         left, known = np.ones(mu.size, dtype=bool), list(chains)
         while left.any():               # the known lattices first, then new ones
@@ -241,9 +240,10 @@ def heine_double_sum(alpha: float, theta: float, theta_p: float, dphi: float,
                     mu0, 0.0, zeta, max(2 * size, need))[1]
             log_q[on] = chains[mu0][np.add.outer(j, np.arange(count))]
             left &= ~on
-        # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2)
-        log_q = log_q.reshape(lam.shape) + log_gamma_ratios(mu + 1.0, mu + 1.5, count)
-        return (2.0 * lam + 1.0) * specfun.ferrers_band(mu, x1, x2, count, log_q)
+        # Q = Qbar Gamma(lam+1) / Gamma(lam+3/2); 2 lam + 1 waits for the band's peak
+        log_q = log_q.reshape(mu.shape + (count,)) + log_gamma_ratios(mu + 1.0, mu + 1.5, count)
+        return specfun.ferrers_band(mu, x1, x2, count, log_q) * (
+            2.0 * np.add.outer(mu, np.arange(count)) + 1.0)
 
     return mode_sum(rows, tol, dphi, xi,
                     lambda m: top * math.exp(-m * chi / alpha))
@@ -424,7 +424,8 @@ def g3_linet(x: ConePoint, xp: ConePoint, alpha: float,
             raise DomainError("pair within 1e-2 of a null image "
                               f"(|dphi + 2 pi n| = pi/alpha, margin {margin:.1e})")
         if margin > 0.0:
-            sigma = math.sqrt(base - 2.0 * rho1 * rho2 * math.cos(alpha * ang))
+            sigma = math.sqrt((z1 - z2) ** 2 + (rho1 - rho2) ** 2  # sums, no cancelling
+                              + 4.0 * rho1 * rho2 * math.sin(0.5 * alpha * ang) ** 2)
             total += 1.0 / (4.0 * math.pi * sigma)
     if alpha == 1.0:
         return total  # F_1 vanishes identically

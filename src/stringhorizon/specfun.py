@@ -16,10 +16,12 @@ Conventions
   leaves float range.  ``ferrers_band``, the gamma-ratio x P x P band of
   every mode sum over the angular functions, adds them in logs and builds
   one chain when theta = theta'.  Given an array of orders it returns a
-  band per row from one vectorized degree loop, bit for bit the scalar
-  chains' bands; one band keeps the scalar chain, the faster one for a
-  single row (the point values of ``ferrers_P`` and the long Wynn-limit
-  bands).
+  band per row from one vectorized degree loop over both angles' rows, bit
+  for bit the scalar chains' bands, in time and memory linear in its terms
+  (coefficients formed in chunks of steps, rescalings' log shifts summed
+  once, the band assembled in place); one band keeps the scalar chain, the
+  faster one for a single row (the point values of ``ferrers_P`` and the
+  long Wynn-limit bands).
 * ``axis_band`` is its counterpart on the axis, the gamma-ratio x P x Qbar
   band of the toroidal and spheroidal mode sums, returned as signs and
   logs; it is the one reader of the axis chains at nonzero order.
@@ -70,9 +72,13 @@ _SERIES_TOL = 1e-15       # target relative tail for series evaluation
 
 def log_gamma(x):
     """ln|Gamma(x)| by math.lgamma as a numpy float (inf past float range), or
-    of each entry of a small array; a chain of ratios takes `log_gamma_ratios`."""
+    of each entry of an array, in its shape (entry by entry only when one
+    leaves float range); a chain of ratios takes `log_gamma_ratios`."""
     if isinstance(x, np.ndarray):
-        return np.array(list(map(log_gamma, x.ravel().tolist()))).reshape(x.shape)
+        try:
+            return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        except OverflowError:
+            return np.array(list(map(log_gamma, x.ravel().tolist()))).reshape(x.shape)
     try:
         return np.float64(math.lgamma(x))
     except OverflowError:
@@ -85,9 +91,10 @@ def log_gamma_ratios(a, b, count: int) -> np.ndarray:
     then one math.lgamma pair per row, added last: no large ln Gamma cancels."""
     a, b = (np.asarray(v, dtype=float)[..., None] for v in (a, b))
     k = np.arange(count - 1.0)
-    steps = np.log((a + k) / (b + k))
-    out = np.zeros(steps.shape[:-1] + (count,))
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape, k.shape)[:-1] + (count,))
+    steps = np.add(a, k, out=out[..., 1:])
+    steps /= b + k
+    np.cumsum(np.log(steps, out=steps), axis=-1, out=steps)
     out += log_gamma(a) - log_gamma(b)
     return out
 
@@ -249,35 +256,46 @@ def ferrers_P_sequence(nu0: float, mu: float, x: float,
     return np.array(m, dtype=float), np.array(L, dtype=float)
 
 
-def _ferrers_chains(mu: np.ndarray, x: float,
+_STEPS = 32                # recurrence steps whose coefficients are formed at once
+
+
+def _ferrers_chains(mu: np.ndarray, xs: tuple,
                     count: int) -> tuple[np.ndarray, np.ndarray]:
-    """`ferrers_P_sequence(mu, mu, x, count)`, or a row of it per entry of a
-    1-D mu from one loop that repeats its operations (seeds F = 1 and
-    1 - (2 mu + 2)/(1 + mu) (1 - x)/2).  No pair max(|m_{k-1}|, |m_k|)
-    grows over 3-fold or shrinks by more than c2 / (|c1| + c3) a step, so
-    the bands are checked only where that allows a rescaling."""
+    """(m, L) of `ferrers_P_sequence(mu, mu, x, count)` per x of xs, shape
+    (len(xs),) + mu.shape + (count,); a 1-D mu runs one loop over a row per
+    x and order that repeats the scalar operations (seeds F = 1 and 1 - (2 mu
+    + 2)/(1 + mu) (1 - x)/2), its coefficients formed `_STEPS` steps at a
+    time.  No pair max(|m_{k-1}|, |m_k|) grows over 3-fold or shrinks by more
+    than c2 / (|c1| + c3) a step, so the rows are checked only where that
+    allows a rescaling, whose log shift is written at its own degree; one
+    cumsum adds the shifts to the offsets (x + (-d) is x - d exactly)."""
     if mu.ndim == 0:
-        return ferrers_P_sequence(float(mu), float(mu), x, count)
-    m, L = np.ones((mu.size, count)), np.empty((mu.size, count))
-    L[:] = _ferrers_offset(mu, mu, x, count)[:, None]
-    w = 0.5 * (1.0 - x)
-    m[:, 1:2] = (1.0 - (mu + (mu + 1.0) + 1.0) / (1.0 + mu) * w)[:, None]
-    nu = np.add.outer(np.arange(1.0, count - 1), mu)    # degree nu0 + k - 1
-    c1, c2, c3 = (2.0 * nu + 1.0) * x, nu - mu, nu + mu + 1.0
-    shrink = 0.5 * (c2 / (np.abs(c1) + c3)).min(axis=1, initial=1.0)
+        return tuple(np.array([ferrers_P_sequence(float(mu), float(mu), x, count)
+                               for x in xs]).swapaxes(0, 1))
+    off = np.concatenate([_ferrers_offset(mu, mu, x, count) for x in xs])
+    x, mu = np.repeat(xs, mu.size), np.tile(mu, len(xs))
+    m, L = np.ones((mu.size, count)), np.zeros((mu.size, count))
+    L[:, 0] = off
+    m[:, 1:2] = (1.0 - (mu + (mu + 1.0) + 1.0) / (1.0 + mu) * (0.5 * (1.0 - x)))[:, None]
     a, b, t, top, low = m[:, 0], m[:, :2][:, -1], np.empty(mu.size), math.inf, 0.0
-    for k, (s1, s2, s3, f) in enumerate(zip(c1, c2, c3, shrink.tolist()), 2):
-        np.subtract(np.multiply(s1, b, out=t), s2 * a, out=t)
-        a, b, top, low = b, np.divide(t, s3, out=m[:, k]), 4.0 * top, f * low
-        if not (top <= _BIG and low >= _TINY):
-            big, tiny = np.abs(b) > _BIG, (np.abs(b) < _TINY) & (np.abs(a) < _TINY)
-            if big.any() or tiny.any():
-                s = np.where(big, _TINY, np.where(tiny, _BIG, 1.0))
-                a, b[:] = a * s, b * s
-                L[:, k:] -= (big * math.log(_TINY) + tiny * math.log(_BIG))[:, None]
-            pair = np.maximum(np.abs(a), np.abs(b))
-            top, low = pair.max(initial=0.0), pair.min(initial=math.inf)
-    return m, L
+    for k0 in range(2, count, _STEPS):
+        nu = np.add.outer(np.arange(k0 - 1.0, min(count, k0 + _STEPS) - 1.0), mu)
+        c1, c2, c3 = (2.0 * nu + 1.0) * x, nu - mu, nu + mu + 1.0   # nu: degree nu0 + k - 1
+        shrink = 0.5 * (c2 / (np.abs(c1) + c3)).min(axis=1, initial=1.0)
+        for k, (s1, s2, s3, f) in enumerate(zip(c1, c2, c3, shrink.tolist()), k0):
+            np.subtract(np.multiply(s1, b, out=t), s2 * a, out=t)
+            a, b, top, low = b, np.divide(t, s3, out=m[:, k]), 4.0 * top, f * low
+            if not (top <= _BIG and low >= _TINY):
+                pair = np.maximum(np.abs(a), np.abs(b))
+                top, low = pair.max(initial=0.0), pair.min(initial=math.inf)
+                if not (top <= _BIG and low >= _TINY):
+                    big, tiny = np.abs(b) > _BIG, (np.abs(b) < _TINY) & (np.abs(a) < _TINY)
+                    s = np.where(big, _TINY, np.where(tiny, _BIG, 1.0))
+                    a, b[:], pair = a * s, b * s, pair * s      # powers of two: exact
+                    L[:, k] = -(big * math.log(_TINY) + tiny * math.log(_BIG))
+                    top, low = pair.max(initial=0.0), pair.min(initial=math.inf)
+    np.cumsum(L, axis=1, out=L)
+    return m.reshape(len(xs), -1, count), L.reshape(len(xs), -1, count)
 
 
 def ferrers_band(mu, x1: float, x2: float, count: int,
@@ -288,16 +306,22 @@ def ferrers_band(mu, x1: float, x2: float, count: int,
     Assembled in logs from the chains' mantissas and offsets, because the
     gamma ratio alone leaves float range at large mu while the product
     stays small; `log_factor` (a scalar or one value per degree) enters the
-    same exponential.  With x2 == x1 the one chain serves both factors.
+    same exponential.  With x2 == x1 the one chain serves both factors, else
+    one degree loop builds both; the band is assembled in place.
     """
     mu = np.asarray(mu, dtype=float)
-    m1, L1 = _ferrers_chains(mu, x1, count)
-    m2, L2 = (m1, L1) if x2 == x1 else _ferrers_chains(mu, x2, count)
-    lgr = log_gamma_ratios(2.0 * mu + 1.0, 1.0, count)
+    m, L = _ferrers_chains(mu, (x1,) if x2 == x1 else (x1, x2), count)
+    out = log_gamma_ratios(2.0 * mu + 1.0, 1.0, count)
+    out += L[0]
+    out += L[-1]
+    sign = np.sign(m, out=L)[0]
+    sign *= L[-1]
     with np.errstate(divide="ignore"):     # a zero of P: log 0 = -inf, term 0
-        return np.sign(m1) * np.sign(m2) * np.exp(
-            lgr + L1 + L2 + np.log(np.abs(m1)) + np.log(np.abs(m2))
-            + log_factor)
+        np.log(np.abs(m, out=m), out=m)
+    out += m[0]
+    out += m[-1]
+    out += log_factor
+    return np.multiply(np.exp(out, out=out), sign, out=out)
 
 
 # ----------------------------------------------------------------------

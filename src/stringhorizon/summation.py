@@ -30,6 +30,7 @@ from .errors import (ConvergenceError, DomainError, QuadratureError,
                      SlowConvergenceError)
 
 __all__ = [
+    "BLOCK_TERMS",
     "MAX_BANDS",
     "MIN_RATE",
     "count_bands",
@@ -44,6 +45,7 @@ __all__ = [
 
 MAX_BANDS = 400           # the most m-bands any azimuthal sum takes
 MIN_RATE = 1e-3           # sum_l refuses a geometric rate at or below this
+BLOCK_TERMS = 2 ** 16     # the most terms mode_sum asks of one block of geometric bands
 
 
 def sum_m_bands(band_fn, tol: float,
@@ -197,9 +199,10 @@ def mode_sum(rows, tol: float, dphi: float = 0.0, rate: float | None = None,
     row per m of an array ms, one band for a scalar m.  With closed,
     `count_bands` runs first and may refuse the sum before any row, and the
     bands it counts are built ahead: those of a geometric sum as many at a
-    time as fit 2^15 terms, those of a Wynn sum as one block of 160 terms in
-    one epsilon table, each row kept where `wynn_limit` would stop at 160.
-    Every other band is built alone, by `sum_l`, as the m-sum reads it."""
+    time as fit `BLOCK_TERMS` terms, those of a Wynn sum as one block of 160
+    terms in one epsilon table, each row kept where `wynn_limit` would stop
+    at 160.  Every other band is built alone, by `sum_l`, as the m-sum reads
+    it."""
     stop = 0 if closed is None else count_bands(closed, tol, dphi)
     bands = []                  # (value, tail, lmax) per band, None: alone
 
@@ -216,7 +219,7 @@ def mode_sum(rows, tol: float, dphi: float = 0.0, rate: float | None = None,
                         bands[k] = (value, err, 159)
             else:
                 values, tails, lmax = sum_l(lambda n: rows(np.arange(
-                    m, min(stop, m + max(1, 2 ** 15 // n))), n), tol, rate)
+                    m, min(stop, m + max(1, BLOCK_TERMS // n))), n), tol, rate)
                 bands.extend((value, tail, lmax) for value, tail in zip(values, tails))
         if m == len(bands):
             bands.append(None)

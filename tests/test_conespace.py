@@ -22,7 +22,7 @@ from stringhorizon.errors import (CoincidenceError, DomainError,
                                   SlowConvergenceError)
 from stringhorizon.identities import check_heine_generalized
 from stringhorizon.specfun import legendre_Q
-from stringhorizon.summation import sum_l, sum_m_bands
+from stringhorizon.summation import BLOCK_TERMS, sum_l, sum_m_bands
 
 P1 = ConePoint("spherical", (1.0, 1.1, 0.3), tau=0.2)
 P2 = ConePoint("spherical", (1.6, 0.8, 1.1), tau=-0.1)
@@ -439,7 +439,7 @@ def test_heine_double_sum_one_Q_chain_per_lattice(monkeypatch, alpha, lattices):
         assert mmax < len(starts) <= max(count, mmax + 1)
     else:
         assert len(set(starts)) == lattices
-        blocks = math.ceil(count / max(1, 2 ** 15 // (lmax + 1)))
+        blocks = math.ceil(count / max(1, BLOCK_TERMS // (lmax + 1)))
         rebuilds = math.log2((mmax / alpha + lmax + 1) / (lmax + 1))
         past = max(0, mmax + 1 - count)      # bands built past the count
         assert len(starts) <= lattices * min(blocks, 2 + rebuilds) + past
@@ -538,8 +538,9 @@ def test_heine_double_sum_refuses_before_any_band(monkeypatch, call):
 
 
 def test_heine_double_sum_memory_is_bounded():
-    # 248 bands x 702 degrees are built 2^15 terms at a time; built at once
-    # they held 12.8 MB
+    # 248 bands x 702 degrees are built BLOCK_TERMS = 2^16 terms at a time,
+    # each block in place (`test_heine_rows_block_memory_is_bounded`); built
+    # at once they held 12.8 MB
     tracemalloc.start()
     try:
         heine_double_sum(0.25, math.pi / 2, math.pi / 2, 0.3, math.cosh(0.02),
@@ -548,6 +549,27 @@ def test_heine_double_sum_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+def test_heine_rows_block_memory_is_bounded(monkeypatch):
+    # one BLOCK_TERMS block of a Heine sum at two angles, 93 bands x 702
+    # degrees: its Q logs, both angles' chains in one loop and the band
+    # summed in place peak at no more than 7 times the block's own array
+    got = []
+    monkeypatch.setattr(cs, "mode_sum",
+                        lambda rows, *args: got.append(rows) or (0.0, 0.0, 0, 0))
+    heine_double_sum(0.25, 1.0, 1.3, 0.3, 1.6)
+    rows, ms = got[0], np.arange(BLOCK_TERMS // 702)
+    rows(ms, 702)                       # its Q chain is built outside the measure
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        band = rows(ms, 702)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert band.shape == (93, 702)
+    assert peak <= 7 * band.nbytes
 
 
 @pytest.mark.parametrize("call", [

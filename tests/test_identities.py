@@ -233,6 +233,16 @@ def test_linet_alpha1_reduces_to_image_term():
     assert c.passed
 
 
+@pytest.mark.parametrize("dphi", [1e-3, 1.5e-5])
+def test_linet_direct_image_does_not_cancel_near_coincidence(dphi):
+    # the direct image's distance is summed from squares, not as base -
+    # 2 rho rho' cos(alpha dphi), which cancels to 1.6e-10 at dphi = 1e-3
+    # and to 2.2e-7 at 1.5e-5 against the diagonal's trapezoid rule
+    c = check_linet_sum(0.75, 1.5, 1.5, dphi, tol=1e-12)
+    assert "error" not in c.to_record()
+    assert c.passed and c.residual <= 1e-15
+
+
 def test_linet_domain():
     with pytest.raises(DomainError):
         check_linet_sum(0.5, PI / 3, 2 * PI / 3, 1.0)

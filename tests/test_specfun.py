@@ -75,6 +75,18 @@ def test_gammaln_is_named_nowhere():
                    ("gammaln", "gammasgn", "_near_nonpositive_integer"))
 
 
+@pytest.mark.parametrize("x", [
+    np.array([[0.5, 3.25, 171.5], [1e-300, 2.0, 700.0]]),
+    np.array([[0.5, 1e308], [math.inf, 2e307]]), np.array(7.5), np.array([])],
+    ids=["in-range", "past-float-range", "0-d", "empty"])
+def test_log_gamma_on_arrays_equals_the_scalar_path(x):
+    # one list of math.lgamma values (entry by entry only where one
+    # overflows): bit for bit the scalar path, inf included, in x's shape
+    out = specfun.log_gamma(x)
+    assert out.shape == x.shape and out.dtype == np.float64
+    assert out.ravel().tolist() == [specfun.log_gamma(v) for v in x.ravel().tolist()]
+
+
 def mp_log_gamma_ratios(a, b, count):
     """[ln Gamma(a+k)/Gamma(b+k), k < count] at 40 digits: mpmath's pair at
     k = 0, then its exact steps ln((a+k)/(b+k))."""
@@ -401,6 +413,17 @@ def test_ferrers_band_matches_term_by_term_product(mu):
        first=st.integers(0, 399), bands=st.integers(1, 400),
        x1=st.floats(-0.99, 0.99), x2=st.one_of(st.none(), st.floats(-0.99, 0.99)),
        count=st.integers(1, 800), log_factor=st.booleans())
+# the chi = 0.02 Heine sum's shape: 248 bands of 702 degrees at x = 0
+@example(alpha=0.25, first=0, bands=248, x1=0.0, x2=None, count=702, log_factor=True)
+# two angles in one loop, each with rows rescaled at mantissas below 2^-500
+@example(alpha=0.25, first=100, bands=300, x1=0.5, x2=-0.3, count=800, log_factor=False)
+# a step on either side of the end of the first chunk of coefficients
+@example(alpha=0.75, first=10, bands=20, x1=0.4, x2=-0.2,
+         count=specfun._STEPS + 1, log_factor=False)
+@example(alpha=0.75, first=10, bands=20, x1=0.4, x2=-0.2,
+         count=specfun._STEPS + 2, log_factor=False)
+@example(alpha=0.75, first=10, bands=20, x1=0.4, x2=-0.2,
+         count=specfun._STEPS + 3, log_factor=False)
 def test_ferrers_band_rows_equal_scalar_bands(alpha, first, bands, x1, x2,
                                               count, log_factor):
     # an array of orders runs one vectorized chain; each row must be the
@@ -415,6 +438,18 @@ def test_ferrers_band_rows_equal_scalar_bands(alpha, first, bands, x1, x2,
     ref = np.array([ferrers_band(v, x1, x2, count, extra) for v in mu.tolist()])
     assert rows.shape == (mu.size, count)
     assert np.array_equal(rows, ref)
+
+
+@pytest.mark.parametrize("x1, x2", [(0.0, 0.0), (0.5, -0.3)])
+def test_ferrers_band_rows_equal_the_rows_built_in_blocks(x1, x2):
+    # a block checks its rows by its least shrink factor, and no check moves
+    # a rescaling: 248 rows at once equal the same rows in blocks of 46 and
+    # of 93 (2^15 and 2^16 terms of 702 degrees), bit for bit
+    mu = np.arange(248) / 0.25
+    rows = ferrers_band(mu, x1, x2, 702)
+    for size in (46, 93):
+        blocks = [ferrers_band(mu[i:i + size], x1, x2, 702) for i in range(0, 248, size)]
+        assert np.array_equal(np.concatenate(blocks), rows)
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,9 @@ from stringhorizon.errors import (ConvergenceError, DomainError, QuadratureError
                                   SlowConvergenceError)
 from stringhorizon.identities import (_app5_rhs, check_app5, check_linet_sum,
                                       check_toroidal_addition)
-from stringhorizon.summation import (MAX_BANDS, MIN_RATE, _wynn_runs, count_bands,
-                                     mode_sum, quadpack, richardson_table,
+from stringhorizon.summation import (BLOCK_TERMS, MAX_BANDS, MIN_RATE,
+                                     _wynn_runs, count_bands, mode_sum,
+                                     quadpack, richardson_table,
                                      sum_l, sum_m_bands, trapezoid, wynn_limit)
 
 
@@ -158,7 +159,7 @@ def _per_band(rows, tol, dphi, rate):
 @pytest.mark.parametrize("rate, tol", [(0.01, 1e-6), (0.5, 1e-8), (5.0, 1e-3)])
 def test_mode_sum_builds_the_counted_bands_in_blocks(rate, tol):
     # the closed bands are the real ones: every band up to the count comes
-    # in blocks of at most 2^15 terms, in order, and none is built twice
+    # in blocks of at most BLOCK_TERMS terms, in order, and none is built twice
     rows, asked = _recorded(0.2, math.exp(-rate))
 
     def closed(m):
@@ -166,7 +167,7 @@ def test_mode_sum_builds_the_counted_bands_in_blocks(rate, tol):
     stop = count_bands(closed, tol, 0.4)
     value, tail, lmax, mmax = mode_sum(rows, tol, 0.4, rate, closed)
     assert mmax == stop - 1
-    assert all(np.ndim(ms) == 1 and 0 < ms.size * n <= 2 ** 15 for ms, n in asked)
+    assert all(np.ndim(ms) == 1 and 0 < ms.size * n <= BLOCK_TERMS for ms, n in asked)
     assert np.concatenate([ms for ms, _ in asked]).tolist() == list(range(stop))
     assert {n for _, n in asked} == {lmax + 1}
     ref = _per_band(_recorded(0.2, math.exp(-rate))[0], tol, 0.4, rate)
